@@ -50,7 +50,7 @@ func main() {
 	stream := flag.Bool("stream", false, "clean row by row without materializing the table (bounded memory)")
 	workers := flag.Int("workers", 0, "streaming repair workers with -stream (0 or 1 = serial; >1 = parallel pipeline)")
 	chunk := flag.Int("chunk", 0, "rows per pipeline chunk with -stream -workers > 1 (0 = default)")
-	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the repair memo serving repeated rows and hot values from cache (0 = default 64 MiB, negative = off)")
+	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the repair memo serving repeated rows from cache (0 = default 48 MiB, negative = off)")
 	noMemo := flag.Bool("no-memo", false, "disable the repair memo")
 	ensembleOn := flag.Bool("ensemble", false, "with -stream: repair by the weighted vote of all engines (detective, KATARA, FD, constant CFD) and append a confidence column")
 	ensembleRef := flag.String("ensemble-ref", "", "with -ensemble: clean reference CSV the FD and constant-CFD proposers are mined from")

@@ -76,7 +76,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain deadline")
 	streamWorkers := flag.Int("stream-workers", 0, "repair workers per /clean stream (0 or 1 = serial; >1 = chunked parallel pipeline)")
 	streamChunk := flag.Int("stream-chunk", 0, "rows per pipeline chunk when -stream-workers > 1 (0 = default)")
-	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the cross-request repair memo (0 = default 64 MiB, negative = off)")
+	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the cross-request repair memo (0 = default 48 MiB, negative = off)")
 	noMemo := flag.Bool("no-memo", false, "disable the cross-request repair memo")
 	verifyMode := flag.String("verify-mode", "", "KB integrity self-check on reload: off, warn (default), strict (reject suspect graphs)")
 	retain := flag.Int("retain", 0, "reloaded-out KB generations kept for POST /rollback (0 = default 2, negative = none)")
@@ -135,8 +135,8 @@ func main() {
 	// flags are set (it is the fast path).
 	loadKB := func() (*detective.KB, error) {
 		if *kbSnapshot != "" {
-			// By path, not reader: DKBS v2 snapshots are mmap'd in
-			// place where supported instead of decoded.
+			// By path, not reader: snapshots are mmap'd in place
+			// where supported instead of decoded.
 			return detective.LoadKBSnapshotFile(*kbSnapshot)
 		}
 		f, err := os.Open(*kbPath)

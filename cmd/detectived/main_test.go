@@ -2,9 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"io"
 	"log/slog"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -99,5 +103,30 @@ func TestReloadLoopExitsOnClosedChannel(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("reloadLoop did not exit on closed channel")
+	}
+}
+
+// TestKBSnapshotV1Exits: a -kb-snapshot file in the retired DKBS v1
+// layout stops the daemon at boot with a non-zero exit and the re-pack
+// hint. The test re-runs its own binary as the daemon.
+func TestKBSnapshotV1Exits(t *testing.T) {
+	if snap := os.Getenv("DETECTIVED_V1_SNAPSHOT"); snap != "" {
+		os.Args = []string{"detectived", "-kb-snapshot", snap, "-rules", "unused.dr", "-schema", "Name"}
+		main()
+		return
+	}
+	snap := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(snap, []byte("DKBS\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestKBSnapshotV1Exits$")
+	cmd.Env = append(os.Environ(), "DETECTIVED_V1_SNAPSHOT="+snap)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() == 0 {
+		t.Fatalf("daemon with a v1 snapshot: err = %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "re-pack") {
+		t.Fatalf("output lacks the re-pack hint:\n%s", out)
 	}
 }

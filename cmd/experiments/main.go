@@ -433,15 +433,25 @@ func writeRepairBench(path string) error {
 		}
 	})))
 
-	// KB load formats: the text parser versus the binary snapshot
-	// decoder over the same graph. The snapshot's headline claim (≥5×
-	// faster load) is gated by benchdiff through these two series.
+	// KB load formats over the same graph: the text parser, the
+	// portable decode of the page-aligned DKBS v2 snapshot, and the
+	// mmap'd in-place load the registry's tenant cold admissions ride
+	// on.
 	loadKB := dataset.NewNobel(1, 4000).Yago
 	var textBuf, snapBuf bytes.Buffer
 	if err := loadKB.Encode(&textBuf); err != nil {
 		return err
 	}
-	if err := loadKB.WriteSnapshot(&snapBuf); err != nil {
+	if err := loadKB.WriteSnapshotV2(&snapBuf); err != nil {
+		return err
+	}
+	benchDir, err := os.MkdirTemp("", "detective-bench")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(benchDir)
+	snapPath := filepath.Join(benchDir, "kb.v2.dkbs")
+	if err := os.WriteFile(snapPath, snapBuf.Bytes(), 0o644); err != nil {
 		return err
 	}
 	textSrc, snapSrc := textBuf.Bytes(), snapBuf.Bytes()
@@ -454,7 +464,7 @@ func writeRepairBench(path string) error {
 				}
 			}
 		})),
-		record("KBLoadSnapshot", testing.Benchmark(func(b *testing.B) {
+		record("KBLoadSnapshotV2", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := kb.LoadSnapshot(bytes.NewReader(snapSrc)); err != nil {
@@ -462,39 +472,10 @@ func writeRepairBench(path string) error {
 				}
 			}
 		})),
-	)
-
-	// DKBS v2 over the same graph: the portable decode of the
-	// page-aligned layout, and the mmap'd in-place load the registry's
-	// tenant cold admissions ride on. KBLoadMmap staying well clear of
-	// the v1 decode (the headline is ≥5×) is gated by benchdiff.
-	var snap2Buf bytes.Buffer
-	if err := loadKB.WriteSnapshotV2(&snap2Buf); err != nil {
-		return err
-	}
-	benchDir, err := os.MkdirTemp("", "detective-bench")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(benchDir)
-	snap2Path := filepath.Join(benchDir, "kb.v2.dkbs")
-	if err := os.WriteFile(snap2Path, snap2Buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	snap2Src := snap2Buf.Bytes()
-	results = append(results,
-		record("KBLoadSnapshotV2", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := kb.LoadSnapshot(bytes.NewReader(snap2Src)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})),
 		record("KBLoadMmap", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := kb.LoadSnapshotFile(snap2Path); err != nil {
+				if _, err := kb.LoadSnapshotFile(snapPath); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -575,7 +556,7 @@ func writeRepairBench(path string) error {
 	reg, err := registry.New(registry.Config{
 		MaxResident: 1,
 		Defaults: registry.TenantConfig{
-			Snapshot: snap2Path,
+			Snapshot: snapPath,
 			Rules:    rulesPath,
 			Schema:   nobelBench.Schema.Attrs,
 			Relation: nobelBench.Schema.Name,

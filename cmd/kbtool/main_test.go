@@ -14,7 +14,7 @@ import (
 func writeSnapshot(t *testing.T, dir, name string, g *kb.Graph) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
+	if err := g.WriteSnapshotV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, name)
@@ -56,8 +56,10 @@ func TestVerifyHealthySnapshot(t *testing.T) {
 }
 
 // TestVerifyCorruptSnapshotExit3: a flipped payload byte breaks the
-// section checksum; both plain and deep verify classify the file as
-// corrupt with exit 3, never reaching the integrity pass.
+// section checksum, and a file in the retired DKBS v1 layout fails at
+// its header with a hint to re-pack it; both plain and deep verify
+// classify either file as corrupt with exit 3, never reaching the
+// integrity pass.
 func TestVerifyCorruptSnapshotExit3(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "corrupt.snap", healthyGraph())
@@ -69,13 +71,19 @@ func TestVerifyCorruptSnapshotExit3(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{{path}, {"-deep", path}} {
-		var out, errw bytes.Buffer
-		if code := runVerify(args, &out, &errw); code != 3 {
-			t.Fatalf("verify %v = %d, want 3: %s%s", args, code, out.String(), errw.String())
-		}
-		if !strings.Contains(errw.String(), "corrupt snapshot") {
-			t.Fatalf("stderr = %q", errw.String())
+	v1 := filepath.Join(dir, "v1.snap")
+	if err := os.WriteFile(v1, []byte("DKBS\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for file, want := range map[string]string{path: "corrupt snapshot", v1: "re-pack"} {
+		for _, args := range [][]string{{file}, {"-deep", file}} {
+			var out, errw bytes.Buffer
+			if code := runVerify(args, &out, &errw); code != 3 {
+				t.Fatalf("verify %v = %d, want 3: %s%s", args, code, out.String(), errw.String())
+			}
+			if !strings.Contains(errw.String(), want) {
+				t.Fatalf("stderr = %q, want %q", errw.String(), want)
+			}
 		}
 	}
 }

@@ -63,25 +63,8 @@ func BenchmarkKBLoadText(b *testing.B) {
 	}
 }
 
-// BenchmarkKBLoadSnapshot decodes the compact varint DKBS v1 layout.
-func BenchmarkKBLoadSnapshot(b *testing.B) {
-	var buf bytes.Buffer
-	if err := benchGraph(b).WriteSnapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	src := buf.Bytes()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := LoadSnapshot(bytes.NewReader(src)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkKBLoadSnapshotV2 decodes the page-aligned v2 layout
-// portably — the fallback path for v2 files off-Linux.
+// portably — the fallback path for snapshot files off-Linux.
 func BenchmarkKBLoadSnapshotV2(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchGraph(b).WriteSnapshotV2(&buf); err != nil {

@@ -16,7 +16,7 @@ package kb
 // File format (all integers little-endian, "uv" = unsigned varint):
 //
 //	magic "DKBD" | u16 version=1 | u16 reserved
-//	then v1-style sections (u8 id | u32 CRC-32C | u64 len | payload),
+//	then sections (u8 id | u32 CRC-32C | u64 len | payload),
 //	terminated by the end section:
 //	  header    uv: baseNodes, baseTriples, baseFP, newFP
 //	  names     uv count, count uv name lengths, name bytes,
@@ -34,8 +34,8 @@ package kb
 //
 // Base identification is by *content fingerprint*, not generation or
 // node count: the fingerprint is an order- and ID-independent sum over
-// the graph's assertions, so a text-parsed graph, a v1 decode, an
-// mmap'd v2 graph and a delta-applied graph of equal content all agree
+// the graph's assertions, so a text-parsed graph, a decoded or mmap'd
+// snapshot and a delta-applied graph of equal content all agree
 // on it. Node counts deliberately do not participate: applying a delta
 // cannot compact nodes the new content no longer references (their IDs
 // are baked into shared arenas), so an applied graph may carry orphan

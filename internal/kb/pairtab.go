@@ -327,12 +327,6 @@ func (x *edgeIndex) add(key ID, e Edge) {
 	x.spans[key] = pairSpan{off: off, n: s.n + 1, cap: newCap}
 }
 
-// putSpan records the next cnt edges already appended to the arena as
-// key's edge list — the snapshot decoder's bulk-build path.
-func (x *edgeIndex) putSpan(key ID, off, cnt int) {
-	x.spans[key] = pairSpan{off: uint32(off), n: uint32(cnt), cap: uint32(cnt)}
-}
-
 func (t *pairTable) grow() {
 	oldKeys, oldSpans := t.keys, t.spans
 	t.keys = make([]uint64, 2*len(oldKeys))

@@ -1,241 +1,28 @@
 package kb
 
-// Binary KB snapshots. The text triple format (parse.go) is the
-// interchange format — human-readable, diffable, slow: every triple
-// repeats its node names, every line re-tokenizes, and every
-// AddTripleID pays a duplicate scan. A snapshot is the persisted form
-// of an already-built Graph: interned names are stored once, all
-// structure is dense varint-encoded IDs, duplicates are impossible by
-// construction, and the decoder rebuilds the indexes with
-// exact-capacity maps across parallel per-section workers. Loading a
-// snapshot is the fast path a serving process uses at boot and on
-// hot reload (see Store).
+// Byte-level helpers shared by the binary KB formats: the DKBS
+// snapshot magic (snapshot2.go), the CRC-32C table that DKBS and DKBD
+// deltas (delta.go) checksum their sections with, the DKBD section
+// framing
 //
-// Layout (all integers little-endian, "uv" = unsigned varint):
+//	u8 section ID | u32 CRC-32C(payload) | u64 payload length | payload
 //
-//	magic "DKBS" | u16 version | u16 reserved
-//	then a sequence of sections, each:
-//	  u8 section ID | u32 CRC-32C(payload) | u64 payload length | payload
-//	terminated by the end section (ID 10, empty payload).
-//
-// Sections (decoded concurrently; counts carries the map capacities):
-//
-//	counts    uv: numNodes, literalClass, tripleCount, generation,
-//	          lenOut, lenIn, lenSP, lenPO, numPreds, numTypeInsts,
-//	          numInstOf, numSubs, numSupers, nameByteLen
-//	nameLens  uv name length per node, in ID order
-//	nameBytes raw concatenated name bytes
-//	kinds     one byte per node
-//	preds     uv count, then sorted predicate IDs delta-encoded
-//	types     uv count, then per instance (ascending): uv inst, uv k,
-//	          k sorted class IDs
-//	subclass  same shape over class -> direct superclasses
-//	triples   uv subject count, then per subject (ascending): uv s,
-//	          uv k, k (uv pred, uv obj) pairs sorted by (pred, obj)
-//	triplesIn the same triples grouped by object (ascending): uv o,
-//	          uv k, k (uv pred, uv subj) pairs sorted by (pred, subj)
-//
-// The triples are stored twice — once per grouping — on purpose: each
-// decoder worker then sees its index's keys in contiguous runs and can
-// carve value slices out of one arena with a single map assignment per
-// key, instead of a lookup-append per edge. That map traffic, not the
-// varint decoding or the extra bytes, is what dominates load time.
-//
-// Every section is independently checksummed, so corruption is
-// detected before any partially decoded graph can escape, and the
-// encoding is canonical: the same graph always serializes to the same
-// bytes (`kbtool pack` is deterministic, which CI verifies).
+// and the unsigned varint reader both formats decode counts and IDs
+// with.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"sort"
-	"sync"
 )
 
-const (
-	snapshotMagic = "DKBS"
-	// SnapshotVersion is the format version written by WriteSnapshot
-	// and required by LoadSnapshot.
-	SnapshotVersion = 1
-)
-
-// Section IDs. The decoder requires all of them except end to be
-// present exactly once.
-const (
-	secCounts byte = iota + 1
-	secNameLens
-	secNameBytes
-	secKinds
-	secPreds
-	secTypes
-	secSubclass
-	secTriples
-	secTriplesIn
-	secEnd
-)
+const snapshotMagic = "DKBS"
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // sectionHeaderLen is id(1) + crc(4) + length(8).
 const sectionHeaderLen = 13
-
-// WriteSnapshot writes g in the binary snapshot format. The output is
-// canonical: encoding the same graph twice yields identical bytes.
-func (g *Graph) WriteSnapshot(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], SnapshotVersion)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-
-	numNodes := g.NumNodes()
-	nameBytes := 0
-	for i := 0; i < numNodes; i++ {
-		nameBytes += len(g.Name(ID(i)))
-	}
-	lenOut, lenIn := 0, 0
-	for i := 0; i < numNodes; i++ {
-		if len(g.out.view(ID(i))) > 0 {
-			lenOut++
-		}
-		if len(g.in.view(ID(i))) > 0 {
-			lenIn++
-		}
-	}
-	counts := make([]byte, 0, 16*binary.MaxVarintLen64)
-	for _, v := range []uint64{
-		uint64(numNodes), uint64(g.literalClass), uint64(g.tripleCount),
-		uint64(g.gen), uint64(lenOut), uint64(lenIn),
-		uint64(g.sp.len()), uint64(g.po.len()), uint64(len(g.preds)),
-		uint64(g.numTypeKeys()), uint64(g.numInstOfKeys()),
-		uint64(g.numSuperKeys()), uint64(g.numSubKeys()), uint64(nameBytes),
-	} {
-		counts = binary.AppendUvarint(counts, v)
-	}
-	if err := writeSection(bw, secCounts, counts); err != nil {
-		return err
-	}
-
-	lens := make([]byte, 0, numNodes*2)
-	for i := 0; i < numNodes; i++ {
-		lens = binary.AppendUvarint(lens, uint64(len(g.Name(ID(i)))))
-	}
-	if err := writeSection(bw, secNameLens, lens); err != nil {
-		return err
-	}
-	blob := make([]byte, 0, nameBytes)
-	for i := 0; i < numNodes; i++ {
-		blob = append(blob, g.Name(ID(i))...)
-	}
-	if err := writeSection(bw, secNameBytes, blob); err != nil {
-		return err
-	}
-
-	kinds := make([]byte, len(g.kinds))
-	for i, k := range g.kinds {
-		kinds[i] = byte(k)
-	}
-	if err := writeSection(bw, secKinds, kinds); err != nil {
-		return err
-	}
-
-	preds := g.Predicates()
-	pb := binary.AppendUvarint(nil, uint64(len(preds)))
-	prev := ID(0)
-	for i, p := range preds {
-		if i == 0 {
-			pb = binary.AppendUvarint(pb, uint64(p))
-		} else {
-			pb = binary.AppendUvarint(pb, uint64(p-prev))
-		}
-		prev = p
-	}
-	if err := writeSection(bw, secPreds, pb); err != nil {
-		return err
-	}
-
-	if err := writeSection(bw, secTypes, encodeIDListMap(g.numTypeKeys(), g.forEachTyped)); err != nil {
-		return err
-	}
-	if err := writeSection(bw, secSubclass, encodeIDListMap(g.numSuperKeys(), g.forEachSubclassed)); err != nil {
-		return err
-	}
-
-	if err := writeSection(bw, secTriples, encodeEdgeIndex(&g.out, numNodes, lenOut, g.tripleCount)); err != nil {
-		return err
-	}
-	if err := writeSection(bw, secTriplesIn, encodeEdgeIndex(&g.in, numNodes, lenIn, g.tripleCount)); err != nil {
-		return err
-	}
-
-	if err := writeSection(bw, secEnd, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// encodeEdgeIndex serializes an edge index (out or in) in ascending
-// key order, keys without edges omitted, each key's edges sorted by
-// (Pred, To) — the canonical shape of the two triples sections.
-func encodeEdgeIndex(x *edgeIndex, numNodes, numKeys, tripleCount int) []byte {
-	b := make([]byte, 0, tripleCount*4)
-	b = binary.AppendUvarint(b, uint64(numKeys))
-	var edges []Edge
-	for k := 0; k < numNodes; k++ {
-		es := x.view(ID(k))
-		if len(es) == 0 {
-			continue
-		}
-		edges = append(edges[:0], es...)
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Pred != edges[j].Pred {
-				return edges[i].Pred < edges[j].Pred
-			}
-			return edges[i].To < edges[j].To
-		})
-		b = binary.AppendUvarint(b, uint64(k))
-		b = binary.AppendUvarint(b, uint64(len(edges)))
-		for _, e := range edges {
-			b = binary.AppendUvarint(b, uint64(e.Pred))
-			b = binary.AppendUvarint(b, uint64(e.To))
-		}
-	}
-	return b
-}
-
-// encodeIDListMap serializes an ID -> sorted []ID association in
-// ascending key order (the shared shape of the types and subclass
-// sections). forEach supplies the entries in any order — both storage
-// forms provide one (forEachTyped, forEachSubclassed).
-func encodeIDListMap(numKeys int, forEach func(func(ID, []ID))) []byte {
-	type entry struct {
-		k    ID
-		vals []ID
-	}
-	items := make([]entry, 0, numKeys)
-	forEach(func(k ID, vals []ID) { items = append(items, entry{k, vals}) })
-	sort.Slice(items, func(i, j int) bool { return items[i].k < items[j].k })
-	b := binary.AppendUvarint(nil, uint64(len(items)))
-	var vals []ID
-	for _, it := range items {
-		vals = append(vals[:0], it.vals...)
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		b = binary.AppendUvarint(b, uint64(it.k))
-		b = binary.AppendUvarint(b, uint64(len(vals)))
-		for _, v := range vals {
-			b = binary.AppendUvarint(b, uint64(v))
-		}
-	}
-	return b
-}
 
 func writeSection(bw *bufio.Writer, id byte, payload []byte) error {
 	var h [sectionHeaderLen]byte
@@ -249,403 +36,6 @@ func writeSection(bw *bufio.Writer, id byte, payload []byte) error {
 	return err
 }
 
-// snapshotCounts is the decoded counts section: every capacity the
-// parallel decoders need to preallocate exactly.
-type snapshotCounts struct {
-	numNodes, tripleCount             int
-	literalClass                      ID
-	gen                               int64
-	lenOut, lenIn, lenSP, lenPO       int
-	numPreds, numTypeInsts, numInstOf int
-	numSubs, numSupers, nameByteLen   int
-}
-
-// LoadSnapshot reads a graph written by WriteSnapshot. Sections are
-// checksum-verified and decoded by parallel workers; any corruption
-// (bad magic, wrong version, checksum mismatch, truncated or missing
-// section, out-of-range ID) fails the load — a partially decoded
-// graph never escapes.
-func LoadSnapshot(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("kb: reading snapshot: %w", err)
-	}
-	if len(data) < len(snapshotMagic)+4 || string(data[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("kb: bad snapshot magic (not a KB snapshot)")
-	}
-	switch v := binary.LittleEndian.Uint16(data[4:6]); v {
-	case SnapshotVersion:
-	case SnapshotVersion2:
-		// v2 files decode portably from any reader; the mmap read path
-		// needs a file and goes through LoadSnapshotFile instead.
-		return decodeSnapshotV2(data)
-	default:
-		return nil, fmt.Errorf("kb: unsupported snapshot version %d (this build reads versions %d and %d)", v, SnapshotVersion, SnapshotVersion2)
-	}
-
-	secs := make(map[byte][]byte, 8)
-	crcs := make(map[byte]uint32, 8)
-	off := len(snapshotMagic) + 4
-	sawEnd := false
-	for off < len(data) {
-		if len(data)-off < sectionHeaderLen {
-			return nil, fmt.Errorf("kb: snapshot truncated in section header at offset %d", off)
-		}
-		id := data[off]
-		crc := binary.LittleEndian.Uint32(data[off+1 : off+5])
-		n := binary.LittleEndian.Uint64(data[off+5 : off+13])
-		off += sectionHeaderLen
-		if n > uint64(len(data)-off) {
-			return nil, fmt.Errorf("kb: snapshot section %d truncated: need %d bytes, have %d", id, n, len(data)-off)
-		}
-		payload := data[off : off+int(n)]
-		off += int(n)
-		if id == secEnd {
-			sawEnd = true
-			break
-		}
-		if _, dup := secs[id]; dup {
-			return nil, fmt.Errorf("kb: duplicate snapshot section %d", id)
-		}
-		secs[id] = payload
-		crcs[id] = crc
-	}
-	if !sawEnd {
-		return nil, fmt.Errorf("kb: snapshot truncated: end section missing")
-	}
-	for _, id := range []byte{secCounts, secNameLens, secNameBytes, secKinds, secPreds, secTypes, secSubclass, secTriples, secTriplesIn} {
-		if _, ok := secs[id]; !ok {
-			return nil, fmt.Errorf("kb: snapshot section %d missing", id)
-		}
-	}
-
-	checked := func(id byte) ([]byte, error) {
-		p := secs[id]
-		if got := crc32.Checksum(p, crcTable); got != crcs[id] {
-			return nil, fmt.Errorf("kb: snapshot section %d checksum mismatch (corrupt): got %08x, want %08x", id, got, crcs[id])
-		}
-		return p, nil
-	}
-
-	cp, err := checked(secCounts)
-	if err != nil {
-		return nil, err
-	}
-	var c snapshotCounts
-	cr := varintReader{b: cp}
-	fields := []struct {
-		name string
-		set  func(uint64)
-	}{
-		{"numNodes", func(v uint64) { c.numNodes = int(v) }},
-		{"literalClass", func(v uint64) { c.literalClass = ID(v) }},
-		{"tripleCount", func(v uint64) { c.tripleCount = int(v) }},
-		{"generation", func(v uint64) { c.gen = int64(v) }},
-		{"lenOut", func(v uint64) { c.lenOut = int(v) }},
-		{"lenIn", func(v uint64) { c.lenIn = int(v) }},
-		{"lenSP", func(v uint64) { c.lenSP = int(v) }},
-		{"lenPO", func(v uint64) { c.lenPO = int(v) }},
-		{"numPreds", func(v uint64) { c.numPreds = int(v) }},
-		{"numTypeInsts", func(v uint64) { c.numTypeInsts = int(v) }},
-		{"numInstOf", func(v uint64) { c.numInstOf = int(v) }},
-		{"numSubs", func(v uint64) { c.numSubs = int(v) }},
-		{"numSupers", func(v uint64) { c.numSupers = int(v) }},
-		{"nameByteLen", func(v uint64) { c.nameByteLen = int(v) }},
-	}
-	for _, f := range fields {
-		v, err := cr.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("kb: snapshot counts (%s): %w", f.name, err)
-		}
-		f.set(v)
-	}
-	if int(c.literalClass) >= c.numNodes {
-		return nil, fmt.Errorf("kb: snapshot counts: literal class %d out of range", c.literalClass)
-	}
-
-	g := &Graph{
-		names:        make([]string, c.numNodes),
-		byName:       make(map[string]ID, c.numNodes),
-		kinds:        make([]Kind, c.numNodes),
-		types:        make(map[ID][]ID, c.numTypeInsts),
-		superOf:      make(map[ID][]ID, c.numSubs),
-		subOf:        make(map[ID][]ID, c.numSupers),
-		instOf:       make(map[ID][]ID, c.numInstOf),
-		out:          edgeIndex{spans: make([]pairSpan, c.numNodes), edges: make([]Edge, 0, c.tripleCount)},
-		in:           edgeIndex{spans: make([]pairSpan, c.numNodes), edges: make([]Edge, 0, c.tripleCount)},
-		sp:           newPairTable(c.lenSP, c.tripleCount),
-		po:           newPairTable(c.lenPO, c.tripleCount),
-		preds:        make(map[ID]struct{}, c.numPreds),
-		tripleCount:  c.tripleCount,
-		gen:          c.gen,
-		literalClass: c.literalClass,
-		closureDirty: true,
-	}
-
-	// Sections decode concurrently: one worker per section family,
-	// each building its own disjoint Graph fields. Each triples
-	// grouping feeds two indexes from a single varint pass — the dense
-	// edge slice (out / in) by indexed store and the pair map (sp / po)
-	// by one assignment per (key, pred) run.
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	work := func(i int, f func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = f()
-		}()
-	}
-	work(0, func() error { return g.decodeNames(&c, checked) })
-	work(1, func() error { return g.decodeStructure(&c, checked) })
-	work(2, func() error {
-		payload, err := checked(secTriples)
-		if err != nil {
-			return err
-		}
-		return decodeEdges(payload, &c, "triples", &g.out, func(s, p ID, objs []ID) {
-			g.sp.put(pairKey(s, p), objs)
-		})
-	})
-	work(3, func() error {
-		payload, err := checked(secTriplesIn)
-		if err != nil {
-			return err
-		}
-		return decodeEdges(payload, &c, "triplesIn", &g.in, func(o, p ID, subs []ID) {
-			g.po.put(pairKey(p, o), subs)
-		})
-	})
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// decodeNames rebuilds the interned name table and the byName map.
-// All names are sliced out of one shared backing string, so the table
-// costs one allocation plus the map.
-func (g *Graph) decodeNames(c *snapshotCounts, checked func(byte) ([]byte, error)) error {
-	lensPayload, err := checked(secNameLens)
-	if err != nil {
-		return err
-	}
-	blobPayload, err := checked(secNameBytes)
-	if err != nil {
-		return err
-	}
-	if len(blobPayload) != c.nameByteLen {
-		return fmt.Errorf("kb: snapshot name bytes: got %d bytes, counts say %d", len(blobPayload), c.nameByteLen)
-	}
-	blob := string(blobPayload)
-	vr := varintReader{b: lensPayload}
-	off := 0
-	for i := 0; i < c.numNodes; i++ {
-		n, err := vr.uvarint()
-		if err != nil {
-			return fmt.Errorf("kb: snapshot name lengths: %w", err)
-		}
-		end := off + int(n)
-		if end > len(blob) {
-			return fmt.Errorf("kb: snapshot name %d overruns name bytes", i)
-		}
-		name := blob[off:end]
-		g.names[i] = name
-		g.byName[name] = ID(i)
-		off = end
-	}
-	if off != len(blob) {
-		return fmt.Errorf("kb: snapshot name bytes: %d trailing bytes", len(blob)-off)
-	}
-	return nil
-}
-
-// decodeStructure rebuilds kinds, predicates, the type assertions and
-// the subclass taxonomy (with their inverted maps).
-func (g *Graph) decodeStructure(c *snapshotCounts, checked func(byte) ([]byte, error)) error {
-	kp, err := checked(secKinds)
-	if err != nil {
-		return err
-	}
-	if len(kp) != c.numNodes {
-		return fmt.Errorf("kb: snapshot kinds: got %d entries, counts say %d nodes", len(kp), c.numNodes)
-	}
-	for i, b := range kp {
-		if b > byte(KindLiteral) {
-			return fmt.Errorf("kb: snapshot kinds: node %d has invalid kind %d", i, b)
-		}
-		g.kinds[i] = Kind(b)
-	}
-
-	pp, err := checked(secPreds)
-	if err != nil {
-		return err
-	}
-	vr := varintReader{b: pp}
-	np, err := vr.uvarint()
-	if err != nil {
-		return fmt.Errorf("kb: snapshot preds: %w", err)
-	}
-	var p ID
-	for i := 0; i < int(np); i++ {
-		d, err := vr.uvarint()
-		if err != nil {
-			return fmt.Errorf("kb: snapshot preds: %w", err)
-		}
-		if i == 0 {
-			p = ID(d)
-		} else {
-			p += ID(d)
-		}
-		if int(p) >= c.numNodes {
-			return fmt.Errorf("kb: snapshot preds: predicate ID %d out of range", p)
-		}
-		g.preds[p] = struct{}{}
-	}
-
-	tp, err := checked(secTypes)
-	if err != nil {
-		return err
-	}
-	if err := decodeIDListMap(tp, c.numNodes, g.types, g.instOf); err != nil {
-		return fmt.Errorf("kb: snapshot types: %w", err)
-	}
-	sp, err := checked(secSubclass)
-	if err != nil {
-		return err
-	}
-	if err := decodeIDListMap(sp, c.numNodes, g.superOf, g.subOf); err != nil {
-		return fmt.Errorf("kb: snapshot subclass: %w", err)
-	}
-	return nil
-}
-
-// decodeIDListMap is the inverse of encodeIDListMap; inv receives the
-// reversed (value -> keys) edges when non-nil.
-func decodeIDListMap(payload []byte, numNodes int, fwd, inv map[ID][]ID) error {
-	vr := varintReader{b: payload}
-	n, err := vr.uvarint()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < int(n); i++ {
-		kv, err := vr.uvarint()
-		if err != nil {
-			return err
-		}
-		k := ID(kv)
-		if int(k) >= numNodes {
-			return fmt.Errorf("key ID %d out of range", k)
-		}
-		cnt, err := vr.uvarint()
-		if err != nil {
-			return err
-		}
-		vals := make([]ID, 0, cnt)
-		for j := 0; j < int(cnt); j++ {
-			vv, err := vr.uvarint()
-			if err != nil {
-				return err
-			}
-			v := ID(vv)
-			if int(v) >= numNodes {
-				return fmt.Errorf("value ID %d out of range", v)
-			}
-			vals = append(vals, v)
-			if inv != nil {
-				inv[v] = append(inv[v], k)
-			}
-		}
-		fwd[k] = vals
-	}
-	return nil
-}
-
-// decodeEdges decodes one triples grouping into a dense edge index
-// (fwd, nil to skip) and a pair index (run: called once per
-// (key, pred) run, nil to skip) in a single varint pass. Because keys
-// arrive in ascending order and each key's edges sorted by (pred,
-// to), edges append straight onto the index's arena with one span
-// store per key, and each pred run makes exactly one run call — never
-// a lookup-append per edge; index-entry traffic is what load time is
-// made of. The run slice is a reused scratch buffer: receivers must
-// copy what they keep (pairTable.put does).
-func decodeEdges(payload []byte, c *snapshotCounts, secName string,
-	fwd *edgeIndex, run func(key, pred ID, ids []ID)) error {
-	vr := varintReader{b: payload}
-	nk, err := vr.uvarint()
-	if err != nil {
-		return fmt.Errorf("kb: snapshot %s: %w", secName, err)
-	}
-	var scratch []ID
-	total := 0
-	for i := 0; i < int(nk); i++ {
-		kv, err := vr.uvarint()
-		if err != nil {
-			return fmt.Errorf("kb: snapshot %s: %w", secName, err)
-		}
-		key := ID(kv)
-		if int(key) >= c.numNodes {
-			return fmt.Errorf("kb: snapshot %s: key ID %d out of range", secName, key)
-		}
-		cnt, err := vr.uvarint()
-		if err != nil {
-			return fmt.Errorf("kb: snapshot %s: %w", secName, err)
-		}
-		// Guard before appending: a corrupt count must not balloon the
-		// arena past what the counts section promised.
-		if cnt > uint64(c.tripleCount-total) {
-			return fmt.Errorf("kb: snapshot %s: more than %d triples", secName, c.tripleCount)
-		}
-		eStart := 0
-		if fwd != nil {
-			eStart = len(fwd.edges)
-		}
-		scratch = scratch[:0]
-		runStart := 0
-		var runPred ID
-		for j := 0; j < int(cnt); j++ {
-			pv, err := vr.uvarint()
-			if err != nil {
-				return fmt.Errorf("kb: snapshot %s: %w", secName, err)
-			}
-			ov, err := vr.uvarint()
-			if err != nil {
-				return fmt.Errorf("kb: snapshot %s: %w", secName, err)
-			}
-			if int(pv) >= c.numNodes || int(ov) >= c.numNodes {
-				return fmt.Errorf("kb: snapshot %s: ID out of range in entry %d/%d", secName, i, j)
-			}
-			p, o := ID(pv), ID(ov)
-			if run != nil {
-				if j > 0 && p != runPred {
-					run(key, runPred, scratch[runStart:len(scratch):len(scratch)])
-					runStart = len(scratch)
-				}
-				scratch = append(scratch, o)
-			}
-			runPred = p
-			if fwd != nil {
-				fwd.edges = append(fwd.edges, Edge{Pred: p, To: o})
-			}
-		}
-		total += int(cnt)
-		if run != nil && cnt > 0 {
-			run(key, runPred, scratch[runStart:len(scratch):len(scratch)])
-		}
-		if fwd != nil {
-			fwd.putSpan(key, eStart, int(cnt))
-		}
-	}
-	if total != c.tripleCount {
-		return fmt.Errorf("kb: snapshot %s: got %d triples, counts say %d", secName, total, c.tripleCount)
-	}
-	return nil
-}
-
 // varintReader decodes unsigned varints from a byte slice.
 type varintReader struct {
 	b   []byte
@@ -653,8 +43,7 @@ type varintReader struct {
 }
 
 // uvarint keeps the dominant one- and two-byte cases (IDs and counts
-// below 2^14) on an inlinable fast path; decodeEdges spends a large
-// share of its time here.
+// below 2^14) on an inlinable fast path.
 func (r *varintReader) uvarint() (uint64, error) {
 	if r.off+1 < len(r.b) {
 		c := r.b[r.off]

@@ -1,17 +1,18 @@
 package kb
 
-// DKBS version 2: the mmap-ready snapshot layout. Version 1 (see
-// snapshot.go) made loading fast by decoding varint sections into
-// rebuilt indexes; v2 makes loading nearly free by laying the indexes
-// out in the file exactly as the Graph reads them in memory. Every
-// index the hot path touches — the span-arena edge indexes, the
-// sp/po pair tables, the name blob, a pointer-free name hash table
-// replacing the byName map, and span-table forms of the four
+// DKBS snapshots: the persisted form of a built Graph, in the
+// mmap-ready version 2 layout, which makes loading nearly free by
+// laying the indexes out in the file exactly as the Graph reads them
+// in memory. Every index the hot path touches — the span-arena edge
+// indexes, the sp/po pair tables, the name blob, a pointer-free name
+// hash table replacing the byName map, and span-table forms of the four
 // type/taxonomy assertion maps — is stored as a raw little-endian
 // array, page-aligned, so a loader can mmap the file read-only and
 // use the sections in place: "load" is one mmap plus demand page-in,
 // and the pages are shared across every process serving the same
-// snapshot. Graphs loaded this way are read-only (see Graph).
+// snapshot. Graphs loaded this way are read-only (see Graph). The
+// retired version 1 layout is recognized only to reject it with a
+// hint to re-pack the file from its text source.
 //
 // Layout:
 //
@@ -24,16 +25,16 @@ package kb
 //
 // Raw sections are little-endian on every host. The mmap read path
 // (LoadSnapshotFile) casts them in place and is compiled in on
-// little-endian platforms with mmap support; everything else — v2
-// files on other platforms, io.Reader sources, and kbtool — goes
-// through decodeSnapshotV2, which verifies every section checksum and
+// little-endian platforms with mmap support; everything else — other
+// platforms, io.Reader sources, and kbtool — goes through
+// decodeSnapshotV2, which verifies every section checksum and
 // rebuilds heap-backed slices portably.
 //
 // The encoding is canonical: arenas are rewritten in ascending key
 // order with ascending values and exact capacities (no dead ranges
 // from incremental growth), so the same graph content always
 // serializes to identical bytes regardless of construction order —
-// `kbtool pack -v2` is deterministic, like v1.
+// `kbtool pack` is deterministic.
 //
 // Trust model: the mmap path checksums only the small varint sections
 // it must decode (counts, preds) and bounds-checks every span table
@@ -45,6 +46,7 @@ package kb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -53,9 +55,12 @@ import (
 	"unsafe"
 )
 
-// SnapshotVersion2 is the mmap-ready format version written by
-// WriteSnapshotV2.
+// SnapshotVersion2 is the format version written by WriteSnapshotV2
+// and the only one LoadSnapshot reads.
 const SnapshotVersion2 = 2
+
+// errSnapshotV1 rejects a file in the retired version 1 layout.
+var errSnapshotV1 = errors.New("kb: DKBS v1 snapshots are no longer supported; re-pack the KB from its .nt source with `kbtool pack`")
 
 // snapPageSize is the alignment raw sections are padded to — the
 // page size mmap guarantees, on every platform this serves.
@@ -154,9 +159,8 @@ func (c *v2Counts) fields() []struct {
 // ---------------------------------------------------------------------------
 // Writer
 
-// WriteSnapshotV2 writes g in the mmap-ready v2 snapshot format. Like
-// WriteSnapshot, the output is canonical: the same graph content
-// always yields identical bytes.
+// WriteSnapshotV2 writes g in the DKBS v2 snapshot format. The output
+// is canonical: the same graph content always yields identical bytes.
 func (g *Graph) WriteSnapshotV2(w io.Writer) error {
 	numNodes := g.NumNodes()
 
@@ -488,8 +492,12 @@ func parseV2Directory(hdr []byte, size int64) (map[byte]dirEntry, error) {
 	if len(hdr) < 8 || string(hdr[:4]) != snapshotMagic {
 		return nil, fmt.Errorf("kb: bad snapshot magic (not a KB snapshot)")
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != SnapshotVersion2 {
-		return nil, fmt.Errorf("kb: snapshot version %d is not v2", v)
+	switch v := binary.LittleEndian.Uint16(hdr[4:6]); v {
+	case SnapshotVersion2:
+	case 1:
+		return nil, errSnapshotV1
+	default:
+		return nil, fmt.Errorf("kb: unsupported snapshot version %d (this build reads version %d)", v, SnapshotVersion2)
 	}
 	n := int(binary.LittleEndian.Uint16(hdr[6:8]))
 	if n == 0 || n > 64 {
@@ -582,6 +590,20 @@ func decodeV2Counts(payload []byte) (*v2Counts, error) {
 
 // ---------------------------------------------------------------------------
 // Portable decode path
+
+// LoadSnapshot reads a graph written by WriteSnapshotV2 from any
+// reader, decoding it onto the heap. Every section checksum and
+// structural bound is verified; any corruption (bad magic, wrong
+// version, checksum mismatch, truncated or missing section,
+// out-of-range ID) fails the load, and a partially decoded graph never
+// escapes.
+func LoadSnapshot(r io.Reader) (*Graph, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("kb: reading snapshot: %w", err)
+	}
+	return decodeSnapshotV2(data)
+}
 
 // decodeSnapshotV2 rebuilds a graph from v2 bytes on the heap,
 // verifying every section checksum and every structural bound. It is
@@ -989,12 +1011,12 @@ func checkSpans(secID byte, spans []pairSpan, arenaLen int) error {
 // ---------------------------------------------------------------------------
 // File loading
 
-// LoadSnapshotFile loads a DKBS snapshot from disk. DKBS v2 files are
-// mmap'd and used in place when the platform supports it (Linux,
-// little-endian), making the load nearly free and the graph's memory
-// shared across processes; v1 files — and v2 on other platforms —
-// take the buffered decode path. Any mmap-path failure falls back to
-// the decode path, whose errors are authoritative.
+// LoadSnapshotFile loads a DKBS snapshot from disk. It is mmap'd and
+// used in place when the platform supports it (Linux, little-endian),
+// making the load nearly free and the graph's memory shared across
+// processes; other platforms take the buffered decode path. Any
+// mmap-path failure falls back to the decode path, whose errors are
+// authoritative.
 func LoadSnapshotFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -1005,6 +1027,9 @@ func LoadSnapshotFile(path string) (*Graph, error) {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("kb: reading snapshot header: %w", err)
 	}
+	// Only a v2 header is mapped: a failed mapped load is never
+	// unmapped (see mapping), so other files go straight to the decode
+	// path, which reports what is wrong with them.
 	if string(hdr[:4]) == snapshotMagic &&
 		binary.LittleEndian.Uint16(hdr[4:6]) == SnapshotVersion2 &&
 		mmapSupported && hostLittleEndian {
@@ -1037,15 +1062,7 @@ type SectionInfo struct {
 type SnapshotInfo struct {
 	Version  int           `json:"version"`
 	FileSize int64         `json:"fileSize"`
-	Mmap     bool          `json:"mmapReady"`
 	Sections []SectionInfo `json:"sections"`
-}
-
-var v1SectionNames = map[byte]string{
-	secCounts: "counts", secNameLens: "nameLens", secNameBytes: "nameBytes",
-	secKinds: "kinds", secPreds: "preds", secTypes: "types",
-	secSubclass: "subclass", secTriples: "triples", secTriplesIn: "triplesIn",
-	secEnd: "end",
 }
 
 var v2SectionNames = map[byte]string{
@@ -1076,68 +1093,21 @@ func ReadSnapshotInfo(path string) (*SnapshotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	var cnt [8]byte
+	if _, err := io.ReadFull(f, cnt[:]); err != nil {
 		return nil, fmt.Errorf("kb: reading snapshot header: %w", err)
 	}
-	if string(hdr[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("kb: bad snapshot magic (not a KB snapshot)")
+	hdr := make([]byte, 8+int(binary.LittleEndian.Uint16(cnt[6:8]))*dirEntryLen)
+	n, err := f.ReadAt(hdr, 0)
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("kb: reading snapshot directory: %w", err)
 	}
-	switch v := binary.LittleEndian.Uint16(hdr[4:6]); v {
-	case SnapshotVersion:
-		return readV1Info(f, st.Size())
-	case SnapshotVersion2:
-		return readV2Info(f, st.Size())
-	default:
-		return nil, fmt.Errorf("kb: unsupported snapshot version %d", v)
-	}
-}
-
-func readV1Info(f *os.File, size int64) (*SnapshotInfo, error) {
-	info := &SnapshotInfo{Version: SnapshotVersion, FileSize: size}
-	off := int64(len(snapshotMagic) + 4)
-	for {
-		var h [sectionHeaderLen]byte
-		if _, err := f.ReadAt(h[:], off); err != nil {
-			return nil, fmt.Errorf("kb: snapshot truncated in section header at offset %d", off)
-		}
-		id := h[0]
-		n := int64(binary.LittleEndian.Uint64(h[5:13]))
-		name := v1SectionNames[id]
-		if name == "" {
-			name = fmt.Sprintf("unknown(%d)", id)
-		}
-		payloadOff := off + sectionHeaderLen
-		if n < 0 || payloadOff+n > size {
-			return nil, fmt.Errorf("kb: snapshot section %d truncated", id)
-		}
-		info.Sections = append(info.Sections, SectionInfo{
-			ID: id, Name: name, Offset: payloadOff, Length: n,
-			CRC:     binary.LittleEndian.Uint32(h[1:5]),
-			Aligned: payloadOff%snapPageSize == 0,
-		})
-		off = payloadOff + n
-		if id == secEnd {
-			return info, nil
-		}
-	}
-}
-
-func readV2Info(f *os.File, size int64) (*SnapshotInfo, error) {
-	var cnt [8]byte
-	if _, err := f.ReadAt(cnt[:], 0); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint16(cnt[6:8]))
-	hdr := make([]byte, 8+n*dirEntryLen)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("kb: snapshot truncated in the section directory")
-	}
-	dir, err := parseV2Directory(hdr, size)
+	// parseV2Directory rejects a bad header before a short directory.
+	dir, err := parseV2Directory(hdr[:n], st.Size())
 	if err != nil {
 		return nil, err
 	}
-	info := &SnapshotInfo{Version: SnapshotVersion2, FileSize: size, Mmap: true}
+	info := &SnapshotInfo{Version: SnapshotVersion2, FileSize: st.Size()}
 	ids := make([]byte, 0, len(dir))
 	for id := range dir {
 		ids = append(ids, id)

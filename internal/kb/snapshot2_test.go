@@ -3,6 +3,7 @@ package kb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -134,23 +135,23 @@ func TestSnapshotV2MmapLoad(t *testing.T) {
 	checkGraphSemantics(t, g2)
 }
 
-func TestSnapshotV1FileFallsBackToDecode(t *testing.T) {
-	g := v2TestGraph()
+// v1Header starts a file in the retired DKBS v1 layout: the magic,
+// version 1, and a reserved u16 where v2 keeps its section count.
+var v1Header = []byte("DKBS\x01\x00\x00\x00")
+
+// TestSnapshotV1FileRejected: the file readers refuse a v1 snapshot
+// with the re-pack hint (LoadSnapshot's case is in
+// TestSnapshotV2Corruption).
+func TestSnapshotV1FileRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kb.snap")
-	if err := os.WriteFile(path, snapBytes(t, g), 0o644); err != nil {
+	if err := os.WriteFile(path, v1Header, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("LoadSnapshotFile(v1): %v", err)
+	if _, err := LoadSnapshotFile(path); !errors.Is(err, errSnapshotV1) {
+		t.Errorf("LoadSnapshotFile(v1) error = %v, want the re-pack hint", err)
 	}
-	if g2.Mapped() || g2.ReadOnly() {
-		t.Error("v1 snapshot should decode to a mutable, unmapped graph")
-	}
-	// Byte-identical v1 re-encode: the decode fallback preserves the
-	// canonical form exactly.
-	if !bytes.Equal(snapBytes(t, g), snapBytes(t, g2)) {
-		t.Error("v1 snapshot did not round trip byte-identically through LoadSnapshotFile")
+	if _, err := ReadSnapshotInfo(path); !errors.Is(err, errSnapshotV1) {
+		t.Errorf("ReadSnapshotInfo(v1) error = %v, want the re-pack hint", err)
 	}
 }
 
@@ -169,15 +170,6 @@ func TestSnapshotV2Deterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, snap2Bytes(t, g2)) {
 		t.Fatal("re-packing a v2-loaded graph changed the bytes")
-	}
-	// Cross-format: a graph decoded from v1 must v2-encode identically
-	// to the original.
-	g3, err := LoadSnapshot(bytes.NewReader(snapBytes(t, g)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, snap2Bytes(t, g3)) {
-		t.Fatal("v1-loaded graph v2-encodes differently")
 	}
 }
 
@@ -247,7 +239,19 @@ func TestSnapshotV2Corruption(t *testing.T) {
 		data    []byte
 		wantErr string
 	}{
+		{"empty input", nil, "bad snapshot magic"},
+		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b }), "bad snapshot magic"},
+		{"unknown version", mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[4:6], 99)
+			return b
+		}), "unsupported snapshot version 99"},
+		{"v1 header", v1Header, "re-pack"},
 		{"truncated directory", good[:16], "truncated in the section directory"},
+		{"duplicate directory entry", mutate(func(b []byte) []byte {
+			dirOff, _ := findV2Section(t, b, sec2SPKeys)
+			b[dirOff] = sec2Kinds
+			return b
+		}), "duplicate snapshot section"},
 		{"section out of bounds", mutate(func(b []byte) []byte {
 			dirOff, _ := findV2Section(t, b, sec2OutEdges)
 			binary.LittleEndian.PutUint64(b[dirOff+16:], 1<<40)
@@ -283,6 +287,15 @@ func TestSnapshotV2Corruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[dirOff+4:], crc)
 			return b
 		}), "out of range"},
+		{"name offsets past the name blob", mutate(func(b []byte) []byte {
+			// Point the second name's start past the blob and fix the
+			// CRC so only the structural bounds check can catch it.
+			dirOff, e := findV2Section(t, b, sec2NameOffs)
+			binary.LittleEndian.PutUint32(b[e.off+4:], 1<<30)
+			crc := crc32.Checksum(b[e.off:e.off+e.n], crcTable)
+			binary.LittleEndian.PutUint32(b[dirOff+4:], crc)
+			return b
+		}), "name offsets"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,36 +310,86 @@ func TestSnapshotV2Corruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotCorruption: the file readers reject a corrupt snapshot.
+// LoadSnapshotFile tries the mmap path first and must still report the
+// decode path's error; ReadSnapshotInfo reads only the header and
+// directory, so it must catch every case outside a section payload.
+func TestSnapshotCorruption(t *testing.T) {
+	good := snap2Bytes(t, v2TestGraph())
+	mutate := func(f func(b []byte) []byte) []byte {
+		return f(append([]byte(nil), good...))
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+		payload bool // corruption inside a section payload
+	}{
+		{"empty input", nil, "reading snapshot header", false},
+		{"bad magic", mutate(func(b []byte) []byte { b[0] = 'X'; return b }), "bad snapshot magic", false},
+		{"wrong version", mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[4:6], 99)
+			return b
+		}), "unsupported snapshot version 99", false},
+		{"truncated header", good[:8+5], "truncated in the section directory", false},
+		{"truncated section", mutate(func(b []byte) []byte {
+			_, e := findV2Section(t, b, sec2OutEdges)
+			return b[:e.off+1] // cut mid-payload
+		}), "out of bounds", false},
+		{"checksum mismatch", mutate(func(b []byte) []byte {
+			// Move the first predicate to another valid node ID: only
+			// the checksum, which the mmap path verifies for preds
+			// too, can catch it.
+			_, e := findV2Section(t, b, sec2Preds)
+			b[e.off+1]--
+			return b
+		}), "checksum mismatch", true},
+		{"missing section", mutate(func(b []byte) []byte {
+			dirOff, _ := findV2Section(t, b, sec2Kinds)
+			b[dirOff] = 200
+			return b
+		}), fmt.Sprintf("section %d missing", sec2Kinds), false},
+		{"duplicate section", mutate(func(b []byte) []byte {
+			dirOff, _ := findV2Section(t, b, sec2SPKeys)
+			b[dirOff] = sec2Kinds
+			return b
+		}), "duplicate snapshot section", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kb.snap")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSnapshotFile(path); err == nil {
+				t.Error("LoadSnapshotFile succeeded on a corrupt file")
+			} else if !bytes.Contains([]byte(err.Error()), []byte(tc.wantErr)) {
+				t.Errorf("LoadSnapshotFile error %q does not mention %q", err, tc.wantErr)
+			}
+			if tc.payload {
+				return
+			}
+			if _, err := ReadSnapshotInfo(path); err == nil {
+				t.Error("ReadSnapshotInfo succeeded on a corrupt file")
+			} else if !bytes.Contains([]byte(err.Error()), []byte(tc.wantErr)) {
+				t.Errorf("ReadSnapshotInfo error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestReadSnapshotInfo(t *testing.T) {
-	g := v2TestGraph()
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "v1.snap")
-	if err := os.WriteFile(v1, snapBytes(t, g), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	info, err := ReadSnapshotInfo(v1)
-	if err != nil {
-		t.Fatalf("ReadSnapshotInfo(v1): %v", err)
-	}
-	if info.Version != SnapshotVersion || info.Mmap {
-		t.Errorf("v1 info: version %d, mmap %v", info.Version, info.Mmap)
-	}
-	if len(info.Sections) != 10 { // 9 payload sections + end
-		t.Errorf("v1 info: %d sections, want 10", len(info.Sections))
-	}
-
-	v2 := filepath.Join(dir, "v2.snap")
-	v2bytes := snap2Bytes(t, g)
+	v2 := filepath.Join(t.TempDir(), "v2.snap")
+	v2bytes := snap2Bytes(t, v2TestGraph())
 	if err := os.WriteFile(v2, v2bytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	info, err = ReadSnapshotInfo(v2)
+	info, err := ReadSnapshotInfo(v2)
 	if err != nil {
 		t.Fatalf("ReadSnapshotInfo(v2): %v", err)
 	}
-	if info.Version != SnapshotVersion2 || !info.Mmap {
-		t.Errorf("v2 info: version %d, mmap %v", info.Version, info.Mmap)
+	if info.Version != SnapshotVersion2 {
+		t.Errorf("v2 info: version %d", info.Version)
 	}
 	if len(info.Sections) != int(sec2Max-1) {
 		t.Errorf("v2 info: %d sections, want %d", len(info.Sections), sec2Max-1)

@@ -197,39 +197,35 @@ func TestReportTruncation(t *testing.T) {
 
 // --- snapshot section surgery ---------------------------------------
 //
-// The DKBS format stores triples twice (subject- and object-grouped)
-// and decodes the two sections independently; a payload whose CRC is
-// recomputed after mutation loads cleanly but yields an asymmetric
-// graph. These helpers rewrite one section in place to simulate that.
+// A DKBS snapshot stores each index as its own section: out-edges and
+// in-edges are separate arenas, decoded independently. A payload whose
+// CRC is recomputed after mutation loads cleanly but yields a graph
+// whose indexes disagree. These helpers rewrite one section in place to
+// simulate that.
 
 const (
-	sectTriples   byte = 8
-	sectTriplesIn byte = 9
+	sectOutEdges byte = 16 // Edge (u32 pred, u32 to) per triple, by subject
+	sectInEdges  byte = 18 // the same triples by object
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// mutateSection applies fn to the payload of section id and fixes up
-// its CRC and length.
-func mutateSection(t *testing.T, snap []byte, id byte, fn func([]byte) []byte) []byte {
+// mutateSection applies fn to the payload of section id in place and
+// fixes the CRC in its directory entry (u8 id | u8 flags | u16 | u32
+// CRC | u64 offset | u64 length, after the 8-byte header).
+func mutateSection(t *testing.T, snap []byte, id byte, fn func([]byte)) []byte {
 	t.Helper()
-	off := 8 // magic + version + reserved
-	for off < len(snap) {
-		sid := snap[off]
-		ln := binary.LittleEndian.Uint64(snap[off+5 : off+13])
-		start, end := off+13, off+13+int(ln)
-		if sid != id {
-			off = end
+	n := int(binary.LittleEndian.Uint16(snap[6:8]))
+	for i := 0; i < n; i++ {
+		ent := snap[8+24*i : 8+24*(i+1)]
+		if ent[0] != id {
 			continue
 		}
-		payload := fn(append([]byte(nil), snap[start:end]...))
-		out := append([]byte(nil), snap[:off]...)
-		out = append(out, sid)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-		out = append(out, payload...)
-		out = append(out, snap[end:]...)
-		return out
+		off := binary.LittleEndian.Uint64(ent[8:16])
+		payload := snap[off : off+binary.LittleEndian.Uint64(ent[16:24])]
+		fn(payload)
+		binary.LittleEndian.PutUint32(ent[4:8], crc32.Checksum(payload, castagnoli))
+		return snap
 	}
 	t.Fatalf("section %d not found", id)
 	return nil
@@ -242,7 +238,7 @@ func tinyGraph(t *testing.T) (*kb.Graph, []byte) {
 	g.AddTriple("a", "p", "b")
 	g.Freeze()
 	var buf bytes.Buffer
-	if err := g.WriteSnapshot(&buf); err != nil {
+	if err := g.WriteSnapshotV2(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return g, buf.Bytes()
@@ -259,19 +255,11 @@ func reload(t *testing.T, snap []byte) *kb.Graph {
 
 func TestCheckDetectsAsymmetricIndexes(t *testing.T) {
 	g, snap := tinyGraph(t)
-	a, b := g.Lookup("a"), g.Lookup("b")
-	// triplesIn payload: numKeys, then per key (obj, count, pred, subj).
-	// Redirect the sole in-edge's subject from a to b: the in/po side
-	// now disagrees with out/sp.
-	snap = mutateSection(t, snap, sectTriplesIn, func(p []byte) []byte {
-		for i := len(p) - 1; i >= 0; i-- {
-			if p[i] == byte(a) {
-				p[i] = byte(b)
-				return p
-			}
-		}
-		t.Fatal("subject varint not found in triplesIn payload")
-		return p
+	b := g.Lookup("b")
+	// Redirect the sole in-edge's subject from a to b: the in index
+	// now disagrees with out/sp/po.
+	snap = mutateSection(t, snap, sectInEdges, func(p []byte) {
+		binary.LittleEndian.PutUint32(p[4:8], uint32(b))
 	})
 	r := Check(reload(t, snap), Options{})
 	if r.OK() {
@@ -284,18 +272,11 @@ func TestCheckDetectsAsymmetricIndexes(t *testing.T) {
 
 func TestCheckDetectsUnregisteredPredicate(t *testing.T) {
 	g, snap := tinyGraph(t)
-	p, b := g.Lookup("p"), g.Lookup("b")
+	b := g.Lookup("b")
 	// Rewrite the out-edge's predicate to point at node b (an
 	// instance, not a registered predicate).
-	snap = mutateSection(t, snap, sectTriples, func(pl []byte) []byte {
-		for i := 0; i < len(pl); i++ {
-			if pl[i] == byte(p) {
-				pl[i] = byte(b)
-				return pl
-			}
-		}
-		t.Fatal("predicate varint not found in triples payload")
-		return pl
+	snap = mutateSection(t, snap, sectOutEdges, func(p []byte) {
+		binary.LittleEndian.PutUint32(p[0:4], uint32(b))
 	})
 	r := Check(reload(t, snap), Options{})
 	if len(findings(r, "structural")) == 0 {

@@ -101,14 +101,11 @@ type Engine struct {
 
 // check is one memoizable value-level test, identified by its dense
 // ID. Edge checks carry no payload: they are only consulted when
-// already memoized (see fastStep). col is the schema column a node
-// check reads (-1 for edges and unknown columns), used to key the
-// cross-request cell memo by the cell's current value.
+// already memoized (see fastStep).
 type check struct {
 	id     int32
 	node   rules.Node
 	isEdge bool
-	col    int32
 }
 
 // Tri-state memo values: a check is unknown until computed for the
@@ -166,7 +163,7 @@ type Options struct {
 	ChunkSize int
 
 	// MemoBytes is the byte budget of the global cross-request repair
-	// memo (memo.go), shared by its tuple and cell tiers. 0 picks
+	// memo (memo.go), which caches whole-tuple outcomes. 0 picks
 	// DefaultMemoBytes; a negative value disables the memo, same as
 	// MemoDisabled. The memo never changes repair results — replays
 	// are byte-identical and hot KB reloads invalidate it by
@@ -274,7 +271,7 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		var evs []check
 		for _, n := range dr.Evidence {
 			id := idOf(n.Key(), n.Col)
-			evs = append(evs, check{id: id, node: n, col: int32(schema.Col(n.Col))})
+			evs = append(evs, check{id: id, node: n})
 			e.evIndex[id] = append(e.evIndex[id], i)
 		}
 		evSet := make(map[string]bool, len(dr.Evidence))
@@ -288,7 +285,7 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 			switch {
 			case evSet[ed.From] && evSet[ed.To]:
 				id := idOf(k, from.Col, to.Col)
-				evs = append(evs, check{id: id, isEdge: true, col: -1})
+				evs = append(evs, check{id: id, isEdge: true})
 				e.evIndex[id] = append(e.evIndex[id], i)
 			case ed.From == dr.Pos.Name || ed.To == dr.Pos.Name:
 				posEdgeIDs = append(posEdgeIDs, idOf(k, from.Col, to.Col))
@@ -696,7 +693,6 @@ type fastState struct {
 	steps *[]Step             // optional explanation recorder
 	timer *stageTimer         // non-nil only while this tuple is latency-sampled
 	g     *kb.Graph           // the KB pinned for this tuple's whole repair
-	gen   int64               // g's generation, keying the cross-request cell memo
 
 	stepsLeft int  // remaining rule applications before degrade
 	exceeded  bool // step budget exhausted for this tuple
@@ -744,7 +740,6 @@ func (e *Engine) getStateOn(g *kb.Graph) *fastState {
 	st.steps = nil
 	st.timer = nil
 	st.g = g // pin the chosen KB for this tuple
-	st.gen = g.Generation()
 	st.stepsLeft = e.stepBudget
 	st.exceeded = false
 	st.detectOnly = false
@@ -762,26 +757,6 @@ func (e *Engine) putState(st *fastState) {
 	st.timer = nil
 	st.g = nil
 	e.pool.Put(st)
-}
-
-// nodeCheckMemo resolves one evidence node check, consulting the
-// cross-request cell memo first: node checks are pure functions of
-// (check, cell value, pinned graph) — see rules.Matcher.NodeCheckOn —
-// so a verdict cached by any earlier tuple under the same generation
-// stands in for the KB probe. Only the per-tuple tri-state was
-// consulted before this point, so each (check, value) pair costs at
-// most one memo round-trip per tuple.
-func (e *Engine) nodeCheckMemo(m *rules.Matcher, st *fastState, t *relation.Tuple, c check) bool {
-	if e.memo == nil || c.col < 0 {
-		return m.NodeCheckOn(st.g, t, c.node)
-	}
-	v := t.Values[c.col]
-	if hold, ok := e.memo.getCell(st.gen, c.id, v); ok {
-		return hold
-	}
-	hold := m.NodeCheckOn(st.g, t, c.node)
-	e.memo.putCell(st.gen, c.id, v, hold)
-	return hold
 }
 
 // fastStep checks and possibly applies rule idx; it reports whether
@@ -827,10 +802,10 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 			}
 			var hold bool
 			if st.timer == nil {
-				hold = e.nodeCheckMemo(m, st, t, c)
+				hold = m.NodeCheckOn(st.g, t, c.node)
 			} else {
 				t0 := time.Now()
-				hold = e.nodeCheckMemo(m, st, t, c)
+				hold = m.NodeCheckOn(st.g, t, c.node)
 				st.timer.detect += time.Since(t0)
 			}
 			if hold {

@@ -6,20 +6,15 @@
 // outcomes cacheable across chunks, requests, and connections — not
 // just within one pipeline chunk — and real dirty data is heavily
 // value-skewed (Zipf), so a small bounded cache absorbs most of the
-// stream. The memo here has two tiers:
+// stream. The memo caches whole-tuple outcomes keyed by a 64-bit
+// fingerprint of (schema, cell values, marks): repaired values, marks,
+// and the quarantine/step-budget verdict, so a replay is
+// byte-identical to a fresh repair, degradation semantics included. A
+// novel tuple misses here even when it shares hot values with earlier
+// traffic; its node checks for those values are answered by the
+// catalog's candidate cache (see rules.Catalog.CandidatesOn).
 //
-//   - Tier 1 caches whole-tuple outcomes keyed by a 64-bit
-//     fingerprint of (schema, cell values, marks): repaired values,
-//     marks, and the quarantine/step-budget verdict, so a replay is
-//     byte-identical to a fresh repair, degradation semantics
-//     included.
-//   - Tier 2 caches per-cell evidence verdicts keyed by (check ID,
-//     cell value), so a novel tuple that shares a hot value with
-//     earlier traffic still skips the KB probe (the per-check
-//     NodeCheckOn is itself a pure function of the value and the
-//     pinned graph; see rules.Matcher).
-//
-// Both tiers are sharded 64 ways by the fingerprint's high bits, each
+// The memo is sharded 64 ways by the fingerprint's high bits, each
 // shard guarded by one mutex and bounded by an intrusive CLOCK over a
 // slot array (ref bits live in the slots; eviction walks the slots,
 // never allocates). Entries are tagged with the generation of the
@@ -41,11 +36,11 @@ import (
 	"detective/internal/relation"
 )
 
-// DefaultMemoBytes is the memo's default byte budget (both tiers
-// together) when Options.MemoBytes is 0: comfortably thousands of
-// cached tuples at eval-dataset row sizes while staying irrelevant
-// next to the KB's own footprint.
-const DefaultMemoBytes = 64 << 20
+// DefaultMemoBytes is the memo's default byte budget when
+// Options.MemoBytes is 0: comfortably thousands of cached tuples at
+// eval-dataset row sizes while staying irrelevant next to the KB's own
+// footprint.
+const DefaultMemoBytes = 48 << 20
 
 const (
 	memoShardBits  = 6
@@ -56,7 +51,6 @@ const (
 // headers. Cell values and row strings are accounted exactly on top.
 const (
 	tupleEntryOverhead = 160
-	cellEntryOverhead  = 96
 	stringOverhead     = 16
 )
 
@@ -114,10 +108,11 @@ func fpString(h uint64, s string) uint64 {
 // ---------------------------------------------------------------------------
 // Stats.
 
-// MemoTierStats is one tier's counters in a MemoStats snapshot.
+// MemoTierStats is the memo's counters in a MemoStats snapshot,
+// reported under its one tier, the whole-tuple outcomes.
 type MemoTierStats struct {
 	Hits int64 `json:"hits"`
-	// Misses counts lookups not answered by the tier, including
+	// Misses counts lookups not answered by the memo, including
 	// fingerprint collisions and generation mismatches.
 	Misses int64 `json:"misses"`
 	// Evictions counts entries evicted by the CLOCK to stay under the
@@ -136,13 +131,12 @@ type MemoStats struct {
 	// Enabled reports whether the engine was built with the memo on;
 	// all other fields are zero when it is false.
 	Enabled bool `json:"enabled"`
-	// BudgetBytes is the configured byte budget across both tiers.
+	// BudgetBytes is the configured byte budget.
 	BudgetBytes int64         `json:"budgetBytes"`
 	Tuple       MemoTierStats `json:"tuple"`
-	Cell        MemoTierStats `json:"cell"`
 }
 
-// memoCounters is one tier's live counter set.
+// memoCounters is the memo's live counter set.
 type memoCounters struct {
 	hits         atomic.Int64
 	misses       atomic.Int64
@@ -162,9 +156,6 @@ func (c *memoCounters) snapshot() MemoTierStats {
 		Bytes:        c.bytes.Load(),
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Tier 1 — whole-tuple outcomes.
 
 // tupleEntry is one cached whole-tuple repair. orig/origMk hold the
 // exact input (verified on every hit; origMk nil means all-unmarked,
@@ -206,60 +197,20 @@ func (s *tupleShard) remove(i int32, c *memoCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 2 — per-cell evidence verdicts.
-
-type cellEntry struct {
-	fp    uint64
-	gen   int64
-	id    int32
-	val   string
-	hold  bool
-	bytes int64
-	ref   bool
-	used  bool
-}
-
-type cellShard struct {
-	mu    sync.Mutex
-	idx   map[uint64]int32
-	slots []cellEntry
-	free  []int32
-	hand  int
-	bytes int64
-}
-
-func (s *cellShard) remove(i int32, c *memoCounters) {
-	e := &s.slots[i]
-	delete(s.idx, e.fp)
-	s.bytes -= e.bytes
-	c.bytes.Add(-e.bytes)
-	c.entries.Add(-1)
-	e.used = false
-	e.ref = false
-	e.val = ""
-	s.free = append(s.free, i)
-}
-
-// ---------------------------------------------------------------------------
 // The memo.
 
 // repairMemo is the engine's global cross-request memo. One instance
 // per engine; all methods are safe for concurrent use.
 type repairMemo struct {
 	schemaFP    uint64
-	budget      int64 // total configured budget, for MemoStats
-	tupleBudget int64 // per-shard tier-1 budget
-	cellBudget  int64 // per-shard tier-2 budget
+	budget      int64 // configured budget, for MemoStats
+	tupleBudget int64 // per-shard budget
 
 	tuple      [memoShardCount]tupleShard
-	cell       [memoShardCount]cellShard
 	tupleStats memoCounters
-	cellStats  memoCounters
 }
 
-// newRepairMemo sizes the memo for schema under a total byte budget,
-// split 3/4 tier 1 : 1/4 tier 2 — whole-tuple hits skip strictly more
-// work than cell hits, so they get the larger share.
+// newRepairMemo sizes the memo for schema under a byte budget.
 func newRepairMemo(schema *relation.Schema, budget int64) *repairMemo {
 	h := fpString(uint64(fpPrime3), schema.Name)
 	for _, a := range schema.Attrs {
@@ -268,14 +219,10 @@ func newRepairMemo(schema *relation.Schema, budget int64) *repairMemo {
 	m := &repairMemo{
 		schemaFP:    fpFinish(h),
 		budget:      budget,
-		tupleBudget: budget * 3 / 4 / memoShardCount,
-		cellBudget:  budget / 4 / memoShardCount,
+		tupleBudget: budget / memoShardCount,
 	}
 	for i := range m.tuple {
 		m.tuple[i].idx = make(map[uint64]int32)
-	}
-	for i := range m.cell {
-		m.cell[i].idx = make(map[uint64]int32)
 	}
 	return m
 }
@@ -527,104 +474,12 @@ func anyMarked(mk []bool) bool {
 	return false
 }
 
-// cellFP fingerprints one (check ID, value) evidence probe.
-func (m *repairMemo) cellFP(id int32, v string) uint64 {
-	h := fpMix(m.schemaFP, uint64(uint32(id))|1<<40)
-	return fpFinish(fpString(h, v))
-}
-
-// getCell answers a memoized evidence verdict for value v under check
-// id and generation gen.
-func (m *repairMemo) getCell(gen int64, id int32, v string) (hold, ok bool) {
-	fp := m.cellFP(id, v)
-	s := &m.cell[memoShard(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	i, found := s.idx[fp]
-	if !found {
-		m.cellStats.misses.Add(1)
-		return false, false
-	}
-	e := &s.slots[i]
-	if e.gen != gen {
-		s.remove(i, &m.cellStats)
-		m.cellStats.genEvictions.Add(1)
-		m.cellStats.misses.Add(1)
-		return false, false
-	}
-	if e.id != id || e.val != v {
-		m.cellStats.misses.Add(1)
-		return false, false
-	}
-	e.ref = true
-	m.cellStats.hits.Add(1)
-	return e.hold, true
-}
-
-// putCell records an evidence verdict. The value is always cloned:
-// cell inserts happen on the repair path where v may alias a reused
-// record buffer, and one small copy per distinct hot value is noise.
-func (m *repairMemo) putCell(gen int64, id int32, v string, hold bool) {
-	size := int64(cellEntryOverhead+len(v)) + stringOverhead
-	if size > m.cellBudget {
-		return
-	}
-	fp := m.cellFP(id, v)
-	s := &m.cell[memoShard(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	var i int32
-	if j, ok := s.idx[fp]; ok {
-		i = j
-		e := &s.slots[i]
-		s.bytes -= e.bytes
-		m.cellStats.bytes.Add(-e.bytes)
-	} else if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
-		s.idx[fp] = i
-		m.cellStats.entries.Add(1)
-	} else {
-		i = int32(len(s.slots))
-		s.slots = append(s.slots, cellEntry{})
-		s.idx[fp] = i
-		m.cellStats.entries.Add(1)
-	}
-	e := &s.slots[i]
-	e.fp, e.gen, e.id, e.hold, e.bytes = fp, gen, id, hold, size
-	e.val = strings.Clone(v)
-	e.used, e.ref = true, true
-	s.bytes += size
-	m.cellStats.bytes.Add(size)
-
-	n := len(s.slots)
-	for steps := 0; s.bytes > m.cellBudget && steps < 3*n; steps++ {
-		h := s.hand
-		s.hand++
-		if s.hand >= n {
-			s.hand = 0
-		}
-		se := &s.slots[h]
-		if !se.used || int32(h) == i {
-			continue
-		}
-		if se.ref {
-			se.ref = false
-			continue
-		}
-		s.remove(int32(h), &m.cellStats)
-		m.cellStats.evictions.Add(1)
-	}
-}
-
-// stats snapshots both tiers.
+// stats snapshots the counters.
 func (m *repairMemo) stats() MemoStats {
 	return MemoStats{
 		Enabled:     true,
 		BudgetBytes: m.budget,
 		Tuple:       m.tupleStats.snapshot(),
-		Cell:        m.cellStats.snapshot(),
 	}
 }
 

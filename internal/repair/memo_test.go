@@ -87,23 +87,30 @@ func TestMemoRepairRow(t *testing.T) {
 	}
 }
 
-// TestMemoCellTierSharesHotValues pins the second tier: a novel tuple
-// that shares a hot evidence value with earlier traffic must be
-// served its evidence verdict from the cell memo even though the
-// tuple tier misses.
-func TestMemoCellTierSharesHotValues(t *testing.T) {
+// TestCandidateCacheSharesHotValues: a novel tuple that shares a hot
+// evidence value with earlier traffic misses the memo, and the
+// catalog's candidate cache answers that value's node check without
+// another signature-index lookup.
+func TestCandidateCacheSharesHotValues(t *testing.T) {
 	e, _ := memoEngine(t, repair.Options{})
 	e.FastRepair(relation.NewTuple("Alice", "ParisX", "EuroX"))
 	ms0 := e.MemoStats()
-	// Different City/Country cells -> tuple-tier miss; same Name cell
-	// -> the person-evidence verdict is already cached.
+	hits0, _, _ := e.Cat.CacheStats()
+	ih0, im0, _ := e.Cat.IndexStats()
+	// Different City/Country cells -> memo miss; same Name cell -> the
+	// person-evidence candidates are already cached.
 	e.FastRepair(relation.NewTuple("Alice", "ParisY", "EuroY"))
 	ms1 := e.MemoStats()
-	if ms1.Cell.Hits <= ms0.Cell.Hits {
-		t.Fatalf("no cell-tier hit for shared evidence value: %+v -> %+v", ms0.Cell, ms1.Cell)
+	hits1, _, _ := e.Cat.CacheStats()
+	ih1, im1, _ := e.Cat.IndexStats()
+	if hits1 <= hits0 {
+		t.Fatalf("no candidate-cache hit for shared evidence value: %d -> %d", hits0, hits1)
+	}
+	if ih1+im1 != ih0+im0 {
+		t.Fatalf("shared value reached the signature index: %d -> %d lookups", ih0+im0, ih1+im1)
 	}
 	if ms1.Tuple.Hits != ms0.Tuple.Hits {
-		t.Fatalf("distinct tuple unexpectedly hit the tuple tier: %+v -> %+v", ms0.Tuple, ms1.Tuple)
+		t.Fatalf("distinct tuple unexpectedly hit the memo: %+v -> %+v", ms0.Tuple, ms1.Tuple)
 	}
 }
 
@@ -156,9 +163,8 @@ func TestMemoEvictionRespectsBudget(t *testing.T) {
 	if ms.BudgetBytes != budget {
 		t.Fatalf("BudgetBytes = %d, want %d", ms.BudgetBytes, budget)
 	}
-	if got := ms.Tuple.Bytes + ms.Cell.Bytes; got > budget {
-		t.Errorf("resident bytes %d exceed budget %d (tuple %d, cell %d)",
-			got, budget, ms.Tuple.Bytes, ms.Cell.Bytes)
+	if got := ms.Tuple.Bytes; got > budget {
+		t.Errorf("resident bytes %d exceed budget %d", got, budget)
 	}
 	if ms.Tuple.Evictions == 0 {
 		t.Errorf("no capacity evictions under a flooded 256 KiB budget: %+v", ms.Tuple)

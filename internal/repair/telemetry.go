@@ -105,39 +105,21 @@ func (in *engineInstr) registerMemo(m *repairMemo) {
 	reg.CounterFunc("detective_memo_hits_total",
 		"Repair-memo lookups answered from the cache, by tier.",
 		func() float64 { return float64(m.tupleStats.hits.Load()) }, tier("tuple"))
-	reg.CounterFunc("detective_memo_hits_total",
-		"Repair-memo lookups answered from the cache, by tier.",
-		func() float64 { return float64(m.cellStats.hits.Load()) }, tier("cell"))
 	reg.CounterFunc("detective_memo_misses_total",
 		"Repair-memo lookups not answered from the cache, by tier.",
 		func() float64 { return float64(m.tupleStats.misses.Load()) }, tier("tuple"))
-	reg.CounterFunc("detective_memo_misses_total",
-		"Repair-memo lookups not answered from the cache, by tier.",
-		func() float64 { return float64(m.cellStats.misses.Load()) }, tier("cell"))
 	reg.CounterFunc("detective_memo_evictions_total",
 		"Repair-memo entries evicted, by tier and reason.",
 		func() float64 { return float64(m.tupleStats.evictions.Load()) }, reason("capacity"), tier("tuple"))
 	reg.CounterFunc("detective_memo_evictions_total",
 		"Repair-memo entries evicted, by tier and reason.",
-		func() float64 { return float64(m.cellStats.evictions.Load()) }, reason("capacity"), tier("cell"))
-	reg.CounterFunc("detective_memo_evictions_total",
-		"Repair-memo entries evicted, by tier and reason.",
 		func() float64 { return float64(m.tupleStats.genEvictions.Load()) }, reason("generation"), tier("tuple"))
-	reg.CounterFunc("detective_memo_evictions_total",
-		"Repair-memo entries evicted, by tier and reason.",
-		func() float64 { return float64(m.cellStats.genEvictions.Load()) }, reason("generation"), tier("cell"))
 	reg.GaugeFunc("detective_memo_bytes",
 		"Bytes held by the repair memo, by tier.",
 		func() float64 { return float64(m.tupleStats.bytes.Load()) }, tier("tuple"))
-	reg.GaugeFunc("detective_memo_bytes",
-		"Bytes held by the repair memo, by tier.",
-		func() float64 { return float64(m.cellStats.bytes.Load()) }, tier("cell"))
 	reg.GaugeFunc("detective_memo_entries",
 		"Entries held by the repair memo, by tier.",
 		func() float64 { return float64(m.tupleStats.entries.Load()) }, tier("tuple"))
-	reg.GaugeFunc("detective_memo_entries",
-		"Entries held by the repair memo, by tier.",
-		func() float64 { return float64(m.cellStats.entries.Load()) }, tier("cell"))
 }
 
 // registerBreaker exposes the engine's circuit breaker as scrape-time

@@ -2,12 +2,16 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -347,6 +351,130 @@ func TestFaultServerBodyTooLarge(t *testing.T) {
 		if !strings.Contains(string(body), `"error"`) {
 			t.Errorf("%s: no JSON error envelope: %s", ep, body)
 		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe for the server's error logger.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestFaultServerBodyTooLargeKeepAlive: a /clean that stops reading an
+// over-limit body leaves its keep-alive connection usable. Over one
+// raw connection, each case sends an oversize /clean, reads the reply,
+// then sends a second POST, which gets its own 200 unless the server
+// closed the connection. Whether or not the 200 was committed before
+// the limit tripped, a remainder past the drain bound closes the
+// connection, and the server never panics.
+func TestFaultServerBodyTooLargeKeepAlive(t *testing.T) {
+	const header = "Name,DOB,Country,Prize,Institution,City\n"
+	rows := func(n int) string {
+		var b strings.Builder
+		b.WriteString(header)
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "Name %d,1900-01-01,Nowhere,No Prize,None,Nowhere\n", i)
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name       string
+		limit      int64
+		rows       int // ~52 bytes each
+		wantStatus int
+		wantReuse  bool
+	}{
+		// The limit trips before the 4 KiB holdback fills: a 413.
+		{"uncommitted", 512, 100, http.StatusRequestEntityTooLarge, true},
+		{"uncommitted, remainder past the drain bound", 512, 10000, http.StatusRequestEntityTooLarge, false},
+		// ~1,260 rows fit the limit, so the 200 is on the wire first.
+		{"committed", 64 << 10, 1600, http.StatusOK, true},
+		{"committed, remainder past the drain bound", 64 << 10, 10000, http.StatusOK, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := dataset.NewPaperExample()
+			s, err := server.NewWithConfig(ex.Rules, ex.KB, ex.Schema, server.Config{MaxBodyBytes: tc.limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var errLog syncBuffer
+			ts := httptest.NewUnstartedServer(s)
+			ts.Config.ErrorLog = log.New(&errLog, "", 0)
+			ts.Start()
+			defer func() {
+				ts.Close()
+				if strings.Contains(errLog.String(), "panic") {
+					t.Errorf("server panicked:\n%s", errLog.String())
+				}
+			}()
+
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			post := func(body string) {
+				// The server may stop reading and close mid-body; the
+				// write error is expected then and the read reports it.
+				go fmt.Fprintf(conn, "POST /clean HTTP/1.1\r\nHost: test\r\nContent-Type: text/csv\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+			}
+
+			post(rows(tc.rows))
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if rerr != nil {
+				t.Fatalf("reading the oversize reply: %v", rerr)
+			}
+			if resp.StatusCode != tc.wantStatus {
+				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.wantStatus)
+			}
+
+			if !tc.wantReuse {
+				// The connection must not be read again: the next read
+				// sees the server close it, never a reply to leftover
+				// body bytes parsed as a request.
+				if _, err := br.ReadByte(); err == nil {
+					t.Fatal("server kept reading the connection after giving up on the body")
+				} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatal("server left the connection open after giving up on the body")
+				}
+				return
+			}
+			if resp.Close {
+				t.Fatal("reply closed a connection whose body fit the drain bound")
+			}
+			post(rows(1))
+			resp, err = http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("second POST on the same connection: %v", err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("second POST status = %d, want 200", resp.StatusCode)
+			}
+		})
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -101,11 +102,10 @@ type Config struct {
 	StreamChunkSize int
 	// MemoBytes is the byte budget of the engine's global
 	// cross-request repair memo (repair.Options.MemoBytes): repeated
-	// tuples and hot cell values across requests and connections are
-	// answered from cache, byte-identical to a fresh repair, and hot
-	// KB reloads invalidate it by generation. 0 picks
-	// repair.DefaultMemoBytes; negative disables it, as does
-	// MemoDisabled.
+	// tuples across requests and connections are answered from cache,
+	// byte-identical to a fresh repair, and hot KB reloads invalidate
+	// it by generation. 0 picks repair.DefaultMemoBytes; negative
+	// disables it, as does MemoDisabled.
 	MemoBytes int64
 	// MemoDisabled turns the repair memo off.
 	MemoDisabled bool
@@ -647,6 +647,11 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		setTrailers()
 		return
 	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.tooLargeTotal.Inc()
+		discardBody(w, r)
+	}
 	if sw.committed {
 		setTrailers()
 		// Mid-stream failure: the 200 and a partial body are already
@@ -668,16 +673,38 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeoutTotal.Inc()
 		writeError(w, http.StatusServiceUnavailable, "request deadline exceeded")
+	case tooLarge != nil:
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
 	default:
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.tooLargeTotal.Inc()
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return
-		}
 		writeError(w, http.StatusBadRequest, "bad CSV: %v", err)
 	}
+}
+
+// maxDrainBytes bounds how much of an over-limit /clean body
+// discardBody reads: net/http's own tolerance for unread request
+// bodies it drains to keep a connection alive.
+const maxDrainBytes = 256 << 10
+
+// discardBody reads the rest of an over-limit /clean body, up to
+// maxDrainBytes, before the handler returns. Under full duplex,
+// net/http does not drain the body while the handler runs; left to
+// its after-handler drain, reaching the body's end starts a connection
+// read that collides with the next request's and panics the
+// connection. A remainder past the bound trips a MaxBytesReader on the
+// innermost ResponseWriter, which tells net/http to close the
+// connection after this reply instead of reading it again.
+func discardBody(w http.ResponseWriter, r *http.Request) {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	// Any error ends the drain: past the bound net/http now closes the
+	// connection, and a failed read has already broken it.
+	_, _ = io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, maxDrainBytes))
 }
 
 // ExplainedTuple is the JSON shape of one cleaned row.
@@ -782,9 +809,9 @@ type StatsResponse struct {
 	// same numbers are exported as Prometheus series on the ops port.
 	CandidateCache CacheStats `json:"candidateCache"`
 	SignatureIndex CacheStats `json:"signatureIndex"`
-	// Memo is the global cross-request repair memo (two tiers:
-	// whole-tuple outcomes and per-cell evidence verdicts), likewise
-	// mirrored as detective_memo_* Prometheus series.
+	// Memo is the global cross-request repair memo of whole-tuple
+	// outcomes, likewise mirrored as detective_memo_* Prometheus
+	// series.
 	Memo repair.MemoStats `json:"memo"`
 	// EnsembleReliability maps each ensemble engine to its current
 	// reliability factor (omitted when ensemble mode is off).

@@ -180,7 +180,10 @@ func TestCleanRejectsBadInput(t *testing.T) {
 }
 
 func TestConcurrentCleans(t *testing.T) {
-	ts, _ := newTestServer(t)
+	// Room for all eight requests: the default MaxConcurrent is
+	// 2×GOMAXPROCS, which sheds some of them on small machines, and
+	// shedding is TestFaultServerLoadShed's subject, not this test's.
+	ts, _ := newFaultServer(t, server.Config{MaxConcurrent: 8})
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {
