@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet fmt-check test cover race fault chaos bench bench-smoke benchdiff snapshot-check delta-check metrics-check experiments examples e2e clean
+.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff snapshot-check delta-check metrics-check experiments examples e2e clean
 
 all: build vet fmt-check test
 
@@ -44,6 +44,16 @@ chaos:
 	go test -race -count=3 -run 'TestFaultBreaker' ./internal/repair
 	go test -race -count=3 -run 'TestCanary|TestFaultCanary|TestRollback|TestReloadUnderLoad|TestFaultDelta|TestDeltaCanary' ./internal/server
 	go test -race -count=3 -run 'TestLRUChurn|TestEvictionSkipsPinnedTenants|TestReadmissionAfterEviction' ./internal/registry
+
+# Native Go fuzzing of the decoders of untrusted bytes, FUZZTIME per
+# target (go test -fuzz runs one target at a time): the rule-text
+# parser must re-encode to a fixed point, and a POST /reload?delta=1
+# body must decode and apply without panicking. Crashers land in the
+# package's testdata/fuzz/ and then run as plain tests.
+FUZZTIME ?= 15s
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/rules
+	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -1,10 +1,16 @@
-// Command detectived serves a loaded cleaning engine over HTTP:
+// Command detectived serves cleaning engines over HTTP:
 //
 //	detectived -kb kb.nt -rules rules.dr -schema "Name,DOB,Country,Prize,Institution,City" \
 //	    -addr :8080 -ops-addr :9090
 //
 // Endpoints (see the server package): POST /clean, POST /explain,
 // GET /rules, GET /stats, GET /healthz, GET /readyz.
+//
+// Flag mode (-kb or -kb-snapshot, -rules, -schema) is a registry of one
+// tenant named "default": it serves the root routes above and the same
+// endpoints under /v1/default/, and its metric series carry
+// tenant="default". A KB, rules or schema that cannot load stops the
+// daemon at boot with exit status 1.
 //
 // # Registry mode
 //
@@ -13,28 +19,30 @@
 // -registry replaces the single-tenant flags with a JSON fleet
 // configuration (see the registry package): named tenants, each with
 // its own KB snapshot, rules, schema and limits, served under
-// /v1/{tenant}/clean (plus /explain, /rules, /stats). Only the
+// /v1/{tenant}/clean (plus /explain, /rules, /stats, /readyz). Only the
 // residency cap's worth of tenants hold a loaded KB at a time; cold
 // tenants are admitted on first request — near-instant when their
-// snapshot is DKBS v2, which is mmap'd in place. The ops listener
-// adds tenant-scoped POST /v1/{tenant}/reload and /rollback and a
-// GET /registry fleet-status document; SIGHUP canary-reloads every
-// resident tenant from its configured source. The serving-limit flags
-// (-timeout, -max-concurrent, -memo-bytes, ...) become per-tenant
+// snapshot is DKBS v2, which is mmap'd in place. The serving-limit
+// flags (-timeout, -max-concurrent, -memo-bytes, ...) become per-tenant
 // defaults that tenant configs may override.
 //
-// A second, operator-only listener (-ops-addr, disabled when empty)
-// serves GET /metrics (Prometheus text format: repair latency
-// histograms, cache hit/miss counters, per-route HTTP metrics) and
-// net/http/pprof under /debug/pprof/ — profiling and scraping stay
-// off the public port.
+// Both modes run one serving path. The ops listener (-ops-addr,
+// disabled when empty) serves GET /metrics (Prometheus text format:
+// repair latency histograms, cache hit/miss counters, per-route HTTP
+// metrics), net/http/pprof under /debug/pprof/, the tenant-scoped KB
+// lifecycle POST /v1/{tenant}/reload and /rollback (POST /reload and
+// /rollback for tenant "default"), and the GET /registry fleet-status
+// document — profiling, scraping and reloads stay off the public port.
+// SIGHUP re-reads the -registry file and canary-reloads every resident
+// tenant from its configured source.
 //
 // Logs are structured (log/slog, key=value on stderr); -log-level
 // picks the floor (debug logs every request with its X-Request-ID).
 //
-// On SIGTERM/SIGINT the server drains gracefully: /readyz flips to
-// 503 so load balancers stop routing new work, in-flight requests get
-// -drain-timeout to finish, then both listeners close.
+// On SIGTERM/SIGINT the server drains gracefully: every tenant's
+// /readyz flips to 503 so load balancers stop routing new work,
+// in-flight requests get -drain-timeout to finish, then both listeners
+// close.
 package main
 
 import (
@@ -50,23 +58,69 @@ import (
 	"syscall"
 	"time"
 
-	"detective"
 	"detective/internal/registry"
 	"detective/internal/repair"
-	"detective/internal/repair/ensemble"
-	"detective/internal/repair/ensemble/adapters"
 	"detective/internal/server"
 	"detective/internal/telemetry"
 )
 
+// fleetFlags are the flags that pick what detectived serves.
+type fleetFlags struct {
+	registry, kb, kbSnapshot, rules, schema, relation string
+	ensemble                                          bool
+	ensembleRef                                       string
+	ensembleThreshold                                 float64
+}
+
+// config returns the registry configuration both modes serve: the
+// -registry file, or flag mode's fleet of one tenant named "default".
+// SIGHUP calls it again. The -ensemble flags overlay the fleet
+// defaults, which tenant configs may still override, so flag-driven
+// defaults survive config reloads.
+func (ff *fleetFlags) config() (*registry.Config, error) {
+	cfg := &registry.Config{}
+	if ff.registry != "" {
+		var err error
+		if cfg, err = registry.LoadConfig(ff.registry); err != nil {
+			return nil, err
+		}
+	} else {
+		attrs := strings.Split(ff.schema, ",")
+		for i := range attrs {
+			attrs[i] = strings.TrimSpace(attrs[i])
+		}
+		// A snapshot wins when both KB flags are set (it is the fast
+		// path), as the tenant config's Snapshot does over KBText.
+		cfg.Tenants = []registry.TenantConfig{{
+			Name:     server.DefaultTenant,
+			Snapshot: ff.kbSnapshot,
+			KBText:   ff.kb,
+			Rules:    ff.rules,
+			Schema:   attrs,
+			Relation: ff.relation,
+		}}
+	}
+	if ff.ensemble {
+		cfg.Defaults.Ensemble = true
+	}
+	if ff.ensembleRef != "" && cfg.Defaults.EnsembleRef == "" {
+		cfg.Defaults.EnsembleRef = ff.ensembleRef
+	}
+	if ff.ensembleThreshold != 0 && cfg.Defaults.EnsembleThreshold == 0 {
+		cfg.Defaults.EnsembleThreshold = ff.ensembleThreshold
+	}
+	return cfg, nil
+}
+
 func main() {
-	registryPath := flag.String("registry", "", "multi-tenant registry config (JSON); replaces -kb/-rules/-schema")
+	var ff fleetFlags
+	flag.StringVar(&ff.registry, "registry", "", "multi-tenant registry config (JSON); replaces -kb/-rules/-schema")
 	warmSpec := flag.String("warm", "", "registry mode: tenants to pre-admit at startup (comma-separated names, or \"all\" for the residency cap's worth)")
-	kbPath := flag.String("kb", "", "knowledge base file (triple format)")
-	kbSnapshot := flag.String("kb-snapshot", "", "knowledge base file (binary snapshot format, see kbtool pack); overrides -kb")
-	rulesPath := flag.String("rules", "", "detective rules file")
-	schemaSpec := flag.String("schema", "", "comma-separated attribute names of the relation")
-	name := flag.String("name", "table", "relation name")
+	flag.StringVar(&ff.kb, "kb", "", "knowledge base file (triple format)")
+	flag.StringVar(&ff.kbSnapshot, "kb-snapshot", "", "knowledge base file (binary snapshot format, see kbtool pack); overrides -kb")
+	flag.StringVar(&ff.rules, "rules", "", "detective rules file")
+	flag.StringVar(&ff.schema, "schema", "", "comma-separated attribute names of the relation")
+	flag.StringVar(&ff.relation, "name", "table", "relation name")
 	addr := flag.String("addr", ":8080", "listen address")
 	opsAddr := flag.String("ops-addr", "", "ops listen address serving GET /metrics and /debug/pprof (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -85,9 +139,9 @@ func main() {
 	canaryWatch := flag.Duration("canary-watch", 0, "post-promote watch window: auto-rollback if the new generation's bad-row rate regresses (0 = disabled)")
 	breakerOn := flag.Bool("breaker", false, "enable the repair circuit breaker (degrade to detect-only under quarantine/budget storms)")
 	breakerPerRule := flag.Bool("breaker-per-rule", false, "with -breaker, also track and degrade individual rules")
-	ensembleOn := flag.Bool("ensemble", false, "enable ensemble repair: POST /clean?ensemble=1 repairs by the weighted vote of all engines and returns a confidence column (registry mode: per-tenant default)")
-	ensembleRef := flag.String("ensemble-ref", "", "with -ensemble: clean reference CSV the FD and constant-CFD proposers are mined from")
-	ensembleThreshold := flag.Float64("ensemble-threshold", 0, "with -ensemble: acceptance threshold on a cell's winning confidence (0 = default)")
+	flag.BoolVar(&ff.ensemble, "ensemble", false, "enable ensemble repair: POST /clean?ensemble=1 repairs by the weighted vote of all engines and returns a confidence column (registry mode: per-tenant default)")
+	flag.StringVar(&ff.ensembleRef, "ensemble-ref", "", "with -ensemble: clean reference CSV the FD and constant-CFD proposers are mined from")
+	flag.Float64Var(&ff.ensembleThreshold, "ensemble-threshold", 0, "with -ensemble: acceptance threshold on a cell's winning confidence (0 = default)")
 	flag.Parse()
 
 	var level slog.Level
@@ -98,7 +152,15 @@ func main() {
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(log)
 
-	baseCfg := server.Config{
+	if ff.registry == "" && ((ff.kb == "" && ff.kbSnapshot == "") || ff.rules == "" || ff.schema == "") {
+		fmt.Fprintln(os.Stderr, "usage: detectived {-kb KB | -kb-snapshot KB.snap} -rules RULES -schema A,B,C [-addr :8080] [-ops-addr :9090]\n"+
+			"       detectived -registry tenants.json [-addr :8080] [-ops-addr :9090]")
+		os.Exit(2)
+	}
+
+	cfg, err := ff.config()
+	fail(log, err)
+	reg, err := registry.New(*cfg, registry.Options{Logger: log, Server: server.Config{
 		RequestTimeout:    *reqTimeout,
 		MaxConcurrent:     *maxConcurrent,
 		MaxBodyBytes:      *maxBody,
@@ -116,75 +178,31 @@ func main() {
 			Enabled: *breakerOn,
 			PerRule: *breakerPerRule,
 		},
-	}
-
-	if *registryPath != "" {
-		runRegistry(log, *registryPath, *warmSpec, *addr, *opsAddr, *drainTimeout, baseCfg,
-			*ensembleOn, *ensembleRef, *ensembleThreshold)
-		return
-	}
-
-	if (*kbPath == "" && *kbSnapshot == "") || *rulesPath == "" || *schemaSpec == "" {
-		fmt.Fprintln(os.Stderr, "usage: detectived {-kb KB | -kb-snapshot KB.snap} -rules RULES -schema A,B,C [-addr :8080] [-ops-addr :9090]\n"+
-			"       detectived -registry tenants.json [-addr :8080] [-ops-addr :9090]")
-		os.Exit(2)
-	}
-
-	// loadKB re-reads the KB source on every call so POST /reload and
-	// SIGHUP pick up whatever is on disk now. Snapshot wins when both
-	// flags are set (it is the fast path).
-	loadKB := func() (*detective.KB, error) {
-		if *kbSnapshot != "" {
-			// By path, not reader: snapshots are mmap'd in place
-			// where supported instead of decoded.
-			return detective.LoadKBSnapshotFile(*kbSnapshot)
-		}
-		f, err := os.Open(*kbPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return detective.ParseKB(f)
-	}
-
-	loadStart := time.Now()
-	g, err := loadKB()
-	fail(log, err)
-	initialLoad := time.Since(loadStart)
-
-	rf, err := os.Open(*rulesPath)
-	fail(log, err)
-	rs, err := detective.ParseRules(rf)
-	rf.Close()
+	}})
 	fail(log, err)
 
-	attrs := strings.Split(*schemaSpec, ",")
-	for i := range attrs {
-		attrs[i] = strings.TrimSpace(attrs[i])
-	}
-	schema := detective.NewSchema(*name, attrs...)
-
-	// The server and the ensemble's auxiliary proposers share one KB
-	// store, so hot reloads reach the proposers automatically.
-	store := detective.NewKBStore(g)
-	if *ensembleOn {
-		var ref *detective.Table
-		if *ensembleRef != "" {
-			ref, err = adapters.LoadReference(schema, *ensembleRef)
-			fail(log, err)
+	// Admit before the listener opens, so first requests don't pay
+	// cold-start loads. Flag mode's one tenant must come up or the
+	// daemon exits. A registry's -warm set is best effort: a tenant that
+	// fails here retries admission on its first request.
+	if ff.registry == "" {
+		fail(log, reg.Warm(server.DefaultTenant))
+	} else if *warmSpec != "" {
+		var names []string
+		if *warmSpec != "all" {
+			names = strings.Split(*warmSpec, ",")
+			for i := range names {
+				names[i] = strings.TrimSpace(names[i])
+			}
 		}
-		baseCfg.Ensemble = repair.EnsembleOptions{
-			Enabled:   true,
-			Threshold: *ensembleThreshold,
-			Proposers: adapters.BuildProposers(schema, ensemble.PatternFromRules(rs), store, ref),
+		if err := reg.Warm(names...); err != nil {
+			log.Error("tenant warmup incomplete", slog.Any("error", err))
 		}
 	}
-	s, err := server.NewWithStore(rs, store, schema, baseCfg)
-	fail(log, err)
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           s,
+		Handler:           server.NewTenantMux(reg, log),
 		ReadHeaderTimeout: 10 * time.Second,
 		// No ReadTimeout/WriteTimeout: /clean legitimately streams
 		// large bodies; per-request work is bounded by the handler's
@@ -200,9 +218,16 @@ func main() {
 		// Admin-only KB lifecycle stays on the operator port, next to
 		// /metrics and pprof, never on the public listener. /reload is
 		// a staged canary (self-check + shadow replay, 409 on reject);
-		// /rollback republishes the previous retained generation.
-		opsMux.Handle("POST /reload", s.ReloadHandler(loadKB))
-		opsMux.Handle("POST /rollback", s.RollbackHandler())
+		// /rollback republishes the previous retained generation;
+		// /registry is the fleet-status document (residency, pins,
+		// generations, admission counters).
+		admin := server.NewTenantAdminMux(reg, log)
+		opsMux.Handle("/v1/", admin)
+		opsMux.Handle("POST /reload", admin)
+		opsMux.Handle("POST /rollback", admin)
+		opsMux.Handle("GET /registry", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			server.WriteJSON(w, reg.Stats())
+		}))
 		opsSrv = &http.Server{
 			Addr:              *opsAddr,
 			Handler:           opsMux,
@@ -210,138 +235,37 @@ func main() {
 		}
 		log.Info("ops listener up",
 			slog.String("addr", *opsAddr),
-			slog.String("endpoints", "/metrics /debug/pprof/ POST /reload POST /rollback"))
+			slog.String("endpoints", "/metrics /debug/pprof/ GET /registry POST /v1/{tenant}/reload POST /v1/{tenant}/rollback POST /reload POST /rollback"))
 	}
 
-	// SIGHUP is the file-based reload path for operators without ops
-	// port access: re-read the KB source and stage it through the
-	// canary. A failed load or a rejected candidate logs and keeps the
-	// current graph serving.
-	watchHUP(ctx, log, func() error {
-		start := time.Now()
-		ng, err := loadKB()
-		if err != nil {
-			return fmt.Errorf("load: %w", err)
-		}
-		gen, _, err := s.StageReloadKB(ng, time.Since(start))
-		if err != nil {
-			return err
-		}
-		log.Info("SIGHUP reload complete", slog.Int64("generation", gen))
-		return nil
-	})
-
-	log.Info("detectived up",
-		slog.Int("rules", len(rs)),
-		slog.Any("schema", attrs),
-		slog.String("kb", fmt.Sprint(g)),
-		slog.Duration("kb_load", initialLoad),
-		slog.String("addr", *addr),
-		slog.String("log_level", level.String()))
-
-	serveAndDrain(ctx, log, srv, opsSrv, *drainTimeout, func() { s.SetReady(false) })
-}
-
-// runRegistry is registry mode: a fleet of named tenants served under
-// /v1/{tenant}/..., LRU-resident up to the config's cap, with tenant
-// lifecycle and fleet status on the ops listener.
-func runRegistry(log *slog.Logger, cfgPath, warmSpec, addr, opsAddr string, drainTimeout time.Duration, baseCfg server.Config, ensembleOn bool, ensembleRef string, ensembleThreshold float64) {
-	// The -ensemble flags become fleet-wide defaults that individual
-	// tenant configs may still override; SIGHUP re-reads apply the
-	// same overlay so flag-driven defaults survive config reloads.
-	loadCfg := func() (*registry.Config, error) {
-		cfg, err := registry.LoadConfig(cfgPath)
-		if err != nil {
-			return nil, err
-		}
-		if ensembleOn {
-			cfg.Defaults.Ensemble = true
-		}
-		if ensembleRef != "" && cfg.Defaults.EnsembleRef == "" {
-			cfg.Defaults.EnsembleRef = ensembleRef
-		}
-		if ensembleThreshold != 0 && cfg.Defaults.EnsembleThreshold == 0 {
-			cfg.Defaults.EnsembleThreshold = ensembleThreshold
-		}
-		return cfg, nil
-	}
-	cfg, err := loadCfg()
-	fail(log, err)
-	reg, err := registry.New(*cfg, registry.Options{Logger: log, Server: baseCfg})
-	fail(log, err)
-
-	// Pre-admit the hot set before taking traffic, so first requests
-	// don't pay cold-start loads. A failed warm is a degraded start,
-	// not a fatal one: the tenant retries admission on first request.
-	if warmSpec != "" {
-		var names []string
-		if warmSpec != "all" {
-			names = strings.Split(warmSpec, ",")
-			for i := range names {
-				names[i] = strings.TrimSpace(names[i])
-			}
-		}
-		if err := reg.Warm(names...); err != nil {
-			log.Error("tenant warmup incomplete", slog.Any("error", err))
-		}
-	}
-
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           server.NewTenantMux(reg, log),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var opsSrv *http.Server
-	if opsAddr != "" {
-		opsMux := telemetry.NewOpsMux(telemetry.Default())
-		// The admin tenant mux adds POST /v1/{tenant}/reload and
-		// /v1/{tenant}/rollback; /registry is the fleet-status
-		// document (residency, pins, generations, admission counters).
-		opsMux.Handle("/v1/", server.NewTenantAdminMux(reg, log))
-		opsMux.Handle("GET /registry", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			server.WriteJSON(w, reg.Stats())
-		}))
-		opsSrv = &http.Server{
-			Addr:              opsAddr,
-			Handler:           opsMux,
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		log.Info("ops listener up",
-			slog.String("addr", opsAddr),
-			slog.String("endpoints", "/metrics /debug/pprof/ GET /registry POST /v1/{tenant}/reload POST /v1/{tenant}/rollback"))
-	}
-
-	// SIGHUP re-reads the registry config itself — added, removed and
-	// edited tenants take effect without a restart — then canary-
-	// reloads every resident tenant from its configured source;
+	// SIGHUP re-reads the configuration — with -registry, added,
+	// removed and edited tenants take effect without a restart — then
+	// canary-reloads every resident tenant from its configured source;
 	// non-resident tenants pick up new files on admission. A broken
 	// config file is logged and skipped so the running fleet (and the
 	// KB re-read) is never held hostage by a bad edit.
 	watchHUP(ctx, log, func() error {
-		if cfg, err := loadCfg(); err != nil {
+		if cfg, err := ff.config(); err != nil {
 			log.Error("SIGHUP: registry config re-read failed; keeping current fleet",
-				slog.String("path", cfgPath), slog.Any("error", err))
+				slog.String("path", ff.registry), slog.Any("error", err))
 		} else if err := reg.ApplyConfig(*cfg); err != nil {
 			log.Error("SIGHUP: registry config rejected; keeping current fleet",
-				slog.String("path", cfgPath), slog.Any("error", err))
+				slog.String("path", ff.registry), slog.Any("error", err))
 		}
 		if err := reg.ReloadResident(); err != nil {
 			return err
 		}
-		log.Info("SIGHUP registry reload complete")
+		log.Info("SIGHUP reload complete")
 		return nil
 	})
 
-	log.Info("detectived up (registry mode)",
+	log.Info("detectived up",
 		slog.Int("tenants", len(reg.TenantNames())),
 		slog.Int("max_resident", reg.MaxResident()),
-		slog.String("addr", addr))
+		slog.String("addr", *addr),
+		slog.String("log_level", level.String()))
 
-	serveAndDrain(ctx, log, srv, opsSrv, drainTimeout, nil)
+	serveAndDrain(ctx, log, srv, opsSrv, *drainTimeout, reg.Drain)
 }
 
 // watchHUP services SIGHUP reload requests for the process lifetime.
@@ -368,9 +292,7 @@ func serveAndDrain(ctx context.Context, log *slog.Logger, srv, opsSrv *http.Serv
 	}
 
 	log.Info("signal received, draining", slog.Duration("drain_timeout", drainTimeout))
-	if onDrain != nil {
-		onDrain()
-	}
+	onDrain()
 	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {

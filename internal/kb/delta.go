@@ -76,10 +76,6 @@ const (
 	dsecEnd
 )
 
-// maxDeltaOps bounds per-section op counts so a corrupt header cannot
-// balloon allocations before the varint decode fails.
-const maxDeltaOps = 1 << 28
-
 // Delta is the parsed form of a DKBD file: the canonical, name-keyed
 // difference between a base graph content and a new one. Op values
 // index Names/Kinds.
@@ -584,8 +580,11 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kb: delta %s: %w", what, err)
 		}
-		if n > maxDeltaOps {
-			return nil, fmt.Errorf("kb: delta %s: implausible op count %d", what, n)
+		// Every op is three varints of at least one byte each: a count
+		// past that is corrupt, and must fail before it sizes an
+		// allocation.
+		if n > uint64(len(p)-vr.off)/3 {
+			return nil, fmt.Errorf("kb: delta %s: implausible op count %d in %d payload bytes", what, n, len(p))
 		}
 		if n == 0 {
 			return nil, nil
@@ -615,8 +614,8 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kb: delta %s: %w", what, err)
 		}
-		if n > maxDeltaOps {
-			return nil, fmt.Errorf("kb: delta %s: implausible op count %d", what, n)
+		if n > uint64(len(p)-vr.off)/2 {
+			return nil, fmt.Errorf("kb: delta %s: implausible op count %d in %d payload bytes", what, n, len(p))
 		}
 		if n == 0 {
 			return nil, nil

@@ -1,11 +1,14 @@
 package kb
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -349,6 +352,36 @@ func TestReadDeltaRejectsCorruption(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x40
 	if _, err := ReadDelta(bytes.NewReader(flipped)); err == nil {
 		t.Error("bit-flipped delta accepted")
+	}
+}
+
+// TestReadDeltaRejectsOpCountPastPayload: a section whose op count
+// cannot fit its payload is rejected before the count sizes an
+// allocation (a few-byte body used to be able to claim 2^28 ops).
+func TestReadDeltaRejectsOpCountPastPayload(t *testing.T) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString(deltaMagic)
+	bw.Write([]byte{DeltaVersion, 0, 0, 0})
+	writeSection(bw, dsecHeader, []byte{0, 0, 0, 0})
+	writeSection(bw, dsecNames, []byte{0})
+	writeSection(bw, dsecTripleDel, binary.AppendUvarint(nil, 1<<24))
+	for id := dsecTripleAdd; id < dsecEnd; id++ {
+		writeSection(bw, id, []byte{0})
+	}
+	writeSection(bw, dsecEnd, nil)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadDelta(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible op count") {
+		t.Fatalf("ReadDelta = %v, want an implausible op count error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the delta allocated %d bytes", grew)
 	}
 }
 

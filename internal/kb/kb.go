@@ -485,8 +485,6 @@ func (g *Graph) InstancesOf(cls ID) []ID {
 	return g.instClosure[cls]
 }
 
-var literalCacheKey = struct{}{}
-
 func (g *Graph) literals() []ID {
 	// Literals are rare query targets; scan on demand.
 	var out []ID
@@ -495,7 +493,6 @@ func (g *Graph) literals() []ID {
 			out = append(out, ID(id))
 		}
 	}
-	_ = literalCacheKey
 	return out
 }
 

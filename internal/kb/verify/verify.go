@@ -63,8 +63,7 @@ type Finding struct {
 	Node kb.ID `json:"node"`
 	// Peer is the secondary node of findings that implicate an edge or
 	// a pair (symmetry violations, taxonomy cycles, duplicate labels);
-	// kb.Invalid otherwise. (Node, Peer) is the suspect edge consumed
-	// by SuspectEdges.
+	// kb.Invalid otherwise.
 	Peer    kb.ID  `json:"peer"`
 	Message string `json:"message"`
 }
@@ -117,27 +116,6 @@ var contentChecks = map[string]bool{
 	"taxonomy-cycle":  true,
 	"degree-outlier":  true,
 	"duplicate-label": true,
-}
-
-// SuspectEdges returns the distinct (Node, Peer) pairs implicated by
-// content-level findings — the per-edge suspicion feed for ensemble
-// down-weighting. Pairs are emitted in finding order; findings with
-// no valid peer contribute nothing here (SuspectNodes still carries
-// them).
-func (r *Report) SuspectEdges() [][2]kb.ID {
-	seen := make(map[[2]kb.ID]bool)
-	var out [][2]kb.ID
-	for _, f := range r.Findings {
-		if !contentChecks[f.Check] || f.Node == kb.Invalid || f.Peer == kb.Invalid {
-			continue
-		}
-		pair := [2]kb.ID{f.Node, f.Peer}
-		if !seen[pair] {
-			seen[pair] = true
-			out = append(out, pair)
-		}
-	}
-	return out
 }
 
 // SuspectNames resolves every node implicated by a content-level

@@ -209,10 +209,11 @@ type Registry struct {
 	base    server.Config
 	maxRes  int
 
-	mu      sync.Mutex
-	tenants map[string]*tenant
-	names   []string // sorted; replaced wholesale by ApplyConfig
-	clock   int64    // LRU clock, bumped per touch
+	mu       sync.Mutex
+	tenants  map[string]*tenant
+	names    []string // sorted; replaced wholesale by ApplyConfig
+	clock    int64    // LRU clock, bumped per touch
+	draining bool     // set by Drain; admissions start not ready
 
 	resident *telemetry.Gauge
 }
@@ -456,6 +457,9 @@ func (r *Registry) admit(t *tenant) (*server.Server, func(), error) {
 	}
 
 	r.mu.Lock()
+	if r.draining {
+		srv.SetReady(false)
+	}
 	t.srv = srv
 	t.pins++
 	r.touchLocked(t)
@@ -518,8 +522,17 @@ func (r *Registry) evictOverCapLocked(justAdmitted *tenant) []string {
 }
 
 // buildServer loads the tenant's KB and constructs its server. Rules
-// and schema are parsed on the first admission only.
+// and schema are parsed on the first admission only, after the KB, so
+// a KB that cannot load (a missing file, a retired snapshot format)
+// reports its own error even when the rules are broken too.
 func (r *Registry) buildServer(t *tenant) (*server.Server, time.Duration, error) {
+	start := time.Now()
+	g, err := r.loadGraph(t.cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	loadTime := time.Since(start)
+
 	t.once.Do(func() {
 		f, err := os.Open(t.cfg.Rules)
 		if err != nil {
@@ -538,13 +551,6 @@ func (r *Registry) buildServer(t *tenant) (*server.Server, time.Duration, error)
 	if t.initE != nil {
 		return nil, 0, t.initE
 	}
-
-	start := time.Now()
-	g, err := r.loadGraph(t.cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	loadTime := time.Since(start)
 
 	cfg := r.base
 	cfg.Logger = r.log.With(slog.String("tenant", t.cfg.Name))
@@ -693,6 +699,21 @@ func (r *Registry) ReloadResident() error {
 		r.mu.Unlock()
 	}
 	return firstErr
+}
+
+// Drain marks every resident tenant's server not ready, and every
+// server admitted afterwards: /readyz and /v1/{tenant}/readyz answer
+// 503 from then on, so load balancers stop routing new work while
+// in-flight requests finish. Called when a graceful shutdown begins.
+func (r *Registry) Drain() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.draining = true
+	for _, t := range r.tenants {
+		if t.srv != nil {
+			t.srv.SetReady(false)
+		}
+	}
 }
 
 // TenantStatus is one tenant's entry in Stats.

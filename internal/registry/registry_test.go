@@ -450,6 +450,54 @@ func TestTenantAdminReloadAndRollback(t *testing.T) {
 	}
 }
 
+// TestDrainUnreadiesTenants: after the drain switch, /v1/{t}/readyz
+// answers 503 "draining" for a tenant resident at the switch, for one
+// admitted after it and for ones admitted concurrently with it, while
+// /clean keeps serving in-flight work.
+func TestDrainUnreadiesTenants(t *testing.T) {
+	r := newRegistry(t, fleetConfig(t, 4, 4))
+	ts := httptest.NewServer(server.NewTenantMux(r, nil))
+	defer ts.Close()
+	readyz := func(tenant string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/" + tenant + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	if code, body := readyz("tenant-00"); code != http.StatusOK {
+		t.Fatalf("readyz before drain = %d: %s", code, body)
+	}
+	var wg sync.WaitGroup
+	for _, tenant := range []string{"tenant-02", "tenant-03"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, release, err := r.Tenant(tenant)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			release()
+		}()
+	}
+	r.Drain()
+	wg.Wait()
+	for _, tenant := range []string{"tenant-00", "tenant-01", "tenant-02", "tenant-03"} {
+		code, body := readyz(tenant)
+		if code != http.StatusServiceUnavailable || !strings.Contains(body, "draining") {
+			t.Fatalf("%s readyz after drain = %d: %s, want 503 draining", tenant, code, body)
+		}
+	}
+	if out := postClean(t, ts.URL, "tenant-00"); !strings.Contains(out, "Haifa+") {
+		t.Fatalf("clean while draining:\n%s", out)
+	}
+}
+
 func TestReloadResident(t *testing.T) {
 	r := newRegistry(t, fleetConfig(t, 4, 2))
 	if err := r.Warm("tenant-00", "tenant-01"); err != nil {

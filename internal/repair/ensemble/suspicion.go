@@ -3,8 +3,8 @@ package ensemble
 import "sync/atomic"
 
 // DefaultSuspicionPenalty is the multiplicative down-weight applied
-// to a KB-backed proposal whose value is an endpoint of a suspect
-// taxonomy edge (verify.Report.SuspectEdges). Half weight keeps the
+// to a KB-backed proposal whose value the KB verifier flagged
+// (verify.Report.SuspectNames). Half weight keeps the
 // proposal in the vote — corroboration by a second engine can still
 // carry it over the threshold — while a lone suspect-backed proposal
 // falls below typical thresholds and degrades to a mark.

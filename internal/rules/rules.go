@@ -17,7 +17,6 @@ package rules
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"detective/internal/relation"
@@ -189,13 +188,6 @@ func (r *DR) EvidenceCols() []string {
 
 // PosCol returns the column the rule marks/repairs (col(p) = col(n)).
 func (r *DR) PosCol() string { return r.Pos.Col }
-
-// AllCols returns the set of columns the rule touches, sorted.
-func (r *DR) AllCols() []string {
-	cols := append(r.EvidenceCols(), r.Pos.Col)
-	sort.Strings(cols)
-	return cols
-}
 
 // node returns the node with the given name, searching evidence then
 // pos then neg.

@@ -2,6 +2,7 @@ package rules_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -350,6 +351,30 @@ func TestRuleTextRoundTrip(t *testing.T) {
 	out := m.Evaluate(ex.Dirty.Tuples[0])
 	if out.Kind != rules.Repair || len(out.Repairs) != 1 || out.Repairs[0] != "Haifa" {
 		t.Errorf("parsed phi2 outcome = %+v", out)
+	}
+}
+
+// TestRuleTextQuotedValues: values that need quoting or escaping —
+// embedded double quotes, backslashes, blanks, a control byte, a rule
+// name with a space — parse back exactly as encoded.
+func TestRuleTextQuotedValues(t *testing.T) {
+	want := []*rules.DR{{
+		Name:     "peace prize",
+		Evidence: []rules.Node{{Name: "w", Col: `a\b`, Type: `Nobel "Peace" Prize`, Sim: similarity.Eq}},
+		Pos:      rules.Node{Name: "p", Col: "Full Name", Type: "t\x00\tu", Sim: similarity.EDK(2)},
+		Path:     []rules.PathNode{{Name: "x y", Type: `\`}},
+		Edges:    []rules.Edge{{From: "w", Rel: `says "hi"`, To: "x y"}, {From: "x y", Rel: `c:\d`, To: "p"}},
+	}}
+	var buf bytes.Buffer
+	if err := rules.EncodeRules(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rules.ParseRules(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ParseRules: %v\n%s", err, buf.Bytes())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed the rule:\n%s\ngot  %+v\nwant %+v", buf.Bytes(), got[0], want[0])
 	}
 }
 

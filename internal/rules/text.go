@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"detective/internal/similarity"
 )
@@ -155,33 +156,41 @@ func parseNode(fields []string) (Node, error) {
 	return n, nil
 }
 
-// splitFields splits a line into fields, honouring double quotes both
-// around whole fields and around attribute values (col="Full Name").
+// splitFields splits a line into blank-separated fields. A double-quoted
+// segment, alone or inside a field (col="Full Name"), is a Go string
+// literal: its escapes are decoded by strconv.Unquote rules, so every
+// value EncodeRules quotes parses back unchanged.
 func splitFields(line string) ([]string, error) {
 	var fields []string
 	var b strings.Builder
-	inQuote := false
-	flush := func() {
-		if b.Len() > 0 {
-			fields = append(fields, b.String())
-			b.Reset()
-		}
-	}
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
+	inField := false
+	for i := 0; i < len(line); {
+		switch c := line[i]; {
 		case c == '"':
-			inQuote = !inQuote
-		case (c == ' ' || c == '\t') && !inQuote:
-			flush()
+			lit, err := strconv.QuotedPrefix(line[i:])
+			if err != nil {
+				return nil, fmt.Errorf("bad quoted string at column %d", i+1)
+			}
+			s, _ := strconv.Unquote(lit) // cannot fail: QuotedPrefix validated lit
+			b.WriteString(s)
+			inField = true
+			i += len(lit)
+		case c == ' ' || c == '\t':
+			if inField {
+				fields = append(fields, b.String())
+				b.Reset()
+				inField = false
+			}
+			i++
 		default:
 			b.WriteByte(c)
+			inField = true
+			i++
 		}
 	}
-	if inQuote {
-		return nil, fmt.Errorf("unterminated quote")
+	if inField {
+		fields = append(fields, b.String())
 	}
-	flush()
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("empty line")
 	}
@@ -195,7 +204,7 @@ func EncodeRules(w io.Writer, rs []*DR) error {
 		if i > 0 {
 			fmt.Fprintln(bw)
 		}
-		fmt.Fprintf(bw, "rule %s {\n", r.Name)
+		fmt.Fprintf(bw, "rule %s {\n", quoteIfNeeded(r.Name))
 		for _, n := range r.Evidence {
 			writeNode(bw, "node", n)
 		}
@@ -219,8 +228,12 @@ func writeNode(w io.Writer, kw string, n Node) {
 		kw, quoteIfNeeded(n.Name), strconv.Quote(n.Col), strconv.Quote(n.Type), strconv.Quote(n.Sim.String()))
 }
 
+// quoteIfNeeded leaves s bare when it reads back as one field
+// unchanged: non-empty, printable, without blanks or double quotes.
 func quoteIfNeeded(s string) string {
-	if strings.ContainsAny(s, " \t\"") || s == "" {
+	if s == "" || strings.ContainsFunc(s, func(r rune) bool {
+		return r == '"' || unicode.IsSpace(r) || !unicode.IsPrint(r)
+	}) {
 		return strconv.Quote(s)
 	}
 	return s

@@ -45,17 +45,20 @@ type CanaryReport struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// StageReloadKB is the canary counterpart of ReloadKB: the candidate
-// graph must pass the integrity self-check (Config.VerifyMode) and a
-// shadow replay of recently served rows before it is promoted. The
-// replay runs on scratch engines with private telemetry, so serving
-// metrics see nothing; the serving engine keeps answering requests on
-// the live graph throughout. On promotion the displaced graph joins
-// the retention ring for rollback, and — when Config.CanaryWatch is
-// set — a watchdog observes the first rows served by the new
-// generation and rolls back automatically if their bad-row rate
-// breaches the gate. A rejected candidate returns an error wrapping
-// ErrCanaryRejected and leaves everything untouched.
+// StageReloadKB publishes a replacement graph with zero downtime once
+// it passes the canary: in-flight tuples finish on the graph they
+// pinned at entry, and the generation bump invalidates the caches
+// coherently. loadTime is the wall time the caller spent building g
+// (0 when unknown). The candidate must pass the integrity self-check
+// (Config.VerifyMode) and a shadow replay of recently served rows
+// before it is promoted. The replay runs on scratch engines with
+// private telemetry, so serving metrics see nothing; the serving
+// engine keeps answering requests on the live graph throughout. On
+// promotion the displaced graph joins the retention ring for rollback,
+// and — when Config.CanaryWatch is set — a watchdog observes the first
+// rows served by the new generation and rolls back automatically if
+// their bad-row rate breaches the gate. A rejected candidate returns
+// an error wrapping ErrCanaryRejected and leaves everything untouched.
 func (s *Server) StageReloadKB(g *kb.Graph, loadTime time.Duration) (int64, *CanaryReport, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()

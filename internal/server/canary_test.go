@@ -266,7 +266,9 @@ func TestRollbackHandler(t *testing.T) {
 		t.Fatalf("empty-ring rollback status = %d: %s", resp.StatusCode, body)
 	}
 
-	s.ReloadKB(reloadGraph("B"), 0)
+	if _, _, err := s.StageReloadKB(reloadGraph("B"), 0); err != nil {
+		t.Fatalf("StageReloadKB: %v", err)
+	}
 	if got := cleanOne(t, ts.URL); got != "Alice,ParisB,EuroB" {
 		t.Fatalf("post-reload clean = %q", got)
 	}

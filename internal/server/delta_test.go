@@ -246,7 +246,10 @@ func TestReloadUnderLoadMixedDelta(t *testing.T) {
 			if i%5 == 4 {
 				// A content-identical full reload: the next delta still
 				// applies because the base fingerprint is unchanged.
-				s.ReloadKB(reloadGraph(cur), 0)
+				if _, _, err := s.StageReloadKB(reloadGraph(cur), 0); err != nil {
+					t.Errorf("full reload %s: %v", cur, err)
+					return
+				}
 				continue
 			}
 			d := dAB

@@ -14,7 +14,7 @@ import (
 
 // TestMemoInvalidatedOnReload drives the full server path of the
 // invalidation contract: warm the cross-request memo over /clean,
-// hot-swap the KB via ReloadKB, and require that (a) a stale cached
+// hot-swap the KB via StageReloadKB, and require that (a) a stale cached
 // repair is never served after the swap, (b) the drop is visible as a
 // generation eviction in /stats, and (c) pre-reload repeats did hit.
 func TestMemoInvalidatedOnReload(t *testing.T) {
@@ -38,7 +38,9 @@ func TestMemoInvalidatedOnReload(t *testing.T) {
 		t.Fatalf("repeated /clean produced no tuple hits: %+v", st.Memo.Tuple)
 	}
 
-	s.ReloadKB(reloadGraph("B"), 0)
+	if _, _, err := s.StageReloadKB(reloadGraph("B"), 0); err != nil {
+		t.Fatalf("StageReloadKB: %v", err)
+	}
 
 	// Stale ParisA/EuroA must never appear now.
 	for i := 0; i < 3; i++ {

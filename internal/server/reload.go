@@ -9,41 +9,8 @@ import (
 	"detective/internal/telemetry"
 )
 
-// ReloadKB publishes a replacement knowledge-base graph with zero
-// downtime: in-flight tuples finish on the graph they pinned at entry,
-// every tuple started after the swap sees the new one, and the
-// generation bump invalidates the candidate cache and signature
-// indexes coherently. loadTime is the wall time the caller spent
-// building g (parsing text or decoding a snapshot); pass 0 when
-// unknown. Returns the generation now being served.
-//
-// Safe to call concurrently with cleaning requests; concurrent
-// reloads serialize on the swap mutex.
-func (s *Server) ReloadKB(g *kb.Graph, loadTime time.Duration) int64 {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	old := s.store.Swap(g)
-	gen := s.store.Generation()
-	s.reloadTotal.Inc()
-	if loadTime > 0 {
-		s.loadSeconds.Set(loadTime.Seconds())
-	}
-	// Pre-warm the new generation's signature indexes off the request
-	// path, exactly like server construction does, so the first
-	// post-swap request does not pay the index build.
-	s.engine.Warm()
-	s.refreshSuspicion(g)
-	s.log.Info("kb reloaded",
-		"generation", gen,
-		"nodes", g.NumNodes(),
-		"triples", g.NumTriples(),
-		"old_generation", old.Generation(),
-		"load_seconds", loadTime.Seconds())
-	return gen
-}
-
 // Store exposes the server's KB store, e.g. for tests or callers that
-// swap graphs directly rather than through ReloadKB.
+// swap graphs directly rather than through the canary.
 func (s *Server) Store() *kb.Store { return s.store }
 
 // reloadResponse is the JSON shape of POST /reload.

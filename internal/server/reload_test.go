@@ -193,10 +193,13 @@ func TestReloadUnderLoad(t *testing.T) {
 				return
 			default:
 			}
+			variant := "A"
 			if i%2 == 0 {
-				s.ReloadKB(reloadGraph("B"), 0)
-			} else {
-				s.ReloadKB(reloadGraph("A"), 0)
+				variant = "B"
+			}
+			if _, _, err := s.StageReloadKB(reloadGraph(variant), 0); err != nil {
+				t.Errorf("StageReloadKB %s: %v", variant, err)
+				return
 			}
 		}
 	}()

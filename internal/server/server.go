@@ -164,10 +164,9 @@ type Config struct {
 	Ensemble repair.EnsembleOptions
 	// MetricLabels is attached to every KB-lifecycle and cache series
 	// this server registers (reload/rollback/canary counters, load
-	// gauge, generation, catalog caches). Multi-tenant deployments set
+	// gauge, generation, catalog caches). The registry sets
 	// {tenant="..."} so each tenant's server owns its own series in the
-	// shared registry; single-tenant servers leave it nil and keep the
-	// historical unlabeled names.
+	// shared registry; nil keeps the unlabeled names.
 	MetricLabels []telemetry.Label
 }
 
@@ -220,10 +219,10 @@ type Server struct {
 	sem    chan struct{} // cleaning-concurrency semaphore
 	ready  atomic.Bool   // readiness: warmed and not draining
 
-	// reloadMu serializes ReloadKB: one load-and-swap at a time, so an
-	// operator hammering POST /reload cannot interleave half-built
-	// graphs. Cleaning requests never take it — they pin a graph per
-	// tuple and are oblivious to swaps.
+	// reloadMu serializes staged reloads and rollbacks: one swap at a
+	// time, so an operator hammering POST /reload cannot interleave
+	// half-built graphs. Cleaning requests never take it — they pin a
+	// graph per tuple and are oblivious to swaps.
 	reloadMu sync.Mutex
 
 	// Overload/limit counters, exported through the telemetry registry
@@ -266,8 +265,8 @@ func NewWithConfig(drs []*rules.DR, g *kb.Graph, schema *relation.Schema, cfg Co
 
 // NewWithStore builds the server on a caller-owned kb.Store, the
 // hot-swap shape: the caller (cmd/detectived's SIGHUP handler, tests)
-// can later publish a replacement graph through ReloadKB or the store
-// itself while requests keep streaming.
+// can later publish a replacement graph through StageReloadKB or the
+// store itself while requests keep streaming.
 func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	mode, err := verify.ParseMode(cfg.VerifyMode)
@@ -316,7 +315,7 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 	s.timeoutTotal = reg.Counter("detective_http_timeout_total",
 		"Requests whose per-request deadline expired.", labels...)
 	s.reloadTotal = reg.Counter("detective_kb_reload_total",
-		"Knowledge-base hot-swaps completed (ReloadKB / POST /reload / SIGHUP).", labels...)
+		"Knowledge-base hot-swaps completed (POST /reload, full or delta, and SIGHUP).", labels...)
 	s.loadSeconds = reg.Gauge("detective_kb_load_seconds",
 		"Wall-clock seconds the most recent KB load (parse or snapshot decode) took.", labels...)
 	s.deltaAppliedTotal = reg.Counter("detective_kb_delta_applied",
@@ -786,7 +785,7 @@ type StatsResponse struct {
 	Repair repair.Stats `json:"repair"`
 	// KBGeneration identifies the graph currently being served;
 	// KBSwaps counts hot reloads since startup. Both move together
-	// when ReloadKB publishes a new graph.
+	// when a reload publishes a new graph.
 	KBGeneration int64 `json:"kbGeneration"`
 	KBSwaps      int64 `json:"kbSwaps"`
 	// KBRollbacks counts rollbacks to a retained generation;

@@ -7,11 +7,15 @@ package server
 // name, pins the tenant's residency for the request's duration, and
 // delegates with the tenant prefix stripped, so every single-tenant
 // endpoint (/clean, /explain, /rules, /stats, /healthz, /readyz)
-// works unchanged under its tenant prefix.
+// works unchanged under its tenant prefix. The tenant named
+// DefaultTenant also answers the root routes (/clean, /explain,
+// /rules, /stats, /readyz), so a one-relation deployment keeps the
+// unprefixed paths.
 //
 // The admin variant additionally serves the tenant-scoped KB
-// lifecycle — POST /v1/{tenant}/reload and /v1/{tenant}/rollback —
-// and belongs on the ops listener only.
+// lifecycle — POST /v1/{tenant}/reload and /v1/{tenant}/rollback, plus
+// /reload and /rollback for DefaultTenant — and belongs on the ops
+// listener only.
 
 import (
 	"encoding/json"
@@ -24,6 +28,18 @@ import (
 
 	"detective/internal/kb"
 )
+
+// DefaultTenant names the tenant that serves the root routes:
+// cmd/detectived's flag mode runs its one relation under this name.
+const DefaultTenant = "default"
+
+// rootRoutes are the routes DefaultTenant answers without the
+// /v1/{tenant} prefix. /reload and /rollback reach the KB lifecycle on
+// the admin mux only; on the public mux the tenant's server 404s them.
+var rootRoutes = map[string]bool{
+	"/clean": true, "/explain": true, "/rules": true, "/stats": true, "/readyz": true,
+	"/reload": true, "/rollback": true,
+}
 
 // ErrUnknownTenant is returned by TenantResolver.Tenant for names not
 // in the registry's configuration; the mux answers it with 404.
@@ -58,9 +74,10 @@ type TenantMux struct {
 }
 
 // NewTenantMux returns the public multi-tenant handler: /v1 lists
-// tenants, /v1/{tenant}/... delegates to the tenant's server, and
-// everything else — unknown routes and unknown tenants alike — gets a
-// JSON 404 envelope. KB lifecycle endpoints are not exposed.
+// tenants, /v1/{tenant}/... delegates to the tenant's server, the root
+// routes delegate to DefaultTenant, and everything else — unknown
+// routes and unknown tenants alike — gets a JSON 404 envelope. KB
+// lifecycle endpoints are not exposed.
 func NewTenantMux(res TenantResolver, log *slog.Logger) *TenantMux {
 	if log == nil {
 		log = slog.Default()
@@ -70,8 +87,9 @@ func NewTenantMux(res TenantResolver, log *slog.Logger) *TenantMux {
 
 // NewTenantAdminMux returns the ops-listener variant: everything the
 // public mux serves plus POST /v1/{tenant}/reload (staged canary
-// reload from the tenant's configured source) and
-// POST /v1/{tenant}/rollback.
+// reload from the tenant's configured source, or a DKBD delta with
+// ?delta=1) and POST /v1/{tenant}/rollback, each also at the root for
+// DefaultTenant.
 func NewTenantAdminMux(res TenantAdmin, log *slog.Logger) *TenantMux {
 	tm := NewTenantMux(res, log)
 	tm.admin = res
@@ -99,56 +117,43 @@ func (tm *TenantMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, tenantIndex{Tenants: tm.res.TenantNames()})
 	case strings.HasPrefix(path, "/v1/"):
 		name, rest, _ := strings.Cut(path[len("/v1/"):], "/")
-		rest = "/" + rest
 		if name == "" {
 			writeError(w, http.StatusNotFound, "no tenant in path %q", path)
 			return
 		}
-		if tm.admin != nil && (rest == "/reload" || rest == "/rollback") {
-			tm.serveAdmin(w, r, name, rest)
-			return
-		}
-		s, release, err := tm.resolve(w, r, name)
-		if err != nil {
-			return
-		}
-		defer release()
-		s.ServeHTTP(w, stripTenantPrefix(r, rest))
+		tm.serve(w, stripTenantPrefix(r, "/"+rest), name)
+	case rootRoutes[path]:
+		tm.serve(w, r, DefaultTenant)
 	default:
 		writeError(w, http.StatusNotFound, "no such route %q", path)
 	}
 }
 
-// resolve maps a tenant name to its server, writing the error
-// response (404 unknown, 503 admission failure) itself.
-func (tm *TenantMux) resolve(w http.ResponseWriter, r *http.Request, name string) (*Server, func(), error) {
+// serve resolves the named tenant and hands it r, whose path is
+// already tenant-relative. The admin variant routes /reload and
+// /rollback to the tenant's KB lifecycle handlers.
+func (tm *TenantMux) serve(w http.ResponseWriter, r *http.Request, name string) {
 	s, release, err := tm.res.Tenant(name)
 	if err != nil {
 		if errors.Is(err, ErrUnknownTenant) {
 			writeError(w, http.StatusNotFound, "unknown tenant %q", name)
-			return nil, nil, err
+			return
 		}
 		tm.log.Error("tenant admission failed",
 			slog.String("tenant", name),
 			slog.String("path", r.URL.Path),
 			slog.Any("error", err))
 		writeError(w, http.StatusServiceUnavailable, "tenant %q unavailable: %v", name, err)
-		return nil, nil, err
-	}
-	return s, release, nil
-}
-
-func (tm *TenantMux) serveAdmin(w http.ResponseWriter, r *http.Request, name, rest string) {
-	s, release, err := tm.resolve(w, r, name)
-	if err != nil {
 		return
 	}
 	defer release()
-	switch rest {
-	case "/reload":
-		s.ReloadHandler(tm.admin.TenantLoader(name)).ServeHTTP(w, stripTenantPrefix(r, rest))
-	case "/rollback":
-		s.RollbackHandler().ServeHTTP(w, stripTenantPrefix(r, rest))
+	switch {
+	case tm.admin != nil && r.URL.Path == "/reload":
+		s.ReloadHandler(tm.admin.TenantLoader(name)).ServeHTTP(w, r)
+	case tm.admin != nil && r.URL.Path == "/rollback":
+		s.RollbackHandler().ServeHTTP(w, r)
+	default:
+		s.ServeHTTP(w, r)
 	}
 }
 
@@ -214,13 +219,6 @@ func (w *jsonErrorWriter) Write(p []byte) (int, error) {
 // Unwrap lets http.ResponseController reach the underlying writer's
 // Flush/EnableFullDuplex, which the streaming /clean handler needs.
 func (w *jsonErrorWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// WriteError exposes the server's JSON error envelope to other
-// packages composing handlers next to it (cmd/detectived's registry
-// ops routes).
-func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeError(w, status, format, args...)
-}
 
 // WriteJSON exposes the server's buffered JSON response helper.
 func WriteJSON(w http.ResponseWriter, v any) { writeJSON(w, v) }

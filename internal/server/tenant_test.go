@@ -239,3 +239,74 @@ func TestTenantAdminMux(t *testing.T) {
 	}
 	decodeErr(t, resp, http.StatusNotFound)
 }
+
+// TestTenantMuxDefaultRootRoutes: the tenant named "default" answers
+// the root routes — public ones on both muxes, /reload and /rollback
+// on the admin mux only — through the same pin and release as its
+// /v1/default/... paths. Without a default tenant they are 404s.
+func TestTenantMuxDefaultRootRoutes(t *testing.T) {
+	f := newFakeResolver(t, server.DefaultTenant)
+	pub := httptest.NewServer(server.NewTenantMux(f, nil))
+	defer pub.Close()
+	admin := httptest.NewServer(server.NewTenantAdminMux(f, nil))
+	defer admin.Close()
+
+	do := func(method, url, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+
+	code, root := do("POST", pub.URL+"/clean?marked=1", dirtyCSV)
+	if code != http.StatusOK || !strings.Contains(root, "Haifa+") {
+		t.Fatalf("root /clean = %d:\n%s", code, root)
+	}
+	if _, prefixed := do("POST", pub.URL+"/v1/default/clean?marked=1", dirtyCSV); prefixed != root {
+		t.Fatalf("/v1/default/clean differs from /clean:\n%s\nvs\n%s", prefixed, root)
+	}
+	for _, path := range []string{"/rules", "/stats", "/readyz"} {
+		if code, body := do("GET", pub.URL+path, ""); code != http.StatusOK {
+			t.Fatalf("root %s = %d: %s", path, code, body)
+		}
+	}
+	if code, body := do("POST", pub.URL+"/explain", dirtyCSV); code != http.StatusOK {
+		t.Fatalf("root /explain = %d: %s", code, body)
+	}
+	// Method checks stay the tenant server's: a JSON 405 naming POST.
+	code, body := do("GET", pub.URL+"/clean", "")
+	if code != http.StatusMethodNotAllowed || !strings.Contains(body, "POST") {
+		t.Fatalf("GET /clean = %d: %s", code, body)
+	}
+	if f.releases != 7 {
+		t.Fatalf("releases = %d, want one per tenant request (7)", f.releases)
+	}
+
+	// The KB lifecycle is admin-only.
+	if code, _ := do("POST", pub.URL+"/reload", ""); code != http.StatusNotFound {
+		t.Fatalf("public POST /reload = %d, want 404", code)
+	}
+	if code, body := do("POST", admin.URL+"/reload", ""); code != http.StatusOK || !strings.Contains(body, "generation") {
+		t.Fatalf("admin POST /reload = %d: %s", code, body)
+	}
+	if code, body := do("POST", admin.URL+"/rollback", ""); code != http.StatusOK {
+		t.Fatalf("admin POST /rollback = %d: %s", code, body)
+	}
+
+	// No default tenant: the root routes are 404s.
+	other := httptest.NewServer(server.NewTenantMux(newFakeResolver(t, "alpha"), nil))
+	defer other.Close()
+	resp, err := http.Post(other.URL+"/clean", "text/csv", strings.NewReader(dirtyCSV))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeErr(t, resp, http.StatusNotFound)
+}

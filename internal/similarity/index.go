@@ -59,9 +59,6 @@ func NewStringIndex(maxK int) *StringIndex {
 	}
 }
 
-// MaxK returns the largest edit-distance threshold the index supports.
-func (ix *StringIndex) MaxK() int { return ix.maxK }
-
 // Len returns the number of (string, payload) entries.
 func (ix *StringIndex) Len() int { return len(ix.strs) }
 

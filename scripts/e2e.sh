@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end exercise of the detectived HTTP surfaces, in both
-# single-tenant and registry mode, against the checked-in sample KB.
-# Drives /healthz, /clean (plain and ?ensemble=1), /reload, /metrics,
-# and the /v1/{tenant}/... equivalents with curl, asserting response
-# bodies, JSON shapes, and the X-Clean-* trailers (including the
-# ensemble confidence trailers).
+# single-tenant (flag) mode — the registry's "default" tenant — and
+# registry mode, against the checked-in sample KB. Drives /healthz,
+# /clean (plain and ?ensemble=1), /reload, /metrics, and the
+# /v1/{tenant}/... equivalents with curl, asserting response bodies,
+# JSON shapes, and the X-Clean-* trailers (including the ensemble
+# confidence trailers).
 #
 # Run from the repo root: ./scripts/e2e.sh (CI's e2e job does).
 set -euo pipefail
@@ -76,6 +77,14 @@ case "$out" in
 *X-Clean-Confidence*) fail "plain /clean must not emit confidence trailers" ;;
 esac
 
+# Flag mode runs as the registry's "default" tenant: /v1/default/clean
+# answers with the same body and X-Clean-* trailers as /clean, and
+# GET /v1 lists the tenant.
+prefixed=$(curl -fsS --raw -X POST --data-binary @testdata/e2e/dirty.csv "$BASE/v1/default/clean")
+[ "$prefixed" = "$out" ] || fail "/v1/default/clean must match /clean byte-for-byte, trailers included"
+body=$(curl -fsS "$BASE/v1")
+assert_contains "$body" '"default"' "GET /v1 must list the default tenant"
+
 # Ensemble /clean: confidence column appended, confidence trailers.
 out=$(curl -fsS --raw -X POST --data-binary @testdata/e2e/dirty.csv "$BASE/clean?ensemble=1")
 assert_contains "$out" "confidence" "ensemble /clean header must add the confidence column"
@@ -85,6 +94,8 @@ assert_contains "$out" "X-Clean-Rows: 2" "ensemble /clean rows trailer"
 assert_contains "$out" "X-Clean-Confidence-Mean: " "ensemble confidence-mean trailer"
 assert_contains "$out" "X-Clean-Confidence-Min: " "ensemble confidence-min trailer"
 assert_contains "$out" "X-Clean-Confidence-Below: " "ensemble confidence-below trailer"
+prefixed=$(curl -fsS --raw -X POST --data-binary @testdata/e2e/dirty.csv "$BASE/v1/default/clean?ensemble=1")
+[ "$prefixed" = "$out" ] || fail "/v1/default/clean?ensemble=1 must match /clean?ensemble=1 byte-for-byte"
 
 # /stats: JSON including the per-engine ensemble reliability map.
 curl -fsS "$BASE/stats" | python3 -c '
