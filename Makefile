@@ -45,15 +45,17 @@ chaos:
 	go test -race -count=3 -run 'TestCanary|TestFaultCanary|TestRollback|TestReloadUnderLoad|TestFaultDelta|TestDeltaCanary' ./internal/server
 	go test -race -count=3 -run 'TestLRUChurn|TestEvictionSkipsPinnedTenants|TestReadmissionAfterEviction' ./internal/registry
 
-# Native Go fuzzing of the decoders of untrusted bytes, FUZZTIME per
-# target (go test -fuzz runs one target at a time): the rule-text
-# parser must re-encode to a fixed point, and a POST /reload?delta=1
-# body must decode and apply without panicking. Crashers land in the
-# package's testdata/fuzz/ and then run as plain tests.
+# Native Go fuzzing, FUZZTIME per target (go test -fuzz runs one
+# target at a time): the rule-text parser must re-encode to a fixed
+# point, a POST /reload?delta=1 body must decode and apply without
+# panicking, and the flat signature index must return exactly what the
+# map-based reference index returns, in the same order. Crashers land
+# in the package's testdata/fuzz/ and then run as plain tests.
 FUZZTIME ?= 15s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
 
 bench:
 	go test -bench=. -benchmem ./...

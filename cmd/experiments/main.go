@@ -535,12 +535,32 @@ func writeRepairBench(path string) error {
 		})))
 	}
 
+	// Engine warm-up on a cold admission's graph: each op builds a fresh
+	// engine over the mmap'd, frozen Nobel-4000 snapshot and runs Warm,
+	// which builds every rule class's signature index — the
+	// repair.build and repair.warm layers of perfbench's admit trace.
+	nobelBench := dataset.NewNobel(1, 4000)
+	warmKB, err := kb.LoadSnapshotFile(snapPath)
+	if err != nil {
+		return err
+	}
+	warmKB.Freeze()
+	results = append(results, record("RepairWarm", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e, err := repair.NewEngineStore(nobelBench.Rules, kb.NewStore(warmKB), nobelBench.Schema, repair.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e.Warm()
+		}
+	})))
+
 	// Tenant cold admission, end to end: two tenants thrash a
 	// residency cap of 1, so every resolve is a full cold admission —
 	// mmap the snapshot, build the engine, evict the previous tenant.
 	// This is the registry's worst-case request and the price of
 	// configuring far more tenants than the cap.
-	nobelBench := dataset.NewNobel(1, 4000)
 	rulesPath := filepath.Join(benchDir, "rules.dr")
 	rfile, err := os.Create(rulesPath)
 	if err != nil {

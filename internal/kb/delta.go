@@ -967,10 +967,11 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if !touchTax && !g.closureDirty && g.instClosure != nil {
-		// ensureClosures always rebuilds into fresh maps, so the frozen
-		// base's closures are safe to share read-only. New nodes are
-		// absent from them — exactly the semantics of an untyped node.
+	if !touchTax && !g.closureDirty && g.instClosure.offs != nil {
+		// ensureClosures always rebuilds into fresh arrays, so the
+		// frozen base's closures are safe to share read-only. New nodes
+		// lie past their offsets and read as untyped — exactly the
+		// semantics of an untyped node.
 		ng.instClosure, ng.typeClosure = g.instClosure, g.typeClosure
 	} else {
 		ng.closureDirty = true

@@ -104,9 +104,9 @@ type Graph struct {
 	gen         int64 // content mutations; see Generation
 
 	closureDirty bool
-	instClosure  map[ID][]ID        // class -> all instances (incl. via subclasses)
-	typeClosure  map[ID]map[ID]bool // instance -> all classes (incl. superclasses)
-	literalClass ID                 // interned "literal" pseudo-class
+	instClosure  idSpans // class -> all instances (incl. via subclasses)
+	typeClosure  idSpans // instance -> all classes (incl. superclasses)
+	literalClass ID      // interned "literal" pseudo-class
 
 	fp atomic.Pointer[fpMemo] // cached content fingerprint; see delta.go
 }
@@ -386,24 +386,6 @@ func (g *Graph) directSubs(cls ID) []ID {
 	return g.subOfIdx.view(cls)
 }
 
-// numTypeKeys and numInstOfKeys report how many keys carry at least
-// one assertion — the map lengths of the mutable form, needed for
-// exact presizing by the closures.
-
-func (g *Graph) numTypeKeys() int {
-	if g.byName != nil {
-		return len(g.types)
-	}
-	return g.nTypeKeys
-}
-
-func (g *Graph) numInstOfKeys() int {
-	if g.byName != nil {
-		return len(g.instOf)
-	}
-	return g.nInstOfKeys
-}
-
 // forEachTyped calls fn once per instance with at least one directly
 // asserted class, in unspecified order.
 func (g *Graph) forEachTyped(fn func(inst ID, classes []ID)) {
@@ -440,37 +422,85 @@ func (g *Graph) forEachSubclassed(fn func(sub ID, supers []ID)) {
 // bulk loading makes subsequent reads safe for concurrent use.
 func (g *Graph) Freeze() { g.ensureClosures() }
 
+// idSpans is a set of ascending ID lists in compressed-row form: node
+// i's list is ids[offs[i]:offs[i+1]]. Nodes at or past len(offs)-1,
+// added after the lists were built, have empty lists.
+type idSpans struct {
+	offs []uint32
+	ids  []ID
+}
+
+// view returns id's list (shared, capped), or nil when it is empty.
+func (s *idSpans) view(id ID) []ID {
+	if id < 0 || int(id) >= len(s.offs)-1 {
+		return nil
+	}
+	lo, hi := s.offs[id], s.offs[id+1]
+	if lo == hi {
+		return nil
+	}
+	return s.ids[lo:hi:hi]
+}
+
+// ensureClosures builds both type closures in one pass over the nodes
+// in ID order, into flat pointer-free arrays.
 func (g *Graph) ensureClosures() {
-	if !g.closureDirty && g.instClosure != nil {
+	if !g.closureDirty && g.instClosure.offs != nil {
 		return
 	}
-	g.instClosure = make(map[ID][]ID, g.numInstOfKeys())
-	g.typeClosure = make(map[ID]map[ID]bool, g.numTypeKeys())
-
-	// For every instance, walk its direct types up the taxonomy.
-	g.forEachTyped(func(inst ID, direct []ID) {
-		all := make(map[ID]bool, len(direct)*2)
-		var stack []ID
-		stack = append(stack, direct...)
+	n := len(g.kinds)
+	types := idSpans{offs: make([]uint32, n+1)}
+	// inst[c+1] counts the instances of class c, then becomes the
+	// offsets of the class -> instances lists.
+	inst := idSpans{offs: make([]uint32, n+1)}
+	// seen[c] == i+1 marks class c as already in node i's closure.
+	seen := make([]int32, n)
+	var stack []ID
+	for i := 0; i < n; i++ {
+		start := len(types.ids)
+		stack = append(stack[:0], g.directTypes(ID(i))...)
 		for len(stack) > 0 {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if all[c] {
+			if seen[c] == int32(i)+1 {
 				continue
 			}
-			all[c] = true
+			seen[c] = int32(i) + 1
+			types.ids = append(types.ids, c)
+			inst.offs[c+1]++
 			stack = append(stack, g.directSupers(c)...)
 		}
-		g.typeClosure[inst] = all
-		for c := range all {
-			g.instClosure[c] = append(g.instClosure[c], inst)
-		}
-	})
-	for c := range g.instClosure {
-		s := g.instClosure[c]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		sortIDs(types.ids[start:])
+		types.offs[i+1] = uint32(len(types.ids))
 	}
+	for c := 1; c <= n; c++ {
+		inst.offs[c] += inst.offs[c-1]
+	}
+	// Fill each class's list using its start offset as a cursor.
+	// Instances arrive in ascending ID order, so every list is sorted;
+	// afterwards offs[c] has advanced to offs[c+1], and shifting the
+	// offsets up by one restores them.
+	inst.ids = make([]ID, len(types.ids))
+	for i := 0; i < n; i++ {
+		for _, c := range types.view(ID(i)) {
+			inst.ids[inst.offs[c]] = ID(i)
+			inst.offs[c]++
+		}
+	}
+	copy(inst.offs[1:], inst.offs[:n])
+	inst.offs[0] = 0
+	g.typeClosure, g.instClosure = types, inst
 	g.closureDirty = false
+}
+
+// sortIDs sorts a short ID list in place (insertion sort: a closure
+// holds a handful of classes).
+func sortIDs(s []ID) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
 }
 
 // InstancesOf returns every instance whose type closure contains cls,
@@ -482,7 +512,7 @@ func (g *Graph) InstancesOf(cls ID) []ID {
 		return g.literals()
 	}
 	g.ensureClosures()
-	return g.instClosure[cls]
+	return g.instClosure.view(cls)
 }
 
 func (g *Graph) literals() []ID {
@@ -503,7 +533,12 @@ func (g *Graph) HasType(inst, cls ID) bool {
 		return g.kinds[inst] == KindLiteral
 	}
 	g.ensureClosures()
-	return g.typeClosure[inst][cls]
+	for _, c := range g.typeClosure.view(inst) {
+		if c >= cls {
+			return c == cls
+		}
+	}
+	return false
 }
 
 // TypesOf returns every class inst belongs to, including superclasses
@@ -514,13 +549,8 @@ func (g *Graph) TypesOf(inst ID) []ID {
 		return []ID{g.literalClass}
 	}
 	g.ensureClosures()
-	set := g.typeClosure[inst]
-	out := make([]ID, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	v := g.typeClosure.view(inst)
+	return append(make([]ID, 0, len(v)), v...)
 }
 
 // Subclasses returns the direct subclasses of cls (shared slice).

@@ -19,3 +19,13 @@ func mapFile(f *os.File, size int64) ([]byte, error) {
 	}
 	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 }
+
+// fileVersion identifies the file version st describes, for the
+// process's mapping table.
+func fileVersion(st os.FileInfo) (mapKey, bool) {
+	sys, ok := st.Sys().(*syscall.Stat_t)
+	if !ok {
+		return mapKey{}, false
+	}
+	return mapKey{dev: uint64(sys.Dev), ino: uint64(sys.Ino), size: st.Size(), mtime: st.ModTime().UnixNano()}, true
+}

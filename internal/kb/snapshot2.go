@@ -52,6 +52,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"sync"
 	"unsafe"
 )
 
@@ -107,12 +108,58 @@ var hostLittleEndian = func() bool {
 // mapping pins the mmap'd bytes a snapshot-backed graph reads from.
 // Mappings are deliberately never unmapped: name strings and arena
 // views handed out by the graph (repair results, memo entries, cached
-// candidates) may outlive the Graph itself, and the pages are clean
-// file-backed memory the kernel reclaims under pressure anyway, so
-// retiring a graph costs only virtual address space.
+// candidates) may outlive the Graph itself. A retired graph's pages
+// stay mapped and count towards the process's RSS once touched (about
+// 1 MB for a Nobel-1069 snapshot); the kernel may drop clean file
+// pages under memory pressure, but they do not go away on their own.
+//
+// So each file version is mapped once per process (see mapSnapshot):
+// re-admitting a tenant or reloading an unchanged snapshot reuses the
+// mapping, and the number of mappings is bounded by the number of
+// distinct snapshot versions loaded. Snapshots must be replaced by
+// writing a new file and renaming it into place, never rewritten in
+// place: a rewrite would change pages under every live graph mapped
+// from the file (MAP_SHARED), and one that kept the size and mtime
+// would also be mistaken for the version already mapped.
 type mapping struct {
 	path string
 	data []byte
+}
+
+// mapKey identifies one version of a snapshot file: a replacement
+// renamed into place has a new inode.
+type mapKey struct {
+	dev, ino    uint64
+	size, mtime int64
+}
+
+// mappings holds the process's snapshot mappings, one per file version.
+var mappings struct {
+	sync.Mutex
+	m map[mapKey]*mapping
+}
+
+// mapSnapshot returns the mapping of f's version st, mapping the file
+// on first use.
+func mapSnapshot(f *os.File, path string, st os.FileInfo) (*mapping, error) {
+	key, ok := fileVersion(st)
+	mappings.Lock()
+	defer mappings.Unlock()
+	if m := mappings.m[key]; ok && m != nil {
+		return m, nil
+	}
+	data, err := mapFile(f, st.Size())
+	if err != nil {
+		return nil, fmt.Errorf("kb: mmap %s: %w", path, err)
+	}
+	m := &mapping{path: path, data: data}
+	if ok {
+		if mappings.m == nil {
+			mappings.m = make(map[mapKey]*mapping)
+		}
+		mappings.m[key] = m
+	}
+	return m, nil
 }
 
 // Mapped reports whether the graph reads its arenas from an mmap'd
@@ -650,7 +697,8 @@ func decodeSnapshotV2(data []byte) (*Graph, error) {
 // loadSnapshotMapped is the mmap read path: the raw sections are used
 // in place as file pages. Only the varint sections are checksummed;
 // span tables are bounds-checked against their arenas so a corrupt
-// file cannot index outside the mapping.
+// file cannot index outside the mapping. A reused mapping gets every
+// check again.
 func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
 	st, err := f.Stat()
 	if err != nil {
@@ -660,10 +708,11 @@ func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
 	if size < 8 {
 		return nil, fmt.Errorf("kb: snapshot too small (%d bytes)", size)
 	}
-	data, err := mapFile(f, size)
+	m, err := mapSnapshot(f, path, st)
 	if err != nil {
-		return nil, fmt.Errorf("kb: mmap %s: %w", path, err)
+		return nil, err
 	}
+	data := m.data
 	dir, err := parseV2Directory(data, size)
 	if err != nil {
 		return nil, err
@@ -680,7 +729,7 @@ func loadSnapshotMapped(f *os.File, path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{mapped: &mapping{path: path, data: data}}
+	g := &Graph{mapped: m}
 	if err := g.initV2(c, func(id byte) []byte {
 		e := dir[id]
 		return data[e.off : e.off+e.n]

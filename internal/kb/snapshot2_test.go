@@ -429,3 +429,75 @@ func TestNameTable(t *testing.T) {
 		}
 	}
 }
+
+// mapsLines counts the lines of /proc/self/maps that map path.
+func mapsLines(t *testing.T, path string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	path, err = filepath.EvalSymlinks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range bytes.Split(maps, []byte("\n")) {
+		if bytes.HasSuffix(line, []byte(" "+path)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSnapshotMappedOncePerVersion: loading an unchanged snapshot
+// again reuses its mapping instead of adding one per load, and a
+// replacement renamed into place is a new version, mapped anew, while
+// graphs on the old version keep reading it.
+func TestSnapshotMappedOncePerVersion(t *testing.T) {
+	if runtime.GOOS != "linux" || !hostLittleEndian {
+		t.Skip("the mmap load path is linux/little-endian only")
+	}
+	path := filepath.Join(t.TempDir(), "kb.snap")
+	if err := os.WriteFile(path, snap2Bytes(t, v2TestGraph()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := mapsLines(t, path)
+	var first *Graph
+	for i := 0; i < 10000; i++ {
+		g, err := LoadSnapshotFile(path)
+		if err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+		if first == nil {
+			first = g
+		}
+		if g.mapped == nil || g.mapped != first.mapped {
+			t.Fatalf("load %d: mapping %p, first load's %p", i, g.mapped, first.mapped)
+		}
+	}
+	if added := mapsLines(t, path) - before; added > 1 {
+		t.Errorf("10,000 loads added %d lines to /proc/self/maps, want at most 1", added)
+	}
+
+	next := v2TestGraph()
+	next.AddType("Zurich", "city")
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, snap2Bytes(t, next), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.mapped == first.mapped {
+		t.Fatal("a snapshot renamed into place reused the old version's mapping")
+	}
+	if g.Lookup("Zurich") == Invalid || first.Lookup("Zurich") != Invalid {
+		t.Error("graphs do not read their own snapshot versions")
+	}
+	checkGraphSemantics(t, first)
+}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -253,7 +254,8 @@ func TestLRUChurn(t *testing.T) {
 		workers  = 16
 		requests = 12 // per worker
 	)
-	r := newRegistry(t, fleetConfig(t, tenants, cap))
+	cfg := fleetConfig(t, tenants, cap)
+	r := newRegistry(t, cfg)
 	ts := httptest.NewServer(server.NewTenantMux(r, nil))
 	defer ts.Close()
 
@@ -326,6 +328,33 @@ func TestLRUChurn(t *testing.T) {
 	if evictions < admissions-int64(cap) {
 		t.Fatalf("evictions = %d, admissions = %d: eviction accounting broken", evictions, admissions)
 	}
+	// Every admission loaded the one shared snapshot; the process maps
+	// each snapshot version once, however often it is re-admitted.
+	if runtime.GOOS == "linux" && runtime.GOARCH == "amd64" {
+		if n := mapsLines(t, cfg.Defaults.Snapshot); n != 1 {
+			t.Errorf("after %d admissions the shared snapshot is mapped %d times, want 1", admissions, n)
+		}
+	}
+}
+
+// mapsLines counts the lines of /proc/self/maps that map path.
+func mapsLines(t *testing.T, path string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatalf("reading /proc/self/maps: %v", err)
+	}
+	path, err = filepath.EvalSymlinks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.HasSuffix(line, " "+path) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestEvictionSkipsPinnedTenants(t *testing.T) {

@@ -237,10 +237,13 @@ func (c *Catalog) classIndex(g *kb.Graph, cls kb.ID) *similarity.StringIndex {
 	if ix, ok := c.idx[key]; ok {
 		return ix
 	}
-	ix = similarity.NewStringIndex(MaxEDThreshold)
-	for _, inst := range g.InstancesOf(cls) {
-		ix.Add(g.Name(inst), int32(inst))
+	insts := g.InstancesOf(cls)
+	names := make([]string, len(insts))
+	payloads := make([]int32, len(insts))
+	for i, inst := range insts {
+		names[i], payloads[i] = g.Name(inst), int32(inst)
 	}
+	ix = similarity.BuildStringIndex(MaxEDThreshold, names, payloads)
 	c.idx[key] = ix
 	return ix
 }
@@ -283,7 +286,10 @@ func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spe
 	out := c.retrieve(g, cls, spec, value)
 	sh.mu.Lock()
 	if sh.m == nil {
-		sh.m = make(map[candKey]candEntry, c.cacheCap)
+		// Grown on use, not presized to the bound: a cold engine's
+		// first request touches every shard, and 64 presized maps cost
+		// it megabytes of zeroed memory.
+		sh.m = make(map[candKey]candEntry)
 	}
 	if len(sh.m) >= c.cacheCap {
 		// The shard is full: evict an arbitrary eighth. Map iteration

@@ -79,11 +79,18 @@ func EDWithin(a, b string, k int) bool {
 		a, b = b, a
 		la, lb = lb, la
 	}
-	// Band of width 2k+1 around the diagonal.
+	// Band of width 2k+1 around the diagonal. Bands up to k = 7 (every
+	// rule threshold is at most 3) live in stack arrays, so the check
+	// that verifies every index candidate does not allocate.
 	const inf = 1 << 29
 	width := 2*k + 1
-	prev := make([]int, width)
-	curr := make([]int, width)
+	var prevBuf, currBuf [15]int
+	var prev, curr []int
+	if width <= len(prevBuf) {
+		prev, curr = prevBuf[:width], currBuf[:width]
+	} else {
+		prev, curr = make([]int, width), make([]int, width)
+	}
 	// prev[d] holds D[i-1][i-1+d-k]; initialise row 0.
 	for d := 0; d < width; d++ {
 		j := d - k

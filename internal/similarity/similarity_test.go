@@ -205,6 +205,9 @@ func TestSegmentsCoverString(t *testing.T) {
 			if se[0] != pos || se[1] != len(segs[i]) {
 				return false
 			}
+			if start, l := segment(len(s), n, i); start != se[0] || l != se[1] {
+				return false
+			}
 			pos += se[1]
 		}
 		return true
@@ -342,8 +345,34 @@ func TestStringIndexShortStrings(t *testing.T) {
 
 func BenchmarkEDWithin(b *testing.B) {
 	a, s := "Israel Institute of Technology", "Israel Institute of Technologie"
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		EDWithin(a, s, 2)
+	}
+}
+
+// BenchmarkStringIndexBuild times the one-pass bulk build a catalog
+// runs per KB class, over the same 50,000-string corpus as
+// BenchmarkStringIndexLookupED.
+func BenchmarkStringIndexBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	alpha := "abcdefghij"
+	strs := make([]string, 50000)
+	for i := range strs {
+		bs := make([]byte, 8+rng.Intn(8))
+		for j := range bs {
+			bs[j] = alpha[rng.Intn(len(alpha))]
+		}
+		strs[i] = string(bs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		payloads := make([]int32, len(strs))
+		for j := range payloads {
+			payloads[j] = int32(j)
+		}
+		BuildStringIndex(2, append([]string(nil), strs...), payloads)
 	}
 }
 
