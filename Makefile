@@ -47,13 +47,16 @@ chaos:
 
 # Native Go fuzzing, FUZZTIME per target (go test -fuzz runs one
 # target at a time): the rule-text parser must re-encode to a fixed
-# point, a POST /reload?delta=1 body must decode and apply without
-# panicking, and the flat signature index must return exactly what the
-# map-based reference index returns, in the same order. Crashers land
-# in the package's testdata/fuzz/ and then run as plain tests.
+# point, rule evaluation must return exactly what the map-based
+# reference matcher returns, a POST /reload?delta=1 body must decode
+# and apply without panicking, and the flat signature index must
+# return exactly what the map-based reference index returns, in the
+# same order. Crashers land in the package's testdata/fuzz/ and then
+# run as plain tests.
 FUZZTIME ?= 15s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/rules
+	go test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
 

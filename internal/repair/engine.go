@@ -60,6 +60,11 @@ type Engine struct {
 	posID      []int32   // positive-node check ID per rule
 	posEdgeIDs [][]int32 // positive-incident edge check IDs per rule
 
+	// Per-rule schema columns: the columns an application marks, and
+	// the column it repairs (the positive node's).
+	markCols [][]int
+	posCol   []int
+
 	// flatGroup is the single all-rules group used by the NoRuleOrder
 	// ablation, precomputed so the hot path never rebuilds it.
 	flatGroup [][]int
@@ -252,12 +257,9 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 			return nil, err
 		}
 		e.fast = append(e.fast, fm)
-		sm, err := rules.NewMatcher(dr, e.Cat, schema)
-		if err != nil {
-			return nil, err
-		}
+		sm := *fm // the same prepared rule; only candidate retrieval differs
 		sm.Scan = true
-		e.slow = append(e.slow, sm)
+		e.slow = append(e.slow, &sm)
 
 		nodeByName := make(map[string]rules.Node)
 		for _, n := range dr.Evidence {
@@ -294,6 +296,13 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		e.evChecks = append(e.evChecks, evs)
 		e.posID = append(e.posID, idOf(dr.Pos.Key(), dr.Pos.Col))
 		e.posEdgeIDs = append(e.posEdgeIDs, posEdgeIDs)
+
+		var marks []int
+		for _, c := range fm.MarkCols() {
+			marks = append(marks, schema.MustCol(c))
+		}
+		e.markCols = append(e.markCols, marks)
+		e.posCol = append(e.posCol, schema.MustCol(dr.Pos.Col))
 	}
 	e.numChecks = len(e.evIndex)
 
@@ -382,67 +391,67 @@ func (e *Engine) Warm() {
 }
 
 // applicable implements the multi-rule applicability test of §III-B:
-// the rule must not change a positively marked cell and must mark at
-// least one new cell.
-func (e *Engine) applicable(t *relation.Tuple, out rules.Outcome) bool {
+// rule idx, whose verdict on t is out, must not change a positively
+// marked cell and must mark at least one new cell.
+func (e *Engine) applicable(t *relation.Tuple, idx int, out rules.Outcome) bool {
 	switch out.Kind {
 	case rules.Positive:
-		for _, c := range out.MarkCols {
-			if !t.Marked[e.Schema.MustCol(c)] {
+		for _, c := range e.markCols[idx] {
+			if !t.Marked[c] {
 				return true
 			}
 		}
 		return false
 	case rules.Repair:
-		return !t.Marked[e.Schema.MustCol(out.RepairCol)]
+		return !t.Marked[e.posCol[idx]]
 	default:
 		return false
 	}
 }
 
-// apply mutates t according to the outcome, choosing version idx of a
-// multi-version repair, and returns the columns whose values changed
-// (the repaired column and any canonicalized evidence columns). When
-// alts is non-nil, the full candidate list of every rewritten cell is
-// recorded there — the paper scores a multi-version repair as correct
-// when *any* version matches the ground truth (§V-A).
+// apply mutates t according to rule idx's outcome, choosing version
+// of a multi-version repair, and appends to changed the columns whose
+// values changed (the repaired column and any canonicalized evidence
+// columns). When alts is non-nil, the full candidate list of every
+// rewritten cell is recorded there — the paper scores a multi-version
+// repair as correct when *any* version matches the ground truth
+// (§V-A).
 //
 // detectOnly is the circuit breaker's degraded mode: only the marks
 // are written — the cells the rule implicates — and every value write
-// (canonicalization and repair alike) is skipped. The nil changed
-// return is load-bearing: fastStep's post-apply block re-asserts the
-// positive check as memoTrue, which would be wrong for a value that
-// was never rewritten, and is skipped only when nothing changed.
-func (e *Engine) apply(t *relation.Tuple, out rules.Outcome, version int, alts map[string][]string, detectOnly bool) []string {
+// (canonicalization and repair alike) is skipped. Appending nothing
+// to changed is load-bearing: fastStep's post-apply block re-asserts
+// the positive check as memoTrue, which would be wrong for a value
+// that was never rewritten, and is skipped only when nothing changed.
+func (e *Engine) apply(t *relation.Tuple, idx int, out rules.Outcome, version int, alts map[string][]string, detectOnly bool, changed []int) []int {
 	if detectOnly {
-		for _, c := range out.MarkCols {
-			t.Marked[e.Schema.MustCol(c)] = true
+		for _, c := range e.markCols[idx] {
+			t.Marked[c] = true
 		}
-		return nil
+		return changed
 	}
-	var changed []string
 	for c, v := range out.Canonical {
 		col := e.Schema.MustCol(c)
 		if !t.Marked[col] && t.Values[col] != v {
 			t.Values[col] = v
-			changed = append(changed, c)
+			changed = append(changed, col)
 			if alts != nil {
 				alts[c] = []string{v}
 			}
 		}
 	}
 	if out.Kind == rules.Repair {
-		col := e.Schema.MustCol(out.RepairCol)
+		col := e.posCol[idx]
 		if t.Values[col] != out.Repairs[version] {
 			t.Values[col] = out.Repairs[version]
-			changed = append(changed, out.RepairCol)
+			changed = append(changed, col)
 			if alts != nil {
 				alts[out.RepairCol] = append([]string(nil), out.Repairs...)
 			}
 		}
 	}
-	for _, c := range out.MarkCols {
-		t.Marked[e.Schema.MustCol(c)] = true
+	for _, c := range e.markCols[idx] {
+		t.Marked[c] = true
 	}
 	return changed
 }
@@ -468,8 +477,8 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 			if used[i] {
 				continue
 			}
-			out := m.EvaluateOn(g, cl)
-			if !e.applicable(cl, out) {
+			out := m.VerdictOn(g, cl)
+			if !e.applicable(cl, i, out) {
 				continue
 			}
 			if applied++; applied > e.stepBudget {
@@ -477,7 +486,7 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 				e.count(tupleBudgetExhausted, nil)
 				return t.Clone()
 			}
-			e.apply(cl, out, 0, alts, false)
+			e.apply(cl, i, out, 0, alts, false, nil)
 			used[i] = true // each rule is applied at most once (Alg. 1 line 8)
 			progress = true
 			break
@@ -687,12 +696,13 @@ func (e *Engine) runFastGroups(cl *relation.Tuple, st *fastState) bool {
 }
 
 type fastState struct {
-	alive []bool
-	memo  []int8              // check ID -> tri-state result for the current values
-	alts  map[string][]string // optional multi-version recorder
-	steps *[]Step             // optional explanation recorder
-	timer *stageTimer         // non-nil only while this tuple is latency-sampled
-	g     *kb.Graph           // the KB pinned for this tuple's whole repair
+	alive   []bool
+	memo    []int8              // check ID -> tri-state result for the current values
+	changed []int               // columns the current application rewrote
+	alts    map[string][]string // optional multi-version recorder
+	steps   *[]Step             // optional explanation recorder
+	timer   *stageTimer         // non-nil only while this tuple is latency-sampled
+	g       *kb.Graph           // the KB pinned for this tuple's whole repair
 
 	stepsLeft int  // remaining rule applications before degrade
 	exceeded  bool // step budget exhausted for this tuple
@@ -829,15 +839,20 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 	}
 
 evaluate:
+	var t0 time.Time
+	if st.timer != nil {
+		t0 = time.Now()
+	}
 	var out rules.Outcome
-	if st.timer == nil {
-		out = m.EvaluateOn(st.g, t)
+	if st.steps == nil {
+		out = m.VerdictOn(st.g, t)
 	} else {
-		t0 := time.Now()
-		out = m.EvaluateOn(st.g, t)
+		out = m.EvaluateOn(st.g, t) // the witness goes into the step
+	}
+	if st.timer != nil {
 		st.timer.detect += time.Since(t0)
 	}
-	if !e.applicable(t, out) {
+	if !e.applicable(t, idx, out) {
 		if !cyclic {
 			st.alive[idx] = false
 		}
@@ -853,20 +868,18 @@ evaluate:
 	}
 	oldValue := ""
 	if out.Kind == rules.Repair {
-		oldValue = t.Values[e.Schema.MustCol(out.RepairCol)]
+		oldValue = t.Values[e.posCol[idx]]
 	}
-	changed := e.apply(t, out, 0, st.alts, st.detectOnly)
+	st.changed = e.apply(t, idx, out, 0, st.alts, st.detectOnly, st.changed[:0])
 	e.recordStep(st, idx, out, oldValue)
 	st.alive[idx] = false
 
-	if len(changed) > 0 {
+	if len(st.changed) > 0 {
 		// A rewrite invalidates every memoized check that reads a
 		// changed column...
-		for _, c := range changed {
-			if ci := e.Schema.Col(c); ci >= 0 {
-				for _, id := range e.colInval[ci] {
-					st.memo[id] = memoUnknown
-				}
+		for _, c := range st.changed {
+			for _, id := range e.colInval[c] {
+				st.memo[id] = memoUnknown
 			}
 		}
 		// ...except that the rule's own matched structure is witnessed
@@ -892,8 +905,8 @@ evaluate:
 			continue
 		}
 		subsumed := true
-		for _, c := range e.fast[j].MarkCols() {
-			if !t.Marked[e.Schema.MustCol(c)] {
+		for _, c := range e.markCols[j] {
+			if !t.Marked[c] {
 				subsumed = false
 				break
 			}

@@ -37,8 +37,8 @@ func (e *Engine) RepairVersions(t *relation.Tuple) []*relation.Tuple {
 				if s.used[i] {
 					continue
 				}
-				out := m.EvaluateOn(g, s.t)
-				if !e.applicable(s.t, out) {
+				out := m.VerdictOn(g, s.t)
+				if !e.applicable(s.t, i, out) {
 					continue
 				}
 				if out.Kind == rules.Repair && len(out.Repairs) > 1 {
@@ -46,13 +46,13 @@ func (e *Engine) RepairVersions(t *relation.Tuple) []*relation.Tuple {
 					// current state continues with version 0.
 					for v := 1; v < len(out.Repairs) && total < MaxVersions; v++ {
 						branch := state{t: s.t.Clone(), used: append([]bool(nil), s.used...)}
-						e.apply(branch.t, out, v, nil, false)
+						e.apply(branch.t, i, out, v, nil, false, nil)
 						branch.used[i] = true
 						work = append(work, branch)
 						total++
 					}
 				}
-				e.apply(s.t, out, 0, nil, false)
+				e.apply(s.t, i, out, 0, nil, false, nil)
 				s.used[i] = true
 				progress = true
 				break

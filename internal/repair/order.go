@@ -18,11 +18,11 @@ func (e *Engine) RepairWithOrder(t *relation.Tuple, order []int) *relation.Tuple
 			if used[i] {
 				continue
 			}
-			out := e.fast[i].EvaluateOn(g, cl)
-			if !e.applicable(cl, out) {
+			out := e.fast[i].VerdictOn(g, cl)
+			if !e.applicable(cl, i, out) {
 				continue
 			}
-			e.apply(cl, out, 0, nil, false)
+			e.apply(cl, i, out, 0, nil, false, nil)
 			used[i] = true
 			progress = true
 			break

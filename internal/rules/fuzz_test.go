@@ -5,6 +5,9 @@ import (
 	"os"
 	"testing"
 
+	"detective/internal/dataset"
+	"detective/internal/kb"
+	"detective/internal/relation"
 	"detective/internal/rules"
 )
 
@@ -38,6 +41,63 @@ func FuzzParseRules(f *testing.F) {
 		}
 		if !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
 			t.Fatalf("encoding is not a fixed point:\nfirst:\n%s\nsecond:\n%s", enc1.Bytes(), enc2.Bytes())
+		}
+	})
+}
+
+// FuzzEvaluate: on any cell values, every Matcher returns exactly the
+// map-based reference's Outcome (witness included, and without it from
+// VerdictOn), on the edge-driven and the value-driven (Scan) path. The
+// KB and rules are fixed: the paper's running example (six columns),
+// the path-rule fixture (the first three values) and the
+// ambiguous-evidence fixture (the first two).
+func FuzzEvaluate(f *testing.F) {
+	ex := dataset.NewPaperExample()
+	for _, tu := range ex.Dirty.Tuples {
+		v := tu.Values
+		f.Add(v[0], v[1], v[2], v[3], v[4], v[5])
+	}
+	f.Add("Ann", "Springfield", "22222", "", "", "")
+	f.Add("Ann", "Springfield", "11112", "", "", "")
+	f.Add("Ann Lex", "Pariss", "", "", "", "")
+
+	type pair struct {
+		m   *rules.Matcher
+		ref *rules.RefMatcher
+	}
+	matchers := func(drs []*rules.DR, g *kb.Graph, schema *relation.Schema) []pair {
+		cat := rules.NewCatalog(g)
+		var ps []pair
+		for _, dr := range drs {
+			for _, scan := range []bool{false, true} {
+				m, err := rules.NewMatcher(dr, cat, schema)
+				if err != nil {
+					f.Fatal(err)
+				}
+				m.Scan = scan
+				ps = append(ps, pair{m, rules.NewRefMatcher(m)})
+			}
+		}
+		return ps
+	}
+	paper := matchers(ex.Rules, ex.KB, ex.Schema)
+	pg, pschema, pdr := pathFixture()
+	path := matchers([]*rules.DR{pdr}, pg, pschema)
+	ag, aschema, adr := ambiguousFixture()
+	ambiguous := matchers([]*rules.DR{adr}, ag, aschema)
+
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g string) {
+		row := relation.NewTuple(a, b, c, d, e, g)
+		for _, p := range paper {
+			checkAgainstReference(t, p.m.Rule.Name, p.m, p.ref, ex.KB, row)
+		}
+		prow := relation.NewTuple(a, b, c)
+		for _, p := range path {
+			checkAgainstReference(t, p.m.Rule.Name, p.m, p.ref, pg, prow)
+		}
+		arow := relation.NewTuple(a, b)
+		for _, p := range ambiguous {
+			checkAgainstReference(t, p.m.Rule.Name, p.m, p.ref, ag, arow)
 		}
 	})
 }

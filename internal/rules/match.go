@@ -2,24 +2,19 @@ package rules
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"detective/internal/kb"
 	"detective/internal/relation"
 	"detective/internal/similarity"
 )
 
-// Assignment maps rule-node names to the KB instances they matched —
-// one instance-level matching graph (§II-B).
-type Assignment map[string]kb.ID
-
-func (a Assignment) clone() Assignment {
-	out := make(Assignment, len(a)+1)
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
-}
+// Assignment is one instance-level matching graph (§II-B) as a slot
+// row: slot i holds the KB instance bound to node i of the node list
+// it was matched against.
+type Assignment []kb.ID
 
 // FindAssignments returns instance-level matching graphs binding every
 // node to a KB instance such that (1) the tuple value of the node's
@@ -30,138 +25,114 @@ func (a Assignment) clone() Assignment {
 // order, and edges are checked as soon as both endpoints are bound.
 func FindAssignments(cat *Catalog, schema *relation.Schema, t *relation.Tuple,
 	nodes []Node, edges []Edge, limit int) []Assignment {
-	return findAssignments(cat.Graph(), cat, schema, t, nodes, edges, limit, false)
-}
-
-// findAssignments is FindAssignments with an explicit retrieval mode
-// (scan=true charges the basic algorithm's full class-extent scan for
-// every node instead of using the signature indexes) and an explicitly
-// pinned graph, so one tuple's whole evaluation sees one KB even while
-// the catalog's store is being hot-swapped.
-func findAssignments(g *kb.Graph, cat *Catalog, schema *relation.Schema, t *relation.Tuple,
-	nodes []Node, edges []Edge, limit int, scan bool) []Assignment {
-
-	// Candidate sets per column-bound node. Column-less nodes (path
-	// nodes) are resolved lazily from their already-bound neighbours.
-	cands := make([][]kb.ID, len(nodes))
-	var bound, lazy []int
-	for i, n := range nodes {
-		if n.Col == "" {
-			lazy = append(lazy, i)
-			continue
-		}
-		col := schema.Col(n.Col)
-		if col < 0 {
-			return nil
-		}
-		cands[i] = cat.LookupOn(g, n.Type, n.Sim, t.Values[col], scan)
-		if len(cands[i]) == 0 {
-			return nil
-		}
-		bound = append(bound, i)
+	p := newPlan(schema, nodes, edges)
+	s := getWorkspace(cat.Graph())
+	defer putWorkspace(s)
+	n := s.find(cat, t, &p, limit, false)
+	if n == 0 {
+		return nil
 	}
-	if len(bound) == 0 && len(lazy) > 0 {
-		return nil // nothing to anchor the existential nodes on
+	out := make([]Assignment, n)
+	for i := range out {
+		out[i] = slices.Clone(Assignment(s.row(i, len(nodes))))
 	}
-
-	// Match cheapest bound nodes first, then path nodes in an order
-	// where each has at least one previously matched neighbour.
-	sort.Slice(bound, func(a, b int) bool { return len(cands[bound[a]]) < len(cands[bound[b]]) })
-	order, ok := attachLazy(nodes, edges, bound, lazy)
-	if !ok {
-		return nil // a path node is disconnected from the anchored part
-	}
-
-	pos := make(map[string]int, len(nodes)) // node name -> index in nodes
-	for i, n := range nodes {
-		pos[n.Name] = i
-	}
-
-	var out []Assignment
-	cur := make(Assignment, len(nodes))
-
-	var rec func(step int) bool // returns true when the limit is hit
-	rec = func(step int) bool {
-		if step == len(order) {
-			out = append(out, cur.clone())
-			return limit > 0 && len(out) >= limit
-		}
-		ni := order[step]
-		node := nodes[ni]
-		options := cands[ni]
-		if node.Col == "" {
-			options = lazyCandidates(g, nodes, edges, cur, ni)
-		}
-	candidates:
-		for _, inst := range options {
-			// Edges whose both endpoints are now bound must hold.
-			for _, e := range edges {
-				fi, ok1 := pos[e.From]
-				ti, ok2 := pos[e.To]
-				if !ok1 || !ok2 {
-					continue // edge touches a node outside this set
-				}
-				if fi != ni && ti != ni {
-					continue // neither endpoint is the node being bound
-				}
-				var from, to kb.ID
-				if fi == ni {
-					from = inst
-					v, bound := cur[e.To]
-					if !bound {
-						continue
-					}
-					to = v
-				} else {
-					to = inst
-					v, bound := cur[e.From]
-					if !bound {
-						continue
-					}
-					from = v
-				}
-				rel := g.Lookup(e.Rel)
-				if rel == kb.Invalid || !g.HasEdge(from, rel, to) {
-					continue candidates
-				}
-			}
-			cur[node.Name] = inst
-			if rec(step + 1) {
-				return true
-			}
-			delete(cur, node.Name)
-		}
-		return false
-	}
-	rec(0)
 	return out
 }
 
-// attachLazy appends the lazy node indexes to the bound order such
-// that each lazy node, when visited, is adjacent to an already-placed
-// node. ok is false when some lazy node can never attach.
-func attachLazy(nodes []Node, edges []Edge, bound, lazy []int) ([]int, bool) {
-	order := append([]int(nil), bound...)
-	placed := make(map[string]bool, len(nodes))
-	for _, i := range bound {
-		placed[nodes[i].Name] = true
+// plan is a node list prepared for slot-addressed matching. What
+// depends only on the rule and the schema is resolved once: each
+// node's schema column, each edge's endpoint slots, and the order in
+// which path nodes attach to the column-bound ones.
+type plan struct {
+	nodes []Node
+	cols  []int // schema column per node; -1 for a path node or a column the schema lacks
+	edges []planEdge
+	bound []int32 // column-bound node slots, in node order
+	lazy  []int32 // path node slots, in the order they attach to the bound ones
+	// attached is false when some path node can never attach, or when
+	// path nodes exist with nothing to anchor them on.
+	attached bool
+}
+
+// planEdge is an edge whose endpoints are both in the plan's nodes;
+// edges touching other nodes constrain nothing and are dropped.
+type planEdge struct {
+	from, to int32
+	rel      string
+}
+
+// touches reports whether slot i is an endpoint of e, and if so the
+// slot at e's other end.
+func (e *planEdge) touches(i int32) (other int32, ok bool) {
+	switch i {
+	case e.from:
+		return e.to, true
+	case e.to:
+		return e.from, true
 	}
-	remaining := append([]int(nil), lazy...)
+	return -1, false
+}
+
+// slotOf returns the slot of the node named name, or -1. Rules have a
+// handful of nodes, so a scan beats a map.
+func slotOf(nodes []Node, name string) int32 {
+	for i := range nodes {
+		if nodes[i].Name == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+func newPlan(schema *relation.Schema, nodes []Node, edges []Edge) plan {
+	p := plan{nodes: nodes, cols: make([]int, len(nodes)), edges: make([]planEdge, 0, len(edges))}
+	for _, e := range edges {
+		fi, ti := slotOf(nodes, e.From), slotOf(nodes, e.To)
+		if fi < 0 || ti < 0 {
+			continue
+		}
+		p.edges = append(p.edges, planEdge{from: fi, to: ti, rel: e.Rel})
+	}
+	var lazy []int32
+	for i, n := range nodes {
+		p.cols[i] = -1
+		if n.Col == "" {
+			lazy = append(lazy, int32(i))
+			continue
+		}
+		p.cols[i] = schema.Col(n.Col)
+		p.bound = append(p.bound, int32(i))
+	}
+	p.lazy, p.attached = p.attach(p.bound, lazy)
+	if len(p.bound) == 0 && len(lazy) > 0 {
+		p.attached = false // nothing to anchor the existential nodes on
+	}
+	return p
+}
+
+// attach orders the lazy slots so that each, when visited, is adjacent
+// to a placed slot (the bound ones or an earlier lazy one). ok is false
+// when some lazy slot can never attach.
+func (p *plan) attach(bound, lazy []int32) (order []int32, ok bool) {
+	placed := make([]bool, len(p.nodes))
+	for _, i := range bound {
+		placed[i] = true
+	}
+	remaining := slices.Clone(lazy)
 	for len(remaining) > 0 {
 		progress := false
 		for k, i := range remaining {
-			name := nodes[i].Name
 			attached := false
-			for _, e := range edges {
-				if e.From == name && placed[e.To] || e.To == name && placed[e.From] {
+			for j := range p.edges {
+				if other, ok := p.edges[j].touches(i); ok && placed[other] {
 					attached = true
 					break
 				}
 			}
 			if attached {
 				order = append(order, i)
-				placed[name] = true
-				remaining = append(remaining[:k], remaining[k+1:]...)
+				placed[i] = true
+				remaining = slices.Delete(remaining, k, k+1)
 				progress = true
 				break
 			}
@@ -173,65 +144,297 @@ func attachLazy(nodes []Node, edges []Edge, bound, lazy []int) ([]int, bool) {
 	return order, true
 }
 
-// lazyCandidates computes the instances that can stand as the
+// pole is the positive or negative node prepared for deriving its
+// candidates from a bound source row: an evidence row on the
+// edge-driven path, a negative-graph row when the value-driven path
+// draws corrections.
+type pole struct {
+	node Node
+	// Rules without path nodes: the pole's incident edges, each with
+	// the source slot of its other endpoint.
+	inc []poleEdge
+	// Rules with path nodes: the side graph is traversed existentially.
+	// at is the pole's slot in side, seeds copy source slots into side
+	// slots, and order visits the seeded slots, then the rest in attach
+	// order. ok is false when some side node can never attach.
+	side  *plan
+	at    int32
+	seeds []seed
+	order []int32
+	ok    bool
+}
+
+type poleEdge struct {
+	src int32 // source slot of the other endpoint; -1 if the source row lacks it
+	out bool  // the pole is the edge's From end
+	rel string
+}
+
+type seed struct{ side, src int32 }
+
+func newPole(node Node, incident []Edge, side *plan, src []Node) pole {
+	p := pole{node: node, side: side, inc: make([]poleEdge, 0, len(incident))}
+	for _, e := range incident {
+		pe := poleEdge{out: e.From == node.Name, rel: e.Rel}
+		other := e.From
+		if pe.out {
+			other = e.To
+		}
+		pe.src = slotOf(src, other)
+		p.inc = append(p.inc, pe)
+	}
+	p.at = slotOf(side.nodes, node.Name)
+	var bound, lazy []int32
+	for i, n := range side.nodes {
+		if k := slotOf(src, n.Name); k >= 0 {
+			bound = append(bound, int32(i))
+			p.seeds = append(p.seeds, seed{side: int32(i), src: k})
+		} else {
+			lazy = append(lazy, int32(i))
+		}
+	}
+	rest, ok := side.attach(bound, lazy)
+	p.order, p.ok = append(bound, rest...), ok
+	return p
+}
+
+// workspace is the per-evaluation working memory: candidate lists, slot
+// rows and sorted ID sets live in buffers recycled through workspacePool,
+// so an evaluation allocates only for the Outcome it returns.
+//
+// Candidate lists that recursion must keep while it descends (a path
+// node's options) are pushed on stack and popped on return; a push that
+// grows stack leaves the lists below it intact in the old array.
+type workspace struct {
+	g *kb.Graph
+
+	// find: the plan being matched, each column node's candidates, the
+	// visiting order, each edge's relation ID, the row being bound and
+	// the rows found so far, back to back.
+	p     *plan
+	cands [][]kb.ID
+	order []int32
+	rels  []kb.ID
+	cur   []kb.ID
+	rows  []kb.ID
+	nrows int
+	limit int
+
+	// poleCandidates over a path rule's side graph: the pole, its
+	// relation IDs and row, and the sorted pole set growing at
+	// pset[pstart:].
+	pp         *pole
+	prels      []kb.ID
+	pcur       []kb.ID
+	pset       []kb.ID
+	pstart     int
+	expansions int
+
+	stack []kb.ID
+	tmp   []kb.ID
+
+	// Evaluation: every evidence row's positive candidates back to back
+	// (posEnd[i] ends row i's), the negative candidates of one row, the
+	// evidence rows with an exact, a fuzzy and a negative match, and
+	// candidate repair names.
+	posc                  []kb.ID
+	posEnd                []int32
+	negc                  []kb.ID
+	exact, fuzzy, negRows []kb.ID
+	names                 []string
+	ranked                []rankedName
+}
+
+type rankedName struct {
+	dist int
+	name string
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+func getWorkspace(g *kb.Graph) *workspace {
+	s := workspacePool.Get().(*workspace)
+	s.g = g
+	return s
+}
+
+// putWorkspace recycles s. It drops the graph and the names it held, so
+// a pooled workspace keeps no retired KB reachable.
+func putWorkspace(s *workspace) {
+	s.g, s.p, s.pp = nil, nil, nil
+	clear(s.cands)
+	clear(s.names)
+	clear(s.ranked)
+	s.names, s.ranked = s.names[:0], s.ranked[:0]
+	workspacePool.Put(s)
+}
+
+// row returns found row i of width w.
+func (s *workspace) row(i, w int) []kb.ID { return s.rows[i*w : (i+1)*w] }
+
+// resolve looks up the relation ID of every edge of p on s.g into dst.
+func (s *workspace) resolve(dst []kb.ID, p *plan) []kb.ID {
+	dst = dst[:0]
+	for _, e := range p.edges {
+		dst = append(dst, s.g.Lookup(e.rel))
+	}
+	return dst
+}
+
+// find enumerates the instance-level matching graphs of p on t into
+// s.rows, one row of len(p.nodes) slots per match, and returns their
+// number, stopping after limit rows (limit <= 0: all). scan retrieves
+// candidates by the basic algorithm's class-extent scan instead of the
+// signature indexes.
+func (s *workspace) find(cat *Catalog, t *relation.Tuple, p *plan, limit int, scan bool) int {
+	s.rows, s.nrows = s.rows[:0], 0
+	if cap(s.cands) < len(p.nodes) {
+		s.cands = make([][]kb.ID, len(p.nodes))
+	}
+	s.cands = s.cands[:len(p.nodes)]
+	for _, i := range p.bound {
+		col := p.cols[i]
+		if col < 0 {
+			return 0
+		}
+		n := &p.nodes[i]
+		c := cat.LookupOn(s.g, n.Type, n.Sim, t.Values[col], scan)
+		if len(c) == 0 {
+			return 0
+		}
+		s.cands[i] = c
+	}
+	if !p.attached {
+		return 0
+	}
+	// Match cheapest bound nodes first, then path nodes in attach order.
+	// The sort is stable: ties keep node order, which fixes the
+	// enumeration order and so which rows assignmentCap keeps.
+	order := append(s.order[:0], p.bound...)
+	slices.SortStableFunc(order, func(a, b int32) int { return len(s.cands[a]) - len(s.cands[b]) })
+	s.order = append(order, p.lazy...)
+	s.rels = s.resolve(s.rels, p)
+	s.cur = fillInvalid(s.cur, len(p.nodes))
+	s.p, s.limit = p, limit
+	s.match(0)
+	return s.nrows
+}
+
+// match binds the node at order[step] and recurses; it reports whether
+// the row limit was hit.
+func (s *workspace) match(step int) bool {
+	if step == len(s.order) {
+		s.rows = append(s.rows, s.cur...)
+		s.nrows++
+		return s.limit > 0 && s.nrows >= s.limit
+	}
+	p := s.p
+	ni := s.order[step]
+	mark := len(s.stack)
+	options := s.cands[ni]
+	if p.nodes[ni].Col == "" {
+		options = s.lazyCandidates(p, s.rels, s.cur, ni)
+	}
+	hit := false
+candidates:
+	for _, inst := range options {
+		// Edges whose other endpoint is already bound must hold.
+		for ei := range p.edges {
+			e := &p.edges[ei]
+			other, ok := e.touches(ni)
+			if !ok || s.cur[other] == kb.Invalid {
+				continue
+			}
+			from, to := inst, s.cur[other]
+			if e.from != ni {
+				from, to = to, from
+			}
+			if rel := s.rels[ei]; rel == kb.Invalid || !s.g.HasEdge(from, rel, to) {
+				continue candidates
+			}
+		}
+		s.cur[ni] = inst
+		hit = s.match(step + 1)
+		s.cur[ni] = kb.Invalid
+		if hit {
+			break
+		}
+	}
+	s.stack = s.stack[:mark]
+	return hit
+}
+
+// lazyCandidates pushes on s.stack the instances that can stand as the
 // column-less node ni: the intersection of the relationship
-// neighbourhoods of its already-bound neighbours, filtered by type.
-func lazyCandidates(g *kb.Graph, nodes []Node, edges []Edge, cur Assignment, ni int) []kb.ID {
-	node := nodes[ni]
-	cls := g.Lookup(node.Type)
+// neighbourhoods of its bound neighbours in cur, filtered by type, in
+// ascending ID order. It returns the pushed list.
+func (s *workspace) lazyCandidates(p *plan, rels, cur []kb.ID, ni int32) []kb.ID {
+	start := len(s.stack)
+	cls := s.g.Lookup(p.nodes[ni].Type)
 	if cls == kb.Invalid {
 		return nil
 	}
-	var result map[kb.ID]bool
-	for _, e := range edges {
-		var neigh []kb.ID
-		switch {
-		case e.From == node.Name:
-			o, bound := cur[e.To]
-			if !bound {
-				continue
-			}
-			rel := g.Lookup(e.Rel)
-			if rel == kb.Invalid {
-				return nil
-			}
-			neigh = g.Subjects(rel, o)
-		case e.To == node.Name:
-			o, bound := cur[e.From]
-			if !bound {
-				continue
-			}
-			rel := g.Lookup(e.Rel)
-			if rel == kb.Invalid {
-				return nil
-			}
-			neigh = g.Objects(o, rel)
-		default:
+	first := true
+	for ei := range p.edges {
+		e := &p.edges[ei]
+		other, ok := e.touches(ni)
+		if !ok || cur[other] == kb.Invalid {
 			continue
 		}
-		set := make(map[kb.ID]bool, len(neigh))
-		for _, x := range neigh {
-			if !g.HasType(x, cls) {
-				continue
-			}
-			if result == nil || result[x] {
-				set[x] = true
-			}
+		if rels[ei] == kb.Invalid {
+			s.stack = s.stack[:start]
+			return nil
 		}
-		result = set
-		if len(result) == 0 {
+		var neigh []kb.ID
+		if e.from == ni {
+			neigh = s.g.Subjects(rels[ei], cur[other])
+		} else {
+			neigh = s.g.Objects(cur[other], rels[ei])
+		}
+		s.stack = s.narrow(s.stack, start, neigh, cls, first)
+		first = false
+		if len(s.stack) == start {
 			return nil
 		}
 	}
-	if result == nil {
-		return nil
+	return s.stack[start:]
+}
+
+// narrow maintains the sorted, duplicate-free ID set dst[start:]: the
+// first call fills it with the members of neigh that have type cls,
+// later calls keep only the members also in neigh.
+func (s *workspace) narrow(dst []kb.ID, start int, neigh []kb.ID, cls kb.ID, first bool) []kb.ID {
+	if first {
+		for _, x := range neigh {
+			if s.g.HasType(x, cls) {
+				dst = append(dst, x)
+			}
+		}
+		set := dst[start:]
+		slices.Sort(set)
+		return dst[:start+len(slices.Compact(set))]
 	}
-	out := make([]kb.ID, 0, len(result))
-	for x := range result {
-		out = append(out, x)
+	s.tmp = append(s.tmp[:0], neigh...)
+	slices.Sort(s.tmp)
+	set, k, j := dst[start:], 0, 0
+	for _, x := range set {
+		for j < len(s.tmp) && s.tmp[j] < x {
+			j++
+		}
+		if j < len(s.tmp) && s.tmp[j] == x {
+			set[k] = x
+			k++
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return dst[:start+k]
+}
+
+func fillInvalid(ids []kb.ID, n int) []kb.ID {
+	ids = slices.Grow(ids[:0], n)[:n]
+	for i := range ids {
+		ids[i] = kb.Invalid
+	}
+	return ids
 }
 
 // OutcomeKind classifies the result of evaluating a rule on a tuple.
@@ -298,15 +501,18 @@ type Matcher struct {
 	// reproducing the basic repair algorithm's per-node cost model.
 	Scan bool
 
-	posNodes    []Node // evidence ∪ {pos}
-	posEdges    []Edge
-	negNodes    []Node // evidence ∪ {neg}; nil if annotation-only
-	negEdges    []Edge
-	evEdges     []Edge
-	posIncident []Edge // edges incident to the positive node
-	negIncident []Edge // edges incident to the negative node
-	markCols    []string
-	posCol      int // schema index of Pos.Col, resolved once
+	ev  plan // evidence nodes and the edges among them
+	pos plan // evidence ∪ path ∪ {pos}; the pole's slot is len(Evidence)
+	neg plan // evidence ∪ path ∪ {neg}; no nodes if annotation-only
+
+	// Pole derivation: the positive and negative node from an evidence
+	// row (edge-driven), and the positive node from a negative-graph
+	// row (value-driven corrections).
+	posFromEv, negFromEv, posFromNeg pole
+
+	evCols   []int // schema column per evidence node
+	markCols []string
+	posCol   int // schema index of Pos.Col
 }
 
 // NewMatcher validates the rule against the schema and prepares the
@@ -326,14 +532,18 @@ func NewMatcher(rule *DR, cat *Catalog, schema *relation.Schema) (*Matcher, erro
 		}
 	}
 	m := &Matcher{Rule: rule, Cat: cat, Schema: schema}
+	m.ev = newPlan(schema, rule.Evidence, rule.evidenceEdges())
 	pg := rule.positiveGraph()
-	m.posNodes, m.posEdges = pg.Nodes, pg.Edges
+	m.pos = newPlan(schema, pg.Nodes, pg.Edges)
+	m.posFromEv = newPole(rule.Pos, rule.posEdges(), &m.pos, rule.Evidence)
 	if ng, ok := rule.negativeGraph(); ok {
-		m.negNodes, m.negEdges = ng.Nodes, ng.Edges
+		m.neg = newPlan(schema, ng.Nodes, ng.Edges)
+		m.negFromEv = newPole(*rule.Neg, rule.negEdges(), &m.neg, rule.Evidence)
+		m.posFromNeg = newPole(rule.Pos, rule.posEdges(), &m.pos, ng.Nodes)
 	}
-	m.evEdges = rule.evidenceEdges()
-	m.posIncident = rule.posEdges()
-	m.negIncident = rule.negEdges()
+	for _, n := range rule.Evidence {
+		m.evCols = append(m.evCols, schema.MustCol(n.Col))
+	}
 	m.markCols = append(rule.EvidenceCols(), rule.Pos.Col)
 	m.posCol = schema.MustCol(rule.Pos.Col)
 	return m, nil
@@ -377,193 +587,225 @@ func (m *Matcher) Evaluate(t *relation.Tuple) Outcome {
 // evaluate every rule on it, so a concurrent hot swap never mixes two
 // KBs within one tuple.
 func (m *Matcher) EvaluateOn(g *kb.Graph, t *relation.Tuple) Outcome {
+	return m.evaluate(g, t, true)
+}
+
+// VerdictOn is EvaluateOn without the Witness, for callers that do not
+// record provenance. Its other fields equal EvaluateOn's, and when the
+// verdict needs no Repairs or Canonical cells it allocates nothing.
+func (m *Matcher) VerdictOn(g *kb.Graph, t *relation.Tuple) Outcome {
+	return m.evaluate(g, t, false)
+}
+
+func (m *Matcher) evaluate(g *kb.Graph, t *relation.Tuple, witness bool) Outcome {
+	s := getWorkspace(g)
+	var out Outcome
 	if !m.Scan && len(m.Rule.Evidence) > 0 {
-		return m.evaluateEdgeDriven(g, t)
+		out = m.evaluateEdgeDriven(s, t, witness)
+	} else {
+		out = m.evaluateValueDriven(s, t, witness)
 	}
-	return m.evaluateValueDriven(g, t)
+	putWorkspace(s)
+	return out
 }
 
 // evaluateEdgeDriven matches evidence first and resolves the positive
 // and negative nodes through their incident edges.
-func (m *Matcher) evaluateEdgeDriven(g *kb.Graph, t *relation.Tuple) Outcome {
-	evAs := findAssignments(g, m.Cat, m.Schema, t, m.Rule.Evidence, m.evEdges, assignmentCap, false)
-	if len(evAs) == 0 {
+func (m *Matcher) evaluateEdgeDriven(s *workspace, t *relation.Tuple, witness bool) Outcome {
+	g := s.g
+	w := len(m.Rule.Evidence)
+	n := s.find(m.Cat, t, &m.ev, assignmentCap, false)
+	if n == 0 {
 		return Outcome{Kind: NoMatch}
 	}
 	value := t.Values[m.posCol]
 
 	// (1) Proof positive: a positive-node instance consistent with the
-	// evidence whose name matches the cell value under sim(p).
-	var exactAs, fuzzyAs []Assignment
-	fuzzyNames := make(map[string]bool)
-	posCands := make([][]kb.ID, len(evAs))
-	for i, a := range evAs {
-		posCands[i] = m.poleCandidates(g, a, m.posNodes, m.posEdges, m.Rule.Pos, m.posIncident)
-		exact := false
-		for _, xp := range posCands[i] {
+	// evidence whose name matches the cell value under sim(p). Rows with
+	// an exact match go to exact; a row without one goes to fuzzy once
+	// any row so far has matched fuzzily.
+	exact, fuzzy := s.exact[:0], s.fuzzy[:0]
+	s.posc, s.posEnd, s.names = s.posc[:0], s.posEnd[:0], s.names[:0]
+	for i := 0; i < n; i++ {
+		row := s.row(i, w)
+		start := len(s.posc)
+		s.posc = m.poleCandidates(s, row, &m.posFromEv, s.posc)
+		s.posEnd = append(s.posEnd, int32(len(s.posc)))
+		hit := false
+		for _, xp := range s.posc[start:] {
 			name := g.Name(xp)
 			if !m.Rule.Pos.Sim.Match(value, name) {
 				continue
 			}
 			if name == value {
-				exact = true
+				hit = true
 			} else {
-				fuzzyNames[name] = true
+				s.names = append(s.names, name)
 			}
 		}
-		if exact {
-			exactAs = append(exactAs, a)
-		} else if len(fuzzyNames) > 0 {
-			fuzzyAs = append(fuzzyAs, a)
+		if hit {
+			exact = append(exact, row...)
+		} else if len(s.names) > 0 {
+			fuzzy = append(fuzzy, row...)
 		}
 	}
-	if len(exactAs) > 0 {
-		return Outcome{Kind: Positive, MarkCols: m.markCols,
-			Canonical: m.canonicalEvidence(g, t, exactAs), Witness: m.witness(g, exactAs[0], nil)}
-	}
-	if len(fuzzyNames) > 0 {
-		repairs := make([]string, 0, len(fuzzyNames))
-		for v := range fuzzyNames {
-			repairs = append(repairs, v)
+	s.exact, s.fuzzy = exact, fuzzy
+	if len(exact) > 0 {
+		out := Outcome{Kind: Positive, MarkCols: m.markCols, Canonical: m.canonicalEvidence(g, t, exact, w)}
+		if witness {
+			out.Witness = m.witness(g, m.Rule.Evidence, exact[:w], nil, kb.Invalid)
 		}
-		sortRepairs(value, repairs)
-		return Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col,
-			Repairs: repairs, Canonical: m.canonicalEvidence(g, t, fuzzyAs),
-			Witness: m.witness(g, fuzzyAs[0], nil)}
+		return out
+	}
+	if len(s.names) > 0 {
+		out := Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col,
+			Repairs: s.rankRepairs(value), Canonical: m.canonicalEvidence(g, t, fuzzy, w)}
+		if witness {
+			out.Witness = m.witness(g, m.Rule.Evidence, fuzzy[:w], nil, kb.Invalid)
+		}
+		return out
 	}
 
 	// (2) Proof negative + (3) correction.
 	if m.Rule.Neg == nil {
 		return Outcome{Kind: NoMatch}
 	}
-	repairSet := make(map[string]bool)
-	var negAs []Assignment
-	var witness map[string]string
-	for i, a := range evAs {
-		xns := make(map[kb.ID]bool)
-		var firstXn kb.ID = kb.Invalid
-		for _, xn := range m.poleCandidates(g, a, m.negNodes, m.negEdges, *m.Rule.Neg, m.negIncident) {
+	negRows := s.negRows[:0]
+	var wRow []kb.ID
+	wNeg := kb.Invalid
+	for i := 0; i < n; i++ {
+		row := s.row(i, w)
+		// The negative candidates whose names match the value, in
+		// ascending ID order.
+		xns := m.poleCandidates(s, row, &m.negFromEv, s.negc[:0])
+		k := 0
+		for _, xn := range xns {
 			if m.Rule.Neg.Sim.Match(value, g.Name(xn)) {
-				xns[xn] = true
-				if firstXn == kb.Invalid {
-					firstXn = xn
-				}
+				xns[k] = xn
+				k++
 			}
 		}
-		if len(xns) == 0 {
+		s.negc, xns = xns, xns[:k]
+		if k == 0 {
 			continue
 		}
-		negAs = append(negAs, a)
+		negRows = append(negRows, row...)
+		lo := int32(0)
+		if i > 0 {
+			lo = s.posEnd[i-1]
+		}
 		repaired := false
-		for _, xp := range posCands[i] {
-			if xns[xp] {
+		for _, xp := range s.posc[lo:s.posEnd[i]] {
+			if _, isNeg := slices.BinarySearch(xns, xp); isNeg {
 				continue // paper requires xp != xn
 			}
-			repairSet[g.Name(xp)] = true
+			s.names = append(s.names, g.Name(xp))
 			repaired = true
 		}
-		if repaired && witness == nil {
-			witness = m.witness(g, a, map[string]kb.ID{m.Rule.Neg.Name: firstXn})
+		if repaired && wRow == nil {
+			wRow, wNeg = row, xns[0]
 		}
 	}
-	if len(repairSet) == 0 {
+	s.negRows = negRows
+	if len(s.names) == 0 {
 		return Outcome{Kind: NoMatch}
 	}
-	repairs := make([]string, 0, len(repairSet))
-	for v := range repairSet {
-		repairs = append(repairs, v)
+	out := Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col,
+		Repairs: s.rankRepairs(value), Canonical: m.canonicalEvidence(g, t, negRows, w)}
+	if witness {
+		out.Witness = m.witness(g, m.Rule.Evidence, wRow, m.Rule.Neg, wNeg)
 	}
-	sortRepairs(value, repairs)
-	return Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col,
-		Repairs: repairs, Canonical: m.canonicalEvidence(g, t, negAs), Witness: witness}
+	return out
 }
 
-// witness renders an assignment (plus optional extra bindings) as
+// witness renders a row over nodes (plus an optional extra binding) as
 // node-name -> instance-name provenance.
-func (m *Matcher) witness(g *kb.Graph, a Assignment, extra map[string]kb.ID) map[string]string {
-	out := make(map[string]string, len(a)+len(extra))
-	for name, inst := range a {
-		out[name] = g.Name(inst)
+func (m *Matcher) witness(g *kb.Graph, nodes []Node, row []kb.ID, extra *Node, inst kb.ID) map[string]string {
+	out := make(map[string]string, len(nodes)+1)
+	for i, n := range nodes {
+		out[n.Name] = g.Name(row[i])
 	}
-	for name, inst := range extra {
-		if inst != kb.Invalid {
-			out[name] = g.Name(inst)
-		}
+	if extra != nil && inst != kb.Invalid {
+		out[extra.Name] = g.Name(inst)
 	}
 	return out
 }
 
 // evaluateValueDriven matches the full positive (then negative) graph
 // with value-retrieved candidate sets per node.
-func (m *Matcher) evaluateValueDriven(g *kb.Graph, t *relation.Tuple) Outcome {
+func (m *Matcher) evaluateValueDriven(s *workspace, t *relation.Tuple, witness bool) Outcome {
+	g := s.g
+	value := t.Values[m.posCol]
 	// (1) Proof positive.
-	if as := findAssignments(g, m.Cat, m.Schema, t, m.posNodes, m.posEdges, assignmentCap, m.Scan); len(as) > 0 {
-		value := t.Values[m.posCol]
-		names := make(map[string]bool, len(as))
-		for _, a := range as {
-			names[g.Name(a[m.Rule.Pos.Name])] = true
+	w := len(m.pos.nodes)
+	at := len(m.Rule.Evidence) // the pole's slot, in positive and negative rows alike
+	if n := s.find(m.Cat, t, &m.pos, assignmentCap, m.Scan); n > 0 {
+		s.names = s.names[:0]
+		hit := false
+		for i := 0; i < n; i++ {
+			name := g.Name(s.rows[i*w+at])
+			hit = hit || name == value
+			s.names = append(s.names, name)
 		}
-		canon := m.canonicalEvidence(g, t, as)
-		if names[value] {
-			return Outcome{Kind: Positive, MarkCols: m.markCols, Canonical: canon, Witness: m.witness(g, as[0], nil)}
+		canon := m.canonicalEvidence(g, t, s.rows, w)
+		if hit {
+			out := Outcome{Kind: Positive, MarkCols: m.markCols, Canonical: canon}
+			if witness {
+				out.Witness = m.witness(g, m.pos.nodes, s.row(0, w), nil, kb.Invalid)
+			}
+			return out
 		}
-		repairs := make([]string, 0, len(names))
-		for v := range names {
-			repairs = append(repairs, v)
-		}
-		sortRepairs(value, repairs)
-		return Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col, Repairs: repairs, Canonical: canon}
+		return Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col,
+			Repairs: s.rankRepairs(value), Canonical: canon}
 	}
 	// (2) Proof negative + (3) correction.
-	if m.negNodes == nil {
+	if m.Rule.Neg == nil {
 		return Outcome{Kind: NoMatch}
 	}
 	// Enumerate instance-level matches of evidence ∪ {neg}; for each,
 	// draw replacement instances for the positive node from the KB.
-	negAs := findAssignments(g, m.Cat, m.Schema, t, m.negNodes, m.negEdges, assignmentCap, m.Scan)
-	if len(negAs) == 0 {
+	w = len(m.neg.nodes)
+	n := s.find(m.Cat, t, &m.neg, assignmentCap, m.Scan)
+	if n == 0 {
 		return Outcome{Kind: NoMatch}
 	}
-	repairSet := make(map[string]bool)
-	for _, a := range negAs {
-		xn := a[m.Rule.Neg.Name]
-		for _, xp := range m.correctionCandidates(g, a) {
+	s.names = s.names[:0]
+	for i := 0; i < n; i++ {
+		row := s.row(i, w)
+		xn := row[at]
+		s.posc = m.poleCandidates(s, row, &m.posFromNeg, s.posc[:0])
+		for _, xp := range s.posc {
 			if xp == xn {
 				continue // paper requires xp != xn
 			}
-			repairSet[g.Name(xp)] = true
+			s.names = append(s.names, g.Name(xp))
 		}
 	}
-	if len(repairSet) == 0 {
+	if len(s.names) == 0 {
 		// Proof negative held but the KB offers no correction: stay
 		// conservative and do nothing (the paper repairs only when the
 		// evidence is sufficient).
 		return Outcome{Kind: NoMatch}
 	}
-	repairs := make([]string, 0, len(repairSet))
-	for v := range repairSet {
-		repairs = append(repairs, v)
-	}
-	sortRepairs(t.Values[m.posCol], repairs)
 	return Outcome{Kind: Repair, MarkCols: m.markCols, RepairCol: m.Rule.Pos.Col,
-		Repairs: repairs, Canonical: m.canonicalEvidence(g, t, negAs)}
+		Repairs: s.rankRepairs(value), Canonical: m.canonicalEvidence(g, t, s.rows, w)}
 }
 
 // canonicalEvidence derives, for each evidence node whose tuple value
 // matched a KB instance only fuzzily, the canonical instance name — if
-// it is unique across the found assignments. Ambiguous matches are
-// left untouched.
-func (m *Matcher) canonicalEvidence(g *kb.Graph, t *relation.Tuple, as []Assignment) map[string]string {
+// it is unique across the rows (width w, evidence in the first slots).
+// Ambiguous matches are left untouched.
+func (m *Matcher) canonicalEvidence(g *kb.Graph, t *relation.Tuple, rows []kb.ID, w int) map[string]string {
 	var canon map[string]string
-	for _, n := range m.Rule.Evidence {
+	for i, n := range m.Rule.Evidence {
 		if !n.Sim.Fuzzy() {
 			continue
 		}
-		value := t.Values[m.Schema.MustCol(n.Col)]
+		value := t.Values[m.evCols[i]]
 		unique := ""
 		ambiguous := false
-		for _, a := range as {
-			name := g.Name(a[n.Name])
+		for r := i; r < len(rows); r += w {
+			name := g.Name(rows[r])
 			if name == value {
 				// The raw value itself is a KB instance: keep it.
 				unique = ""
@@ -587,166 +829,131 @@ func (m *Matcher) canonicalEvidence(g *kb.Graph, t *relation.Tuple, as []Assignm
 	return canon
 }
 
-// sortRepairs orders candidate repairs by ascending edit distance to
-// the current (wrong) value, ties broken lexically, so Repairs[0] is
-// the "most similar candidate" the paper's single-version experiments
+// rankRepairs turns the candidate names in s.names into the Repairs
+// list: deduplicated and ordered by ascending edit distance to the
+// current (wrong) value, ties broken lexically, so Repairs[0] is the
+// "most similar candidate" the paper's single-version experiments
 // repair to (§V-B Exp-2(B)).
-func sortRepairs(value string, repairs []string) {
-	if len(repairs) < 2 {
-		return
+func (s *workspace) rankRepairs(value string) []string {
+	slices.Sort(s.names)
+	names := slices.Compact(s.names)
+	out := make([]string, len(names))
+	if len(names) < 2 {
+		copy(out, names)
+		return out
 	}
-	dist := make(map[string]int, len(repairs))
-	for _, r := range repairs {
-		dist[r] = similarity.ED(value, r)
+	s.ranked = s.ranked[:0]
+	for _, r := range names {
+		s.ranked = append(s.ranked, rankedName{similarity.ED(value, r), r})
 	}
-	sort.Slice(repairs, func(i, j int) bool {
-		if dist[repairs[i]] != dist[repairs[j]] {
-			return dist[repairs[i]] < dist[repairs[j]]
+	slices.SortFunc(s.ranked, func(a, b rankedName) int {
+		if a.dist != b.dist {
+			return a.dist - b.dist
 		}
-		return repairs[i] < repairs[j]
+		return strings.Compare(a.name, b.name)
 	})
+	for i, r := range s.ranked {
+		out[i] = r.name
+	}
+	return out
 }
 
-// correctionCandidates computes the KB instances that can stand as the
-// positive node given an evidence assignment.
-func (m *Matcher) correctionCandidates(g *kb.Graph, evidence Assignment) []kb.ID {
-	return m.poleCandidates(g, evidence, m.posNodes, m.posEdges, m.Rule.Pos, m.posIncident)
-}
-
-// poleCandidates computes the KB instances that can stand as the
-// positive or negative node given an evidence assignment. Without
-// path nodes this is the direct edge-neighbourhood intersection; with
-// path nodes the side graph is traversed existentially (the §II-C
-// path extension), collecting every pole instance reachable through
+// poleCandidates appends to dst the KB instances that can stand as the
+// pole given a bound source row, in ascending ID order. Without path
+// nodes this is the direct edge-neighbourhood intersection; with path
+// nodes the side graph is traversed existentially (the §II-C path
+// extension), collecting every pole instance reachable through
 // type-consistent intermediate instances.
-func (m *Matcher) poleCandidates(g *kb.Graph, evidence Assignment, sideNodes []Node, sideEdges []Edge,
-	pole Node, incident []Edge) []kb.ID {
+func (m *Matcher) poleCandidates(s *workspace, row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
 	if len(m.Rule.Path) == 0 {
-		return m.nodeCandidates(g, evidence, pole, incident)
+		return s.nodeCandidates(row, p, dst)
 	}
+	if !p.ok {
+		return dst
+	}
+	s.pcur = fillInvalid(s.pcur, len(p.side.nodes))
+	for _, sd := range p.seeds {
+		s.pcur[sd.side] = row[sd.src]
+	}
+	s.prels = s.resolve(s.prels, p.side)
+	s.pp, s.pset, s.pstart, s.expansions = p, dst, len(dst), 0
+	s.walk(0)
+	dst, s.pset = s.pset, nil
+	return dst
+}
 
-	// Partition side-graph nodes into seeded (evidence) and
-	// existential (path nodes + the pole, resolved via edges).
-	var bound, lazy []int
-	lazyNodes := make([]Node, len(sideNodes))
-	for i, n := range sideNodes {
-		if _, ok := evidence[n.Name]; ok {
-			bound = append(bound, i)
-			lazyNodes[i] = n
-		} else {
-			lazy = append(lazy, i)
-			nn := n
-			nn.Col = "" // resolve through edges; sim applied by caller
-			lazyNodes[i] = nn
-		}
-	}
-	order, ok := attachLazy(lazyNodes, sideEdges, bound, lazy)
-	if !ok {
-		return nil
-	}
+// Bounds on the existential path traversal per pole derivation.
+const (
+	maxPole       = 256
+	maxExpansions = 8192
+)
 
-	const (
-		maxPole       = 256
-		maxExpansions = 8192
-	)
-	poleSet := make(map[kb.ID]bool)
-	cur := make(Assignment, len(sideNodes))
-	for name, inst := range evidence {
-		cur[name] = inst
+// walk binds the side node at order[step]; at the end of the order it
+// adds the pole's binding to the sorted set s.pset[s.pstart:]. It
+// reports whether a traversal bound was hit.
+func (s *workspace) walk(step int) bool {
+	p := s.pp
+	if s.expansions >= maxExpansions || len(s.pset)-s.pstart >= maxPole {
+		return true
 	}
-	expansions := 0
-	var rec func(step int) bool
-	rec = func(step int) bool {
-		if expansions >= maxExpansions || len(poleSet) >= maxPole {
-			return true
-		}
-		if step == len(order) {
-			poleSet[cur[pole.Name]] = true
-			return false
-		}
-		ni := order[step]
-		name := lazyNodes[ni].Name
-		if _, seeded := cur[name]; seeded {
-			return rec(step + 1)
-		}
-		for _, inst := range lazyCandidates(g, lazyNodes, sideEdges, cur, ni) {
-			expansions++
-			cur[name] = inst
-			if rec(step + 1) {
-				delete(cur, name)
-				return true
-			}
-			delete(cur, name)
+	if step == len(p.order) {
+		x := s.pcur[p.at]
+		if i, found := slices.BinarySearch(s.pset[s.pstart:], x); !found {
+			s.pset = slices.Insert(s.pset, s.pstart+i, x)
 		}
 		return false
 	}
-	rec(0)
-	out := make([]kb.ID, 0, len(poleSet))
-	for x := range poleSet {
-		out = append(out, x)
+	ni := p.order[step]
+	if s.pcur[ni] != kb.Invalid {
+		return s.walk(step + 1) // seeded from the source row
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	mark := len(s.stack)
+	hit := false
+	for _, inst := range s.lazyCandidates(p.side, s.prels, s.pcur, ni) {
+		s.expansions++
+		s.pcur[ni] = inst
+		hit = s.walk(step + 1)
+		s.pcur[ni] = kb.Invalid
+		if hit {
+			break
+		}
+	}
+	s.stack = s.stack[:mark]
+	return hit
 }
 
-// nodeCandidates computes the KB instances that can stand as node
-// given an evidence assignment: the intersection of the relationship
+// nodeCandidates appends to dst the KB instances that can stand as the
+// pole given a bound source row: the intersection of the relationship
 // neighbourhoods demanded by every incident edge, filtered by the
-// node's type.
-func (m *Matcher) nodeCandidates(g *kb.Graph, evidence Assignment, node Node, incident []Edge) []kb.ID {
-	cls := g.Lookup(node.Type)
+// pole's type, in ascending ID order.
+func (s *workspace) nodeCandidates(row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
+	start := len(dst)
+	cls := s.g.Lookup(p.node.Type)
 	if cls == kb.Invalid {
-		return nil
+		return dst
 	}
-	var result map[kb.ID]bool
-	for _, e := range incident {
+	for i, e := range p.inc {
+		if e.src < 0 {
+			return dst[:start]
+		}
+		rel := s.g.Lookup(e.rel)
+		if rel == kb.Invalid {
+			return dst[:start]
+		}
 		var neigh []kb.ID
-		if e.From == node.Name {
+		if e.out {
 			// edge p -> v: candidates are subjects of (x, rel, I[v])
-			v, ok := evidence[e.To]
-			if !ok {
-				return nil
-			}
-			rel := g.Lookup(e.Rel)
-			if rel == kb.Invalid {
-				return nil
-			}
-			neigh = g.Subjects(rel, v)
+			neigh = s.g.Subjects(rel, row[e.src])
 		} else {
 			// edge v -> p: candidates are objects of (I[v], rel, x)
-			v, ok := evidence[e.From]
-			if !ok {
-				return nil
-			}
-			rel := g.Lookup(e.Rel)
-			if rel == kb.Invalid {
-				return nil
-			}
-			neigh = g.Objects(v, rel)
+			neigh = s.g.Objects(row[e.src], rel)
 		}
-		set := make(map[kb.ID]bool, len(neigh))
-		for _, x := range neigh {
-			if !g.HasType(x, cls) {
-				continue
-			}
-			if result == nil || result[x] {
-				set[x] = true
-			}
-		}
-		result = set
-		if len(result) == 0 {
-			return nil
+		dst = s.narrow(dst, start, neigh, cls, i == 0)
+		if len(dst) == start {
+			return dst
 		}
 	}
-	if result == nil {
-		return nil
-	}
-	out := make([]kb.ID, 0, len(result))
-	for x := range result {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }
 
 // NodeCheck reports whether t can match node n at the value level:
@@ -764,41 +971,6 @@ func (m *Matcher) NodeCheckOn(g *kb.Graph, t *relation.Tuple, n Node) bool {
 		return false
 	}
 	return m.Cat.HasCandidateOn(g, n.Type, n.Sim, t.Values[col])
-}
-
-// EdgeCheck reports whether t can match edge e at the value level:
-// some pair of candidate instances of the endpoint nodes is connected
-// by e's relationship. from and to are the endpoint nodes of e.
-func (m *Matcher) EdgeCheck(t *relation.Tuple, e Edge, from, to Node) bool {
-	return m.EdgeCheckOn(m.Cat.Graph(), t, e, from, to)
-}
-
-// EdgeCheckOn is EdgeCheck against a pinned graph.
-func (m *Matcher) EdgeCheckOn(g *kb.Graph, t *relation.Tuple, e Edge, from, to Node) bool {
-	rel := g.Lookup(e.Rel)
-	if rel == kb.Invalid {
-		return false
-	}
-	fc := m.Cat.CandidatesOn(g, from.Type, from.Sim, t.Values[m.Schema.MustCol(from.Col)])
-	if len(fc) == 0 {
-		return false
-	}
-	tc := m.Cat.CandidatesOn(g, to.Type, to.Sim, t.Values[m.Schema.MustCol(to.Col)])
-	if len(tc) == 0 {
-		return false
-	}
-	toSet := make(map[kb.ID]bool, len(tc))
-	for _, x := range tc {
-		toSet[x] = true
-	}
-	for _, f := range fc {
-		for _, o := range g.Objects(f, rel) {
-			if toSet[o] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // EdgeKey is the shared-computation identity of an edge check — the
