@@ -49,7 +49,9 @@ chaos:
 # target at a time): the rule-text parser must re-encode to a fixed
 # point, rule evaluation must return exactly what the map-based
 # reference matcher returns, a POST /reload?delta=1 body must decode
-# and apply without panicking, and the flat signature index must
+# and apply without panicking (and an accepted apply must match the
+# same delta applied to the text-parsed base), the KB text parser must
+# re-encode to a fixed point, and the flat signature index must
 # return exactly what the map-based reference index returns, in the
 # same order. Crashers land in the package's testdata/fuzz/ and then
 # run as plain tests.
@@ -58,6 +60,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzParseKB$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
 
 bench:

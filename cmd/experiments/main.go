@@ -486,9 +486,10 @@ func writeRepairBench(path string) error {
 	// (internal/kb's bench pair): KBReloadFull is what a full
 	// POST /reload of the same snapshot pays before it serves — mmap
 	// plus Freeze, which Store.Swap always runs — and KBApplyDelta* is
-	// the copy-on-write apply POST /reload?delta=1 pays at ~1% and
-	// ~10% churn. KBApplyDeltaSmall staying ≥10× under KBReloadFull is
-	// the headline gated by benchdiff.
+	// the apply POST /reload?delta=1 pays at ~1% and ~10% churn. Each
+	// is a few percent of a promotion, which also runs verify.Check,
+	// the canary's shadow replay and Engine.Warm; perfbench's
+	// promote_*_ms_p50 time the whole path.
 	// The engines and registry above stay reachable until here; clear
 	// the heap before the load-vs-delta series so GC assist built up
 	// by 30s of prior benchmarks doesn't skew either side.

@@ -129,9 +129,9 @@ func NewKBStore(g *KB) *KBStore { return kb.NewStore(g) }
 
 // KBDelta is the parsed form of a DKBD incremental delta file: the
 // canonical, name-keyed difference between two KB contents. Deltas are
-// produced by DiffKB (or `kbtool diff`) and applied copy-on-write to a
-// live graph by KB.ApplyDelta or KBStore.ApplyDelta, sharing every
-// untouched arena with the base generation.
+// produced by DiffKB (or `kbtool diff`) and applied by KB.ApplyDelta,
+// which builds the next generation in snapshot layout, sharing every
+// index the delta leaves alone with the base; KBStore.Swap publishes it.
 type KBDelta = kb.Delta
 
 // DiffKB computes the canonical delta that transforms old's content

@@ -105,8 +105,8 @@ func BenchmarkKBLoadMmap(b *testing.B) {
 
 // BenchmarkKBReloadFull is what a full `POST /reload` of an on-disk v2
 // snapshot actually costs before the graph can serve: the mmap map plus
-// Freeze (closure construction), which Store.Swap always runs. This is
-// the denominator of the delta-apply speedup claims.
+// Freeze (closure construction), which Store.Swap always runs — the
+// cost a delta apply is compared with.
 func BenchmarkKBReloadFull(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchGraph(b).WriteSnapshotV2(&buf); err != nil {
@@ -159,10 +159,10 @@ func churnedGraph(b *testing.B, churnedPersons int) *Graph {
 	return g
 }
 
-// benchApplyDelta measures the copy-on-write delta apply on the mmap'd
-// serving graph — the path `POST /reload?delta=1` pays — at a given
-// churn. Compare against BenchmarkKBLoadMmap, the cost a full reload
-// of the same snapshot pays instead.
+// benchApplyDelta measures the delta apply on the mmap'd serving graph
+// — the path `POST /reload?delta=1` pays — at a given churn. Compare
+// against BenchmarkKBReloadFull, the cost a full reload of the same
+// snapshot pays instead.
 func benchApplyDelta(b *testing.B, churnedPersons int) {
 	var buf bytes.Buffer
 	if err := benchGraph(b).WriteSnapshotV2(&buf); err != nil {
@@ -189,8 +189,7 @@ func benchApplyDelta(b *testing.B, churnedPersons int) {
 }
 
 // BenchmarkKBApplyDeltaSmall is ~1% churn on Nobel-4000 (40 of 4000
-// persons edited, 200 triple ops) — the headline delta-vs-full-reload
-// number.
+// persons edited, 200 triple ops).
 func BenchmarkKBApplyDeltaSmall(b *testing.B) { benchApplyDelta(b, 40) }
 
 // BenchmarkKBApplyDeltaLarge is ~10% churn (400 persons, 2000 ops).

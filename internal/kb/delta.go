@@ -6,10 +6,11 @@ package kb
 // between two graph contents — triples, type assertions and subclass
 // edges added or removed, keyed by node *name* so it is independent of
 // either graph's ID assignment — and ApplyDelta builds the next
-// generation copy-on-write from the live graph: untouched structures
-// (name storage, the type/taxonomy span tables, the frozen closure
-// maps) are shared with the base outright, and only the edge lists and
-// pair-table buckets a delta touches are rewritten. In-flight requests
+// generation from the live graph in the flat layout a loaded snapshot
+// has. Indexes the delta leaves alone (name storage, the type/taxonomy
+// span tables, the frozen closures) are shared with the base outright;
+// an index it touches is copied whole into a fresh arena that holds
+// only live entries, with the touched lists merged. In-flight requests
 // keep the generation they pinned; the generation bump invalidates
 // memo and candidate caches exactly like a full swap.
 //
@@ -45,6 +46,7 @@ package kb
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -657,34 +659,29 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Copy-on-write apply
+// Apply
 
 // ErrDeltaBaseMismatch reports that a delta was built against content
 // that differs from the graph it is being applied to. The live graph
 // is untouched.
 var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 
-// ApplyDelta builds a new graph with d's edits applied, sharing every
-// untouched structure with g copy-on-write: name storage, the
-// type/taxonomy span tables and the frozen closure maps are reused
-// outright when the delta does not touch them, span tables and arenas
-// are cloned with only the touched buckets rewritten (at the arena
-// tail, in canonical order), and g itself — possibly pinned by
-// in-flight requests — is never mutated. The result is always in
-// snapshot (read-only) storage form with a strictly larger generation.
+// ApplyDelta builds a new graph with d's edits applied, in the flat,
+// read-only layout a loaded snapshot has; g itself — possibly pinned
+// by in-flight requests — is never mutated. An index the delta leaves
+// alone is shared whole with g: the name storage when a snapshot-form
+// base gains no node, the type and taxonomy tables and their frozen
+// closures when no type or subclass assertion changes. An index the
+// delta touches is copied whole — the base's arrays may be read-only
+// mmap'd pages — list by list into a fresh arena, each touched list
+// merged in canonical order, so chained deltas leave no dead entries
+// behind. The result has a strictly larger generation.
 //
 // The base must match d.BaseFP (and triple count); a delta built
 // against different content returns ErrDeltaBaseMismatch. Nodes whose
 // every assertion is removed stay interned as orphans — they are
 // unreachable from any index and do not perturb the fingerprint, so
 // chained deltas keep applying.
-//
-// Arenas are copied, not aliased: Go slices cannot share a prefix and
-// extend privately, and the base's backing arrays may be read-only
-// mmap'd pages. The copies are flat memmoves (no per-element work), a
-// small fraction of full-reload cost; the expensive structures — the
-// name table and blob, the four assertion indexes and the closure
-// maps — are the ones shared without copying on the triple-only path.
 func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	if len(d.Kinds) != len(d.Names) {
 		return nil, fmt.Errorf("kb: malformed delta: %d kinds for %d names", len(d.Kinds), len(d.Names))
@@ -802,61 +799,13 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		mapped:       g.mapped,
 	}
 
-	// Name storage. A snapshot-form base's blob/offsets/table (possibly
-	// mmap'd file pages) are shared verbatim; delta-added nodes go into
-	// a small extension — own blob, local offsets, local lookup table —
-	// that Name and Lookup consult for IDs past the flat base. A chained
-	// base's extension is concatenated into the new one, so the flat
-	// arrays always belong to the original snapshot. A mutable base has
-	// no snapshot-form name storage at all, so it is built flat once.
-	if g.byName != nil {
-		var sb strings.Builder
-		offs := make([]uint32, nTotal+1)
-		grow := blobLen(newNames)
-		for _, nm := range g.names {
-			grow += len(nm)
-		}
-		sb.Grow(grow)
-		for i, nm := range g.names {
-			offs[i] = uint32(sb.Len())
-			sb.WriteString(nm)
-		}
-		offs[n0] = uint32(sb.Len())
-		for i, nm := range newNames {
-			sb.WriteString(nm)
-			offs[n0+1+i] = uint32(sb.Len())
-		}
-		ng.nameBlob = sb.String()
-		ng.nameOffs = offs
-		ng.nameTab = newNameTable(nTotal)
-		for i := 0; i < nTotal; i++ {
-			ng.nameTab.insert(ng.nameBlob[offs[i]:offs[i+1]], ID(i))
-		}
-	} else {
+	// Names: a snapshot-form base's storage is shared whole when no node
+	// is added; otherwise (and always for a text-parsed base, which has
+	// none to share) every name is laid out flat.
+	if len(newNames) == 0 && g.byName == nil {
 		ng.nameBlob, ng.nameOffs, ng.nameTab = g.nameBlob, g.nameOffs, g.nameTab
-		if len(newNames) == 0 {
-			ng.nameExtBlob, ng.nameExtOffs, ng.nameExtTab = g.nameExtBlob, g.nameExtOffs, g.nameExtTab
-		} else {
-			extOld := 0
-			if g.nameExtOffs != nil {
-				extOld = len(g.nameExtOffs) - 1
-			}
-			var sb strings.Builder
-			sb.Grow(len(g.nameExtBlob) + blobLen(newNames))
-			sb.WriteString(g.nameExtBlob)
-			offs := make([]uint32, extOld+len(newNames)+1)
-			copy(offs, g.nameExtOffs)
-			for i, nm := range newNames {
-				sb.WriteString(nm)
-				offs[extOld+1+i] = uint32(sb.Len())
-			}
-			ng.nameExtBlob = sb.String()
-			ng.nameExtOffs = offs
-			ng.nameExtTab = newNameTable(extOld + len(newNames))
-			for i := 0; i < extOld+len(newNames); i++ {
-				ng.nameExtTab.insert(ng.nameExtBlob[offs[i]:offs[i+1]], ID(i))
-			}
-		}
+	} else {
+		ng.nameBlob, ng.nameOffs, ng.nameTab = flatNames(g, newNames)
 	}
 	if len(newNames) == 0 && len(kindFixes) == 0 {
 		ng.kinds = g.kinds
@@ -870,104 +819,64 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		ng.kinds = kinds
 	}
 
-	// Edge indexes and pair tables: clone with only touched buckets
-	// rewritten.
-	outDel := make([]edgePatch, len(trDel))
-	inDel := make([]edgePatch, len(trDel))
-	spDel := make([]pairPatch, len(trDel))
-	poDel := make([]pairPatch, len(trDel))
-	for i, t := range trDel {
-		outDel[i] = edgePatch{t[0], Edge{Pred: t[1], To: t[2]}}
-		inDel[i] = edgePatch{t[2], Edge{Pred: t[1], To: t[0]}}
-		spDel[i] = pairPatch{pairKey(t[0], t[1]), t[2]}
-		poDel[i] = pairPatch{pairKey(t[1], t[2]), t[0]}
-	}
-	outAdd := make([]edgePatch, len(trAdd))
-	inAdd := make([]edgePatch, len(trAdd))
-	spAdd := make([]pairPatch, len(trAdd))
-	poAdd := make([]pairPatch, len(trAdd))
-	for i, t := range trAdd {
-		outAdd[i] = edgePatch{t[0], Edge{Pred: t[1], To: t[2]}}
-		inAdd[i] = edgePatch{t[2], Edge{Pred: t[1], To: t[0]}}
-		spAdd[i] = pairPatch{pairKey(t[0], t[1]), t[2]}
-		poAdd[i] = pairPatch{pairKey(t[1], t[2]), t[0]}
-	}
-	// The four indexes patch independently — overlay them in parallel,
-	// like the snapshot decoder's per-section workers.
+	// The four triple indexes patch independently — in parallel, like
+	// the snapshot decoder's per-section workers.
+	outDel, inDel, spDel, poDel := triplePatches(trDel)
+	outAdd, inAdd, spAdd, poAdd := triplePatches(trAdd)
 	var wg sync.WaitGroup
-	var outErr, inErr, spErr, poErr error
+	var errs [4]error
 	wg.Add(4)
-	go func() { defer wg.Done(); ng.out, outErr = cowPatchEdges(&g.out, nTotal, outDel, outAdd) }()
-	go func() { defer wg.Done(); ng.in, inErr = cowPatchEdges(&g.in, nTotal, inDel, inAdd) }()
-	go func() { defer wg.Done(); ng.sp, spErr = cowPatchPairs(g.sp, spDel, spAdd) }()
-	go func() { defer wg.Done(); ng.po, poErr = cowPatchPairs(g.po, poDel, poAdd) }()
+	go func() {
+		defer wg.Done()
+		ng.out.spans, ng.out.edges, errs[0] = patchSpans(g.out.spans, g.out.edges, nTotal, outDel, outAdd, cmpEdge)
+	}()
+	go func() {
+		defer wg.Done()
+		ng.in.spans, ng.in.edges, errs[1] = patchSpans(g.in.spans, g.in.edges, nTotal, inDel, inAdd, cmpEdge)
+	}()
+	go func() { defer wg.Done(); ng.sp, errs[2] = patchPairs(g.sp, spDel, spAdd) }()
+	go func() { defer wg.Done(); ng.po, errs[3] = patchPairs(g.po, poDel, poAdd) }()
 	wg.Wait()
-	for _, e := range []error{outErr, inErr, spErr, poErr} {
-		if e != nil {
-			return nil, e
-		}
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
 	}
 
-	// Type and taxonomy indexes: shared untouched (with the frozen
-	// closures — the dominant share of full-reload cost) when the delta
-	// has no type/subclass edits; patched otherwise.
-	touchTax := len(tyDel)+len(tyAdd)+len(sbDel)+len(sbAdd) > 0
-	if !touchTax {
-		if g.byName == nil {
-			ng.typesIdx, ng.instOfIdx = g.typesIdx, g.instOfIdx
-			ng.superOfIdx, ng.subOfIdx = g.superOfIdx, g.subOfIdx
-			ng.nTypeKeys, ng.nInstOfKeys = g.nTypeKeys, g.nInstOfKeys
-			ng.nSuperKeys, ng.nSubKeys = g.nSuperKeys, g.nSubKeys
-		} else {
-			// Mutable base: materialize the snapshot-form tables once
-			// (the result graph is always snapshot-form).
-			sp, ar, k := canonIDList(n0, g.forEachTyped)
-			ng.typesIdx, ng.nTypeKeys = idListIndex{sp, ar}, k
-			isp, iar, ik := invertIDList(n0, sp, ar)
-			ng.instOfIdx, ng.nInstOfKeys = idListIndex{isp, iar}, ik
-			ssp, sar, sk := canonIDList(n0, g.forEachSubclassed)
-			ng.superOfIdx, ng.nSuperKeys = idListIndex{ssp, sar}, sk
-			bsp, bar, bk := invertIDList(n0, ssp, sar)
-			ng.subOfIdx, ng.nSubKeys = idListIndex{bsp, bar}, bk
+	// Type and taxonomy tables: a snapshot-form base's are read as they
+	// are, a text-parsed base's are laid out from its maps first.
+	types, instOf, superOf, subOf := g.typesIdx, g.instOfIdx, g.superOfIdx, g.subOfIdx
+	if g.byName != nil {
+		types, instOf = idListsOf(n0, g.forEachTyped)
+		superOf, subOf = idListsOf(n0, g.forEachSubclassed)
+	}
+	fwd := func(ops [][2]ID) []patch[ID, ID] {
+		ps := make([]patch[ID, ID], len(ops))
+		for i, o := range ops {
+			ps[i] = patch[ID, ID]{o[0], o[1]}
 		}
-	} else {
-		baseIdx := func(snap *idListIndex, snapKeys int, forEach func(func(ID, []ID))) (idListIndex, int) {
-			if g.byName == nil {
-				return *snap, snapKeys
-			}
-			sp, ar, k := canonIDList(n0, forEach)
-			return idListIndex{sp, ar}, k
+		return ps
+	}
+	inv := func(ops [][2]ID) []patch[ID, ID] {
+		ps := make([]patch[ID, ID], len(ops))
+		for i, o := range ops {
+			ps[i] = patch[ID, ID]{o[1], o[0]}
 		}
-		types, nTypes := baseIdx(&g.typesIdx, g.nTypeKeys, g.forEachTyped)
-		instOf, nInstOf := baseIdx(&g.instOfIdx, g.nInstOfKeys, func(f func(ID, []ID)) {
-			for k, v := range g.instOf {
-				f(k, v)
-			}
-		})
-		superOf, nSuper := baseIdx(&g.superOfIdx, g.nSuperKeys, g.forEachSubclassed)
-		subOf, nSub := baseIdx(&g.subOfIdx, g.nSubKeys, func(f func(ID, []ID)) {
-			for k, v := range g.subOf {
-				f(k, v)
-			}
-		})
-		if ng.typesIdx, ng.nTypeKeys, err = cowPatchIDList(types, nTypes, nTotal,
-			fwdPatches(tyDel), fwdPatches(tyAdd)); err != nil {
-			return nil, err
-		}
-		if ng.instOfIdx, ng.nInstOfKeys, err = cowPatchIDList(instOf, nInstOf, nTotal,
-			invPatches(tyDel), invPatches(tyAdd)); err != nil {
-			return nil, err
-		}
-		if ng.superOfIdx, ng.nSuperKeys, err = cowPatchIDList(superOf, nSuper, nTotal,
-			fwdPatches(sbDel), fwdPatches(sbAdd)); err != nil {
-			return nil, err
-		}
-		if ng.subOfIdx, ng.nSubKeys, err = cowPatchIDList(subOf, nSub, nTotal,
-			invPatches(sbDel), invPatches(sbAdd)); err != nil {
+		return ps
+	}
+	for _, t := range []struct {
+		dst      *idListIndex
+		base     idListIndex
+		del, add []patch[ID, ID]
+	}{
+		{&ng.typesIdx, types, fwd(tyDel), fwd(tyAdd)},
+		{&ng.instOfIdx, instOf, inv(tyDel), inv(tyAdd)},
+		{&ng.superOfIdx, superOf, fwd(sbDel), fwd(sbAdd)},
+		{&ng.subOfIdx, subOf, inv(sbDel), inv(sbAdd)},
+	} {
+		if t.dst.spans, t.dst.ids, err = patchSpans(t.base.spans, t.base.ids, nTotal, t.del, t.add, cmp.Compare[ID]); err != nil {
 			return nil, err
 		}
 	}
-	if !touchTax && !g.closureDirty && g.instClosure.offs != nil {
+	if len(tyDel)+len(tyAdd)+len(sbDel)+len(sbAdd) == 0 && !g.closureDirty && g.instClosure.offs != nil {
 		// ensureClosures always rebuilds into fresh arrays, so the
 		// frozen base's closures are safe to share read-only. New nodes
 		// lie past their offsets and read as untyped — exactly the
@@ -1022,12 +931,39 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	return ng, nil
 }
 
-func blobLen(names []string) int {
-	n := 0
-	for _, nm := range names {
-		n += len(nm)
+// flatNames lays out g's names followed by added as one blob, with
+// offsets and a lookup table over all of them.
+func flatNames(g *Graph, added []string) (string, []uint32, nameTable) {
+	n0, n := g.NumNodes(), g.NumNodes()+len(added)
+	name := func(i int) string {
+		if i < n0 {
+			return g.Name(ID(i))
+		}
+		return added[i-n0]
 	}
-	return n
+	size := 0
+	for i := 0; i < n; i++ {
+		size += len(name(i))
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	offs := make([]uint32, n+1)
+	tab := newNameTable(n)
+	for i := 0; i < n; i++ {
+		offs[i] = uint32(sb.Len())
+		sb.WriteString(name(i))
+		tab.insert(name(i), ID(i))
+	}
+	offs[n] = uint32(sb.Len())
+	return sb.String(), offs, tab
+}
+
+// idListsOf lays out an ID -> []ID association and its inverse as
+// span tables.
+func idListsOf(numNodes int, forEach func(func(ID, []ID))) (fwd, inv idListIndex) {
+	fwd.spans, fwd.ids, _ = canonIDList(numNodes, forEach)
+	inv.spans, inv.ids, _ = invertIDList(numNodes, fwd.spans, fwd.ids)
+	return fwd, inv
 }
 
 func rejectDup3(ops [][3]ID, what string) error {
@@ -1068,61 +1004,57 @@ func rejectDup2(ops [][2]ID, what string) error {
 // ---------------------------------------------------------------------------
 // Patch helpers
 
-// edgePatch is one edge removal or addition keyed by a dense node ID.
-type edgePatch struct {
-	key ID
-	e   Edge
+// patch is one value removed from or added to the list under key: a
+// node ID in the dense span tables, a packed pair key in the pair
+// tables.
+type patch[K cmp.Ordered, V any] struct {
+	key K
+	val V
 }
 
-// pairPatch is one value removal or addition under a packed pair key.
-type pairPatch struct {
-	k uint64
-	v ID
-}
-
-// idPatch is one assertion removal or addition in an ID-list index.
-type idPatch struct {
-	key, val ID
-}
-
-func fwdPatches(ops [][2]ID) []idPatch {
-	out := make([]idPatch, len(ops))
-	for i, t := range ops {
-		out[i] = idPatch{t[0], t[1]}
+// triplePatches turns resolved triples into patches for the four
+// triple indexes.
+func triplePatches(ts [][3]ID) (out, in []patch[ID, Edge], sp, po []patch[uint64, ID]) {
+	for _, t := range ts {
+		s, p, o := t[0], t[1], t[2]
+		out = append(out, patch[ID, Edge]{s, Edge{Pred: p, To: o}})
+		in = append(in, patch[ID, Edge]{o, Edge{Pred: p, To: s}})
+		sp = append(sp, patch[uint64, ID]{pairKey(s, p), o})
+		po = append(po, patch[uint64, ID]{pairKey(p, o), s})
 	}
-	return out
+	return out, in, sp, po
 }
 
-func invPatches(ops [][2]ID) []idPatch {
-	out := make([]idPatch, len(ops))
-	for i, t := range ops {
-		out[i] = idPatch{t[1], t[0]}
-	}
-	return out
+// sortPatches orders patches by key, then by value.
+func sortPatches[K cmp.Ordered, V any](ps []patch[K, V], cmpV func(V, V) int) {
+	slices.SortFunc(ps, func(a, b patch[K, V]) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmpV(a.val, b.val)
+	})
 }
 
-// forEachGroup merge-walks two key-sorted patch lists and calls fn
-// once per touched key with that key's removals and additions.
-func forEachGroup[T any](del, add []T, key func(T) uint64, fn func(k uint64, dels, adds []T)) {
+// forEachGroup walks two key-sorted patch lists and calls fn once per
+// touched key with that key's removals and additions.
+func forEachGroup[K cmp.Ordered, V any](del, add []patch[K, V], fn func(k K, dels, adds []patch[K, V])) {
 	di, ai := 0, 0
 	for di < len(del) || ai < len(add) {
-		var k uint64
+		var k K
 		switch {
 		case di >= len(del):
-			k = key(add[ai])
-		case ai >= len(add):
-			k = key(del[di])
-		case key(del[di]) < key(add[ai]):
-			k = key(del[di])
+			k = add[ai].key
+		case ai >= len(add) || del[di].key < add[ai].key:
+			k = del[di].key
 		default:
-			k = key(add[ai])
+			k = add[ai].key
 		}
 		d0 := di
-		for di < len(del) && key(del[di]) == k {
+		for di < len(del) && del[di].key == k {
 			di++
 		}
 		a0 := ai
-		for ai < len(add) && key(add[ai]) == k {
+		for ai < len(add) && add[ai].key == k {
 			ai++
 		}
 		fn(k, del[d0:di], add[a0:ai])
@@ -1130,506 +1062,144 @@ func forEachGroup[T any](del, add []T, key func(T) uint64, fn func(k uint64, del
 }
 
 // cmpEdge orders edges canonically by (Pred, To) — the order the v2
-// snapshot writer emits, kept by every rewritten bucket.
+// snapshot writer emits, kept by every rewritten list.
 func cmpEdge(a, b Edge) int {
-	if a.Pred != b.Pred {
-		if a.Pred < b.Pred {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(a.Pred, b.Pred); c != 0 {
+		return c
 	}
-	if a.To != b.To {
-		if a.To < b.To {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.To, b.To)
 }
 
-func cmpEdgePatch(a, b edgePatch) int {
-	if a.key != b.key {
-		if a.key < b.key {
-			return -1
-		}
-		return 1
-	}
-	return cmpEdge(a.e, b.e)
-}
-
-func cmpPairPatch(a, b pairPatch) int {
-	if a.k != b.k {
-		if a.k < b.k {
-			return -1
-		}
-		return 1
-	}
-	return int(a.v) - int(b.v)
-}
-
-func cmpIDPatch(a, b idPatch) int {
-	if a.key != b.key {
-		return int(a.key) - int(b.key)
-	}
-	return int(a.val) - int(b.val)
-}
-
-// cowPatchEdges layers a copy-on-write overlay over x covering nTotal
-// nodes with del removed and add appended. The base span and edge
-// arrays — typically mmap'd file pages — are shared verbatim; only the
-// touched nodes get rewritten lists, in the overlay's own small arena,
-// sorted by (Pred, To) (the canonical order, so snapshot re-encoding of
-// the result stays deterministic). A chained base's overlay buckets are
-// carried into the new overlay, so the shared arrays always belong to
-// the original flat snapshot and a lookup costs at most one overlay
-// probe plus one array read. The per-bucket merge runs in place at the
-// overlay arena tail: base list plus additions appended, sorted, then
-// removals dropped by one linear walk against the del list (sorted the
-// same way). When the overlay would shadow a large share of the index,
-// the result is flattened instead — past that point the probe on every
-// view costs more than the one-time copy.
-func cowPatchEdges(x *edgeIndex, nTotal int, del, add []edgePatch) (edgeIndex, error) {
-	slices.SortFunc(del, cmpEdgePatch)
-	slices.SortFunc(add, cmpEdgePatch)
-	ekey := func(p edgePatch) uint64 { return uint64(uint32(p.key)) }
-	touched, extra := 0, 0
-	forEachGroup(del, add, ekey, func(k uint64, dels, adds []edgePatch) {
-		touched++
-		extra += len(x.view(ID(uint32(k)))) + len(adds)
-	})
-	if touched == 0 {
-		return edgeIndex{spans: x.spans, edges: x.edges, over: x.over}, nil
-	}
-	carry := x.over
-	carryN := 0
-	if carry != nil {
-		carryN = carry.used
-		extra += len(carry.edges)
-	}
-	o := newEdgeOverlay(touched+carryN, extra, nTotal)
-	var perr error
-	forEachGroup(del, add, ekey, func(k uint64, dels, adds []edgePatch) {
-		if perr != nil {
-			return
-		}
-		key := ID(uint32(k))
-		start := len(o.edges)
-		merged, err := patchEdgeList(o.edges, key, x.view(key), dels, adds)
-		if err != nil {
-			perr = err
-			return
-		}
-		o.edges = merged
-		n := uint32(len(merged) - start)
-		o.setSpan(key, pairSpan{off: uint32(start), n: n, cap: n})
-	})
-	if perr != nil {
-		return edgeIndex{}, perr
-	}
-	// Carry the chained base's overlay buckets this delta left alone —
-	// their spans point into the old overlay's arena, so the lists are
-	// copied (they are small by the same flatten bound below).
-	if carry != nil {
-		for i, ck := range carry.keys {
-			if ck == 0 {
-				continue
-			}
-			key := ID(ck - 1)
-			if _, ok := o.find(key); ok {
-				continue
-			}
-			s := carry.spans[i]
-			start := len(o.edges)
-			o.edges = append(o.edges, carry.edges[s.off:s.off+s.n]...)
-			o.setSpan(key, pairSpan{off: uint32(start), n: s.n, cap: s.n})
-		}
-	}
-	if 2*o.used > nTotal {
-		return flattenEdgeOverlay(x, o, nTotal), nil
-	}
-	return edgeIndex{spans: x.spans, edges: x.edges, over: o}, nil
-}
-
-// flattenEdgeOverlay folds overlay o over x's arrays into a flat index
-// covering nTotal nodes: clone the base arrays, then point each patched
-// node at its overlay list re-appended to the arena tail. Content is
-// identical to the overlay view; snapshot encoding re-canonicalizes
-// arena order anyway (canonEdges), so no per-bucket sort is needed.
-func flattenEdgeOverlay(x *edgeIndex, o *edgeOverlay, nTotal int) edgeIndex {
-	spans := make([]pairSpan, nTotal)
-	copy(spans, x.spans)
-	edges := make([]Edge, len(x.edges), len(x.edges)+len(o.edges))
-	copy(edges, x.edges)
-	for i, k := range o.keys {
-		if k == 0 {
-			continue
-		}
-		key := ID(k - 1)
-		s := o.spans[i]
-		if s.n == 0 {
-			spans[key] = pairSpan{}
-			continue
-		}
-		off := uint32(len(edges))
-		edges = append(edges, o.edges[s.off:s.off+s.n]...)
-		spans[key] = pairSpan{off: off, n: s.n, cap: s.n}
-	}
-	return edgeIndex{spans: spans, edges: edges}
-}
-
-func missingEdgeErr(key ID, p edgePatch) error {
-	return fmt.Errorf("kb: delta apply: edge (%d -[%d]-> %d) not present", key, p.e.Pred, p.e.To)
-}
-
-// patchEdgeList appends base's list with dels removed and adds woven
-// in to dst, in canonical (Pred, To) order. Snapshot-form base lists
-// are already canonically sorted and the patch groups arrive sorted
-// the same way, so the common case is one linear three-way merge; an
-// unsorted base list (a mutable graph feeding its first delta) falls
-// back to sort-then-filter.
-func patchEdgeList(dst []Edge, key ID, base []Edge, dels, adds []edgePatch) ([]Edge, error) {
-	sorted := true
-	for i := 1; i < len(base); i++ {
-		if cmpEdge(base[i-1], base[i]) > 0 {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		bi, di, ai := 0, 0, 0
-		for bi < len(base) {
-			if di < len(dels) {
-				if c := cmpEdge(dels[di].e, base[bi]); c == 0 {
-					di++
-					bi++
-					continue
-				} else if c < 0 {
-					return dst, missingEdgeErr(key, dels[di])
-				}
-			}
-			if ai < len(adds) && cmpEdge(adds[ai].e, base[bi]) < 0 {
-				dst = append(dst, adds[ai].e)
-				ai++
-				continue
-			}
-			dst = append(dst, base[bi])
-			bi++
-		}
-		if di < len(dels) {
-			return dst, missingEdgeErr(key, dels[di])
-		}
-		for ; ai < len(adds); ai++ {
-			dst = append(dst, adds[ai].e)
-		}
-		return dst, nil
-	}
+// mergeList appends to dst the list base with adds merged in and dels
+// removed, sorted by cmpV. base need not be sorted; dels must be sorted
+// by cmpV, and each must be in base. k names the list in the error.
+func mergeList[K cmp.Ordered, V any](dst, base []V, k K, dels, adds []patch[K, V], cmpV func(V, V) int) ([]V, error) {
 	start := len(dst)
 	dst = append(dst, base...)
-	for _, ap := range adds {
-		dst = append(dst, ap.e)
+	for _, a := range adds {
+		dst = append(dst, a.val)
 	}
-	slices.SortFunc(dst[start:], cmpEdge)
+	slices.SortFunc(dst[start:], cmpV)
 	w, di := start, 0
-	for r := start; r < len(dst); r++ {
+	for _, v := range dst[start:] {
 		if di < len(dels) {
-			switch c := cmpEdge(dels[di].e, dst[r]); {
-			case c == 0:
+			c := cmpV(dels[di].val, v)
+			if c == 0 {
 				di++
 				continue
-			case c < 0:
-				return dst[:start], missingEdgeErr(key, dels[di])
+			}
+			if c < 0 {
+				break
 			}
 		}
-		dst[w] = dst[r]
+		dst[w] = v
 		w++
 	}
 	if di < len(dels) {
-		return dst[:start], missingEdgeErr(key, dels[di])
+		return dst[:start], fmt.Errorf("kb: delta apply: removed value %v not present under key %v", dels[di].val, k)
 	}
 	return dst[:w], nil
 }
 
-// patchIDValues is patchEdgeList for plain ascending ID value lists —
-// the pair-table buckets.
-func patchIDValues(dst []ID, k uint64, base []ID, dels, adds []pairPatch) ([]ID, error) {
-	missing := func(p pairPatch) error {
-		return fmt.Errorf("kb: delta apply: pair value %d not present under key %x", p.v, k)
-	}
-	sorted := true
-	for i := 1; i < len(base); i++ {
-		if base[i-1] > base[i] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		bi, di, ai := 0, 0, 0
-		for bi < len(base) {
-			if di < len(dels) {
-				if v := dels[di].v; v == base[bi] {
-					di++
-					bi++
-					continue
-				} else if v < base[bi] {
-					return dst, missing(dels[di])
-				}
-			}
-			if ai < len(adds) && adds[ai].v < base[bi] {
-				dst = append(dst, adds[ai].v)
-				ai++
-				continue
-			}
-			dst = append(dst, base[bi])
-			bi++
-		}
-		if di < len(dels) {
-			return dst, missing(dels[di])
-		}
-		for ; ai < len(adds); ai++ {
-			dst = append(dst, adds[ai].v)
-		}
-		return dst, nil
-	}
-	start := len(dst)
-	dst = append(dst, base...)
-	for _, ap := range adds {
-		dst = append(dst, ap.v)
-	}
-	slices.Sort(dst[start:])
-	w, di := start, 0
-	for r := start; r < len(dst); r++ {
-		if di < len(dels) {
-			switch {
-			case dels[di].v == dst[r]:
-				di++
-				continue
-			case dels[di].v < dst[r]:
-				return dst[:start], missing(dels[di])
-			}
-		}
-		dst[w] = dst[r]
-		w++
-	}
-	if di < len(dels) {
-		return dst[:start], missing(dels[di])
-	}
-	return dst[:w], nil
+// touchedList is one list a delta edits: its slot in a span table, its
+// key, and the key's removals and additions.
+type touchedList[K cmp.Ordered, V any] struct {
+	slot       int
+	key        K
+	dels, adds []patch[K, V]
 }
 
-// cowPatchPairs layers a copy-on-write overlay over t with del removed
-// and add appended. The flat base's slot arrays and arena — typically
-// mmap'd file pages — are shared by reference (pairTable.base); the
-// overlay's own small table holds only the touched keys, each rewritten
-// ascending in the overlay arena by the same in-place tail merge as
-// cowPatchEdges. A key whose list empties stays present with a
-// zero-length span, masking the base bucket — get answers nil for it.
-// A chained base's overlay buckets are carried so the chain never
-// deepens past one, and an overlay that would shadow a large share of
-// the base is flattened instead.
-func cowPatchPairs(t *pairTable, del, add []pairPatch) (*pairTable, error) {
-	slices.SortFunc(del, cmpPairPatch)
-	slices.SortFunc(add, cmpPairPatch)
-	pkey := func(p pairPatch) uint64 { return p.k }
-	flat := t
-	if t.base != nil {
-		flat = t.base
+// rewriteArena lays out a fresh arena for spans, which point into base:
+// first each touched list merged with its edits, then every other list
+// as it is. spans is repointed in place, so the arena holds exactly the
+// live entries.
+func rewriteArena[K cmp.Ordered, V any](spans []pairSpan, base []V, touched []touchedList[K, V], cmpV func(V, V) int) ([]V, error) {
+	size := 0
+	for _, s := range spans {
+		size += int(s.n)
 	}
-	touched, extra, lenDelta := 0, 0, 0
-	forEachGroup(del, add, pkey, func(k uint64, dels, adds []pairPatch) {
-		touched++
-		before := len(t.get(k))
-		extra += before + len(adds)
-		after := before + len(adds) - len(dels)
-		if before == 0 && after > 0 {
-			lenDelta++
+	for _, tl := range touched {
+		size += len(tl.adds)
+	}
+	arena := make([]V, 0, size)
+	done := make([]uint64, (len(spans)+63)/64)
+	for _, tl := range touched {
+		s := spans[tl.slot]
+		start := len(arena)
+		var err error
+		if arena, err = mergeList(arena, base[s.off:s.off+s.n], tl.key, tl.dels, tl.adds, cmpV); err != nil {
+			return nil, err
 		}
-		if before > 0 && after <= 0 {
-			lenDelta--
+		n := uint32(len(arena) - start)
+		spans[tl.slot] = pairSpan{off: uint32(start), n: n, cap: n}
+		done[tl.slot/64] |= 1 << (tl.slot % 64)
+	}
+	for i, s := range spans {
+		if done[i/64]&(1<<(i%64)) == 0 {
+			start := len(arena)
+			arena = append(arena, base[s.off:s.off+s.n]...)
+			spans[i] = pairSpan{off: uint32(start), n: s.n, cap: s.n}
 		}
+	}
+	return arena, nil
+}
+
+// patchSpans applies del and add to a dense span table over nTotal
+// keys — an edge index or an ID-list index. With no patches the table
+// is returned as is, shared with the base. Otherwise both arrays are
+// rewritten; an emptied list keeps a zero-length span.
+func patchSpans[V any](spans []pairSpan, arena []V, nTotal int, del, add []patch[ID, V], cmpV func(V, V) int) ([]pairSpan, []V, error) {
+	if len(del)+len(add) == 0 {
+		return spans, arena, nil
+	}
+	sortPatches(del, cmpV)
+	sortPatches(add, cmpV)
+	var touched []touchedList[ID, V]
+	forEachGroup(del, add, func(k ID, dels, adds []patch[ID, V]) {
+		touched = append(touched, touchedList[ID, V]{int(k), k, dels, adds})
 	})
-	if touched == 0 {
+	ns := make([]pairSpan, nTotal)
+	copy(ns, spans)
+	na, err := rewriteArena(ns, arena, touched, cmpV)
+	return ns, na, err
+}
+
+// patchPairs applies del and add to a pair table. With no patches the
+// table is returned as is, shared with the base. Otherwise its arrays
+// are rewritten; an emptied key keeps its slot with a zero-length span
+// and counts toward the 3/4 load until the table is next rehashed.
+func patchPairs(t *pairTable, del, add []patch[uint64, ID]) (*pairTable, error) {
+	if len(del)+len(add) == 0 {
 		return t, nil
 	}
-	carryN := 0
-	if t.base != nil {
-		carryN = t.used
-		extra += len(t.ids)
-	}
-	size := 8
-	for 3*size < 4*(touched+carryN) {
-		size *= 2
-	}
-	nt := &pairTable{
-		keys:     make([]uint64, size),
-		spans:    make([]pairSpan, size),
-		ids:      make([]ID, 0, extra),
-		shift:    64 - log2(size),
-		base:     flat,
-		lenTotal: t.len() + lenDelta,
-	}
-	var perr error
-	forEachGroup(del, add, pkey, func(k uint64, dels, adds []pairPatch) {
-		if perr != nil {
-			return
+	sortPatches(del, cmp.Compare[ID])
+	sortPatches(add, cmp.Compare[ID])
+	// Lay out the key set first: the base's slots — rehashed, without
+	// the keys earlier deltas emptied, when new keys would pass the 3/4
+	// load — plus a slot for each new key. Spans still point into the
+	// base's arena.
+	added := 0
+	forEachGroup(del, add, func(k uint64, _, _ []patch[uint64, ID]) {
+		if len(t.get(k)) == 0 {
+			added++
 		}
-		start := len(nt.ids)
-		merged, err := patchIDValues(nt.ids, k, t.get(k), dels, adds)
-		if err != nil {
-			perr = err
-			return
-		}
-		nt.ids = merged
-		slot, _ := nt.find(k)
-		nt.keys[slot] = k
-		nt.used++
-		n := uint32(len(merged) - start)
-		nt.spans[slot] = pairSpan{off: uint32(start), n: n, cap: n}
 	})
-	if perr != nil {
-		return nil, perr
-	}
-	// Carry the chained base's overlay buckets this delta left alone.
-	if t.base != nil {
-		for i, ck := range t.keys {
-			if ck == 0 {
-				continue
-			}
-			if _, ok := nt.find(ck); ok {
-				continue
-			}
-			s := t.spans[i]
-			start := len(nt.ids)
-			nt.ids = append(nt.ids, t.ids[s.off:s.off+s.n]...)
-			slot, _ := nt.find(ck)
-			nt.keys[slot] = ck
-			nt.used++
-			nt.spans[slot] = pairSpan{off: uint32(start), n: s.n, cap: s.n}
-		}
-	}
-	if 2*nt.used > flat.used {
-		return flattenPairOverlay(nt), nil
-	}
-	return nt, nil
-}
-
-// flattenPairOverlay folds overlay nt into a flat table by cloning its
-// base's arrays and rewriting only the patched buckets at the arena
-// tail. Slot placement is the base's, not canonical insertion order —
-// get-content identical, and snapshot encoding re-canonicalizes via
-// canonPairTable. An emptied bucket keeps its slot with a zero-length
-// span, which get answers nil for.
-func flattenPairOverlay(nt *pairTable) *pairTable {
-	f := nt.base
-	size := len(f.keys)
-	for 4*(f.used+nt.used) > 3*size {
-		size *= 2
-	}
-	ft := &pairTable{used: f.used}
-	if size == len(f.keys) {
-		ft.keys = append([]uint64(nil), f.keys...)
-		ft.spans = append([]pairSpan(nil), f.spans...)
-		ft.shift = f.shift
+	nt := &pairTable{keys: t.keys, spans: t.spans, used: t.used, shift: t.shift}
+	if 4*(t.used+added) > 3*len(t.keys) {
+		nt.rehash(added)
 	} else {
-		ft.keys = make([]uint64, size)
-		ft.spans = make([]pairSpan, size)
-		ft.shift = 64 - log2(size)
-		mask := size - 1
-		for i, k := range f.keys {
-			if k == 0 {
-				continue
-			}
-			j := ft.slot(k)
-			for ft.keys[j] != 0 {
-				j = (j + 1) & mask
-			}
-			ft.keys[j] = k
-			ft.spans[j] = f.spans[i]
-		}
+		nt.keys, nt.spans = slices.Clone(t.keys), slices.Clone(t.spans)
 	}
-	ft.ids = make([]ID, len(f.ids), len(f.ids)+len(nt.ids))
-	copy(ft.ids, f.ids)
-	for i, k := range nt.keys {
-		if k == 0 {
-			continue
-		}
-		s := nt.spans[i]
-		slot, ok := ft.find(k)
+	var touched []touchedList[uint64, ID]
+	forEachGroup(del, add, func(k uint64, dels, adds []patch[uint64, ID]) {
+		i, ok := nt.find(k)
 		if !ok {
-			ft.keys[slot] = k
-			ft.used++
+			nt.keys[i] = k
+			nt.used++
 		}
-		if s.n == 0 {
-			ft.spans[slot] = pairSpan{}
-			continue
-		}
-		off := uint32(len(ft.ids))
-		ft.ids = append(ft.ids, nt.ids[s.off:s.off+s.n]...)
-		ft.spans[slot] = pairSpan{off: off, n: s.n, cap: s.n}
-	}
-	return ft
-}
-
-// cowPatchIDList builds a copy of x covering nTotal keys with del
-// removed and add appended, returning the patched index and its new
-// non-empty key count. Touched lists are rewritten ascending at the
-// arena tail by the same in-place merge.
-func cowPatchIDList(x idListIndex, baseKeys, nTotal int, del, add []idPatch) (idListIndex, int, error) {
-	slices.SortFunc(del, cmpIDPatch)
-	slices.SortFunc(add, cmpIDPatch)
-	ikey := func(p idPatch) uint64 { return uint64(uint32(p.key)) }
-	extra := 0
-	forEachGroup(del, add, ikey, func(k uint64, dels, adds []idPatch) {
-		extra += len(x.view(ID(uint32(k)))) + len(adds)
+		touched = append(touched, touchedList[uint64, ID]{i, k, dels, adds})
 	})
-	spans := make([]pairSpan, nTotal)
-	copy(spans, x.spans)
-	ids := make([]ID, len(x.ids), len(x.ids)+extra)
-	copy(ids, x.ids)
-	keys := baseKeys
-	var perr error
-	forEachGroup(del, add, ikey, func(k uint64, dels, adds []idPatch) {
-		if perr != nil {
-			return
-		}
-		key := ID(uint32(k))
-		nOld := len(x.view(key))
-		start := len(ids)
-		ids = append(ids, x.view(key)...)
-		for _, ap := range adds {
-			ids = append(ids, ap.val)
-		}
-		tail := ids[start:]
-		slices.Sort(tail)
-		w, di := start, 0
-		for r := start; r < len(ids); r++ {
-			if di < len(dels) {
-				switch {
-				case dels[di].val == ids[r]:
-					di++
-					continue
-				case dels[di].val < ids[r]:
-					perr = fmt.Errorf("kb: delta apply: assertion (%d, %d) not present", key, dels[di].val)
-					return
-				}
-			}
-			ids[w] = ids[r]
-			w++
-		}
-		if di < len(dels) {
-			perr = fmt.Errorf("kb: delta apply: assertion (%d, %d) not present", key, dels[di].val)
-			return
-		}
-		ids = ids[:w]
-		if nOld == 0 && w > start {
-			keys++
-		}
-		if nOld > 0 && w == start {
-			keys--
-		}
-		spans[key] = pairSpan{off: uint32(start), n: uint32(w - start), cap: uint32(w - start)}
-	})
-	if perr != nil {
-		return idListIndex{}, 0, perr
-	}
-	return idListIndex{spans: spans, ids: ids}, keys, nil
+	var err error
+	nt.ids, err = rewriteArena(nt.spans, t.ids, touched, cmp.Compare[ID])
+	return nt, err
 }

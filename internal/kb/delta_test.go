@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -286,7 +287,7 @@ func TestApplyDeltaBaseMismatch(t *testing.T) {
 func TestApplyDeltaChained(t *testing.T) {
 	// g0 -> g1 -> g2 where g1 removes a node entirely (orphan) and g2
 	// re-adds assertions: deltas diffed between fresh graphs must keep
-	// applying to COW-applied graphs whose node sets differ.
+	// applying to delta-applied graphs whose node sets differ.
 	g0 := paperGraph()
 	g1 := newerPaperGraph()
 	g2 := newerPaperGraph()
@@ -306,6 +307,84 @@ func TestApplyDeltaChained(t *testing.T) {
 	}
 	if got, want := a2.Fingerprint(), g2.Fingerprint(); got != want {
 		t.Errorf("chained fingerprint %016x != target %016x", got, want)
+	}
+}
+
+// hotKeyContent is the KB after step steps of a churn: ten laureates
+// share the hot (wonPrize, Nobel Prize) key, and each step retires the
+// oldest and adds one, with its own birthplace and type, and moves one
+// subclass edge.
+func hotKeyContent(step int) *Graph {
+	g := New()
+	g.AddSubclass("laureate", "person")
+	g.AddSubclass(fmt.Sprint("class ", step), "person")
+	for i := step; i < step+10; i++ {
+		s := fmt.Sprint("laureate ", i)
+		g.AddTriple(s, "wonPrize", "Nobel Prize")
+		g.AddTriple(s, "bornIn", fmt.Sprint("city ", i))
+		g.AddType(s, "laureate")
+	}
+	return g
+}
+
+// TestApplyDeltaChainKeepsArenasLive applies 50 chained deltas that each
+// rewrite one hot (pred, obj) list, empty some pair keys and add others:
+// every applied graph's arenas must hold exactly its live entries, and
+// its pair tables may exceed a fresh table for their live keys by at
+// most one doubling.
+func TestApplyDeltaChainKeepsArenasLive(t *testing.T) {
+	for _, form := range []struct {
+		name string
+		base func() *Graph
+	}{
+		{"mutable", func() *Graph { return hotKeyContent(0) }},
+		{"mmap", func() *Graph { return asV2(t, hotKeyContent(0)) }},
+	} {
+		t.Run(form.name, func(t *testing.T) {
+			g := form.base()
+			for step := 1; step <= 50; step++ {
+				next, err := g.ApplyDelta(Diff(hotKeyContent(step-1), hotKeyContent(step)))
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				g = next
+				nTypes, nSubs := 0, 0
+				want := hotKeyContent(step)
+				want.forEachTyped(func(_ ID, cs []ID) { nTypes += len(cs) })
+				want.forEachSubclassed(func(_ ID, cs []ID) { nSubs += len(cs) })
+				for _, a := range []struct {
+					name      string
+					got, want int
+				}{
+					{"out", len(g.out.edges), g.NumTriples()},
+					{"in", len(g.in.edges), g.NumTriples()},
+					{"sp", len(g.sp.ids), g.NumTriples()},
+					{"po", len(g.po.ids), g.NumTriples()},
+					{"types", len(g.typesIdx.ids), nTypes},
+					{"instOf", len(g.instOfIdx.ids), nTypes},
+					{"superOf", len(g.superOfIdx.ids), nSubs},
+					{"subOf", len(g.subOfIdx.ids), nSubs},
+				} {
+					if a.got != a.want {
+						t.Fatalf("step %d: %s arena holds %d entries, %d live", step, a.name, a.got, a.want)
+					}
+				}
+				for _, pt := range []struct {
+					name string
+					tab  *pairTable
+				}{{"sp", g.sp}, {"po", g.po}} {
+					live := 0
+					pt.tab.forEachKey(func(uint64) { live++ })
+					if max := 2 * len(newPairTable(live, 0).keys); len(pt.tab.keys) > max {
+						t.Fatalf("step %d: %s table has %d slots for %d live keys, want at most %d",
+							step, pt.name, len(pt.tab.keys), live, max)
+					}
+				}
+			}
+			if encodeText(t, g) != encodeText(t, hotKeyContent(50)) {
+				t.Error("chained applies diverged from target content")
+			}
+		})
 	}
 }
 
@@ -414,23 +493,35 @@ func TestApplyDeltaRejectsInconsistentOps(t *testing.T) {
 	}
 }
 
+// TestStoreApplyDelta publishes a delta the way the server's canary
+// does — Graph.ApplyDelta on the served graph, then Store.Swap — after
+// a rollback has left the store's highest generation above the served
+// one, so Swap must restamp the applied graph.
 func TestStoreApplyDelta(t *testing.T) {
-	base := paperGraph()
-	st := NewStore(base)
-	gen0 := st.Generation()
-	d := Diff(paperGraph(), newerPaperGraph())
-	g, err := st.ApplyDelta(d)
-	if err != nil {
-		t.Fatalf("Store.ApplyDelta: %v", err)
+	st := NewStore(paperGraph())
+	st.SetRetain(1)
+	high := paperGraph()
+	for i := 0; i < 100; i++ {
+		high.AddTriple("Avram Hershko", "visited", fmt.Sprint("place ", i))
 	}
+	st.Swap(high)
+	if _, _, err := st.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	d := Diff(paperGraph(), newerPaperGraph())
+	g, err := st.Graph().ApplyDelta(d)
+	if err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	if g.Generation() > high.Generation() {
+		t.Fatalf("setup: applied generation %d needs no restamp above %d", g.Generation(), high.Generation())
+	}
+	st.Swap(g)
 	if st.Graph() != g {
 		t.Error("store is not serving the applied graph")
 	}
-	if st.Generation() <= gen0 {
-		t.Errorf("generation did not advance: %d -> %d", gen0, st.Generation())
-	}
-	if st.Swaps() != 1 {
-		t.Errorf("swaps = %d, want 1", st.Swaps())
+	if st.Generation() <= high.Generation() {
+		t.Errorf("generation not restamped: %d, highest published %d", st.Generation(), high.Generation())
 	}
 	// The restamped generation must keep the verified fingerprint memo
 	// coherent: Fingerprint() on the served graph equals the target's.
@@ -438,10 +529,11 @@ func TestStoreApplyDelta(t *testing.T) {
 		t.Errorf("served fingerprint %016x != target %016x", got, want)
 	}
 	// A second identical delta must now be refused, store untouched.
-	if _, err := st.ApplyDelta(d); !errors.Is(err, ErrDeltaBaseMismatch) {
+	swaps := st.Swaps()
+	if _, err := st.Graph().ApplyDelta(d); !errors.Is(err, ErrDeltaBaseMismatch) {
 		t.Errorf("stale delta: got %v, want ErrDeltaBaseMismatch", err)
 	}
-	if st.Graph() != g {
-		t.Error("failed apply perturbed the served graph")
+	if st.Graph() != g || st.Swaps() != swaps {
+		t.Error("failed apply perturbed the store")
 	}
 }

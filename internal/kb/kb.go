@@ -67,7 +67,7 @@ type Edge struct {
 // A graph has one of two storage forms. Mutable graphs (built by New
 // or Parse) keep names and assertions in Go maps and accept Add*
 // calls. Snapshot-backed graphs (loaded from a DKBS v2 file, possibly
-// mmap'd in place) keep the same data in
+// mmap'd in place, or built by ApplyDelta) keep the same data in
 // pointer-free arenas — nameBlob/nameOffs/nameTab for the name table,
 // idListIndex span tables for the type and taxonomy assertions — and
 // are read-only: every mutator panics. All read accessors pick the
@@ -84,15 +84,11 @@ type Graph struct {
 
 	// Snapshot-backed forms of the name table and assertion maps
 	// (see snapshot2.go). Valid iff byName == nil.
-	nameBlob                                     string    // concatenated name bytes
-	nameOffs                                     []uint32  // node i's name = nameBlob[nameOffs[i]:nameOffs[i+1]]
-	nameTab                                      nameTable // open-addressing name -> ID index
-	nameExtBlob                                  string    // names of delta-added nodes (see delta.go)
-	nameExtOffs                                  []uint32  // local offsets; node len(nameOffs)-1+i = nameExtBlob[nameExtOffs[i]:nameExtOffs[i+1]]
-	nameExtTab                                   nameTable // name -> LOCAL ext index (global = local + len(nameOffs)-1)
-	typesIdx, instOfIdx, superOfIdx, subOfIdx    idListIndex
-	nTypeKeys, nInstOfKeys, nSuperKeys, nSubKeys int
-	mapped                                       *mapping // non-nil when the arenas live in an mmap'd file
+	nameBlob                                  string    // concatenated name bytes
+	nameOffs                                  []uint32  // node i's name = nameBlob[nameOffs[i]:nameOffs[i+1]]
+	nameTab                                   nameTable // open-addressing name -> ID index
+	typesIdx, instOfIdx, superOfIdx, subOfIdx idListIndex
+	mapped                                    *mapping // non-nil when the arenas live in an mmap'd file
 
 	out edgeIndex  // subject -> outgoing edges
 	in  edgeIndex  // object -> incoming edges
@@ -190,25 +186,13 @@ func (g *Graph) Lookup(name string) ID {
 		}
 		return Invalid
 	}
-	if id := g.nameTab.lookup(g.nameBlob, g.nameOffs, name); id != Invalid {
-		return id
-	}
-	if g.nameExtOffs != nil {
-		if local := g.nameExtTab.lookup(g.nameExtBlob, g.nameExtOffs, name); local != Invalid {
-			return local + ID(len(g.nameOffs)-1)
-		}
-	}
-	return Invalid
+	return g.nameTab.lookup(g.nameBlob, g.nameOffs, name)
 }
 
 // Name returns the string form of id. It panics on Invalid.
 func (g *Graph) Name(id ID) string {
 	if g.names != nil {
 		return g.names[id]
-	}
-	if base := len(g.nameOffs) - 1; int(id) >= base {
-		local := int(id) - base
-		return g.nameExtBlob[g.nameExtOffs[local]:g.nameExtOffs[local+1]]
 	}
 	return g.nameBlob[g.nameOffs[id]:g.nameOffs[id+1]]
 }

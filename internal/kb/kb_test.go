@@ -175,6 +175,10 @@ func TestStatsCounters(t *testing.T) {
 func TestParseRoundTrip(t *testing.T) {
 	g := paperGraph()
 	g.AddSubclass("city", "location")
+	// The text format has no escapes: quotes and backslashes inside a
+	// literal are written and read back raw.
+	g.AddPropertyTriple("Avram Hershko", "said", `say "hi"`)
+	g.AddPropertyTriple("Avram Hershko", "homeDir", `C:\temp`)
 
 	var buf bytes.Buffer
 	if err := g.Encode(&buf); err != nil {
@@ -197,12 +201,39 @@ func TestParseRoundTrip(t *testing.T) {
 	if !g2.HasEdge(s, g2.Lookup("wasBornIn"), g2.Lookup("Karcag")) {
 		t.Error("edge lost in round trip")
 	}
-	lit := g2.Lookup("1937-12-31")
-	if lit == Invalid || g2.KindOf(lit) != KindLiteral {
-		t.Error("literal kind lost in round trip")
+	for _, name := range []string{"1937-12-31", `say "hi"`, `C:\temp`} {
+		if lit := g2.Lookup(name); lit == Invalid || g2.KindOf(lit) != KindLiteral {
+			t.Errorf("literal %q lost in round trip", name)
+		}
 	}
 	if !g2.HasType(g2.Lookup("Haifa"), g2.Lookup("location")) {
 		t.Error("taxonomy lost in round trip")
+	}
+}
+
+func TestEncodeRejectsUnrepresentableNames(t *testing.T) {
+	for _, build := range []func(*Graph){
+		func(g *Graph) { g.AddTriple("a", "p", "two\nlines") },
+		func(g *Graph) { g.AddPropertyTriple("a", "p", "two\nlines") },
+		func(g *Graph) { g.AddTriple("a>b", "p", "c") },
+		func(g *Graph) { g.AddType("a", "x>y") },
+	} {
+		g := New()
+		build(g)
+		var buf bytes.Buffer
+		if err := g.Encode(&buf); err == nil {
+			t.Errorf("Encode wrote an unrepresentable name:\n%s", buf.String())
+		}
+	}
+	// A literal may hold '>': it is written between quotes.
+	g := New()
+	g.AddPropertyTriple("a", "p", "x>y")
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if g2, err := Parse(&buf); err != nil || g2.Lookup("x>y") == Invalid {
+		t.Errorf("literal with '>' did not round-trip: %v", err)
 	}
 }
 

@@ -42,21 +42,8 @@ type pairTable struct {
 	keys  []uint64
 	spans []pairSpan
 	ids   []ID // arena; spans index into it
-	used  int
+	used  int  // occupied slots, including keys a delta emptied
 	shift uint
-
-	// base makes this table a copy-on-write overlay (see delta.go):
-	// the local arrays hold only the buckets a delta rewrote, and
-	// probes that miss locally fall through to the shared base table.
-	// An overlay's base is always flat (never itself an overlay), so
-	// lookups cost at most two probes. A locally present key with a
-	// zero-length span masks a base bucket that the delta emptied.
-	// Overlay tables are read-only: put/add/grow must never run on
-	// them (Graph-level mustMutable guarantees it).
-	base *pairTable
-	// lenTotal is the chain-wide count of keys with at least one value
-	// (only meaningful when base != nil; flat tables count via used).
-	lenTotal int
 }
 
 // newPairTable returns a table presized for n entries and idCap arena
@@ -83,20 +70,13 @@ func log2(pow2 int) uint {
 	return l
 }
 
-func (t *pairTable) len() int {
-	if t.base != nil {
-		return t.lenTotal
-	}
-	return t.used
-}
-
 func (t *pairTable) slot(k uint64) int {
 	return int((k * pairHashMult) >> t.shift)
 }
 
-// get returns the value list stored under k, or nil. The slice is a
-// capped view into the arena: appends by callers cannot bleed into
-// neighbouring spans.
+// get returns the value list stored under k: nil when k is absent,
+// empty when a delta emptied it. The slice is a capped view into the
+// arena: appends by callers cannot bleed into neighbouring spans.
 func (t *pairTable) get(k uint64) []ID {
 	mask := len(t.keys) - 1
 	for i := t.slot(k); ; i = (i + 1) & mask {
@@ -105,16 +85,12 @@ func (t *pairTable) get(k uint64) []ID {
 			s := t.spans[i]
 			return t.ids[s.off : s.off+s.n : s.off+s.n]
 		case 0:
-			if t.base != nil {
-				return t.base.get(k)
-			}
 			return nil
 		}
 	}
 }
 
-// forEachKey calls fn once for every key with at least one value,
-// walking the overlay chain without double-reporting patched buckets.
+// forEachKey calls fn once for every key with at least one value.
 // Order is unspecified.
 func (t *pairTable) forEachKey(fn func(k uint64)) {
 	for i, k := range t.keys {
@@ -122,18 +98,9 @@ func (t *pairTable) forEachKey(fn func(k uint64)) {
 			fn(k)
 		}
 	}
-	if t.base == nil {
-		return
-	}
-	t.base.forEachKey(func(k uint64) {
-		if _, ok := t.find(k); !ok {
-			fn(k)
-		}
-	})
 }
 
-// find probes this table's own arrays for k (it does not follow base)
-// and returns the slot it occupies, or — when absent — the free slot a
+// find returns the slot k occupies, or — when absent — the free slot a
 // subsequent insert of k must claim. The caller must keep the table
 // below full load before inserting into a free slot.
 func (t *pairTable) find(k uint64) (slot int, ok bool) {
@@ -152,7 +119,7 @@ func (t *pairTable) find(k uint64) (slot int, ok bool) {
 // present yet — the snapshot decoder's bulk-build path.
 func (t *pairTable) put(k uint64, v []ID) {
 	if 4*(t.used+1) > 3*len(t.keys) {
-		t.grow()
+		t.rehash(1)
 	}
 	mask := len(t.keys) - 1
 	i := t.slot(k)
@@ -170,7 +137,7 @@ func (t *pairTable) put(k uint64, v []ID) {
 // if absent.
 func (t *pairTable) add(k uint64, v ID) {
 	if 4*(t.used+1) > 3*len(t.keys) {
-		t.grow()
+		t.rehash(1)
 	}
 	mask := len(t.keys) - 1
 	i := t.slot(k)
@@ -212,69 +179,6 @@ func (t *pairTable) add(k uint64, v ID) {
 type edgeIndex struct {
 	spans []pairSpan // indexed by node ID, grown with the name table
 	edges []Edge     // arena; spans index into it
-
-	// over makes this index a copy-on-write overlay (see delta.go):
-	// spans/edges are shared verbatim with the base graph, and only
-	// the node IDs a delta rewrote resolve through the overlay. nil on
-	// every non-delta-applied graph.
-	over *edgeOverlay
-}
-
-// edgeOverlay is a small open-addressing map from patched node IDs to
-// edge lists in its own arena, layered over an edgeIndex's shared base
-// arrays. A present node with a zero-length span masks a base list the
-// delta emptied.
-type edgeOverlay struct {
-	keys  []uint32 // node ID + 1; 0 = free
-	spans []pairSpan
-	edges []Edge // arena, local to the overlay
-	used  int
-	shift uint
-	nodes int // logical node count including delta-added nodes
-}
-
-// newEdgeOverlay returns an overlay presized for n patched nodes and
-// edgeCap arena entries, covering nodes logical node IDs.
-func newEdgeOverlay(n, edgeCap, nodes int) *edgeOverlay {
-	size := 8
-	for 3*size < 4*n {
-		size *= 2
-	}
-	return &edgeOverlay{
-		keys:  make([]uint32, size),
-		spans: make([]pairSpan, size),
-		edges: make([]Edge, 0, edgeCap),
-		shift: 64 - log2(size),
-		nodes: nodes,
-	}
-}
-
-// find probes for key and reports whether the overlay patches it.
-func (o *edgeOverlay) find(key ID) (pairSpan, bool) {
-	k := uint32(key) + 1
-	mask := len(o.keys) - 1
-	for i := int((uint64(k) * pairHashMult) >> o.shift); ; i = (i + 1) & mask {
-		switch o.keys[i] {
-		case k:
-			return o.spans[i], true
-		case 0:
-			return pairSpan{}, false
-		}
-	}
-}
-
-// setSpan records s as key's patched list. key must not be present
-// yet, and the overlay must have been presized for all insertions.
-func (o *edgeOverlay) setSpan(key ID, s pairSpan) {
-	k := uint32(key) + 1
-	mask := len(o.keys) - 1
-	i := int((uint64(k) * pairHashMult) >> o.shift)
-	for o.keys[i] != 0 {
-		i = (i + 1) & mask
-	}
-	o.keys[i] = k
-	o.spans[i] = s
-	o.used++
 }
 
 // addNode extends the span table for a newly interned node.
@@ -285,17 +189,6 @@ func (x *edgeIndex) addNode() {
 // view returns the edge list of key, or nil. The slice is a capped
 // view into the arena.
 func (x *edgeIndex) view(key ID) []Edge {
-	if o := x.over; o != nil {
-		if key < 0 || int(key) >= o.nodes {
-			return nil
-		}
-		if s, ok := o.find(key); ok {
-			if s.n == 0 {
-				return nil
-			}
-			return o.edges[s.off : s.off+s.n : s.off+s.n]
-		}
-	}
 	if key < 0 || int(key) >= len(x.spans) {
 		return nil
 	}
@@ -327,21 +220,22 @@ func (x *edgeIndex) add(key ID, e Edge) {
 	x.spans[key] = pairSpan{off: off, n: s.n + 1, cap: newCap}
 }
 
-func (t *pairTable) grow() {
-	oldKeys, oldSpans := t.keys, t.spans
-	t.keys = make([]uint64, 2*len(oldKeys))
-	t.spans = make([]pairSpan, 2*len(oldSpans))
-	t.shift--
-	mask := len(t.keys) - 1
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
+// rehash moves every key with values into fresh slot arrays with room
+// for extra more keys at the 3/4 load; keys a delta emptied are dropped.
+// Spans keep pointing into the same arena.
+func (t *pairTable) rehash(extra int) {
+	live := 0
+	for i, k := range t.keys {
+		if k != 0 && t.spans[i].n > 0 {
+			live++
 		}
-		j := t.slot(k)
-		for t.keys[j] != 0 {
-			j = (j + 1) & mask
-		}
-		t.keys[j] = k
-		t.spans[j] = oldSpans[i]
 	}
+	nt := newPairTable(live+extra, 0)
+	for i, k := range t.keys {
+		if k != 0 && t.spans[i].n > 0 {
+			j, _ := nt.find(k)
+			nt.keys[j], nt.spans[j] = k, t.spans[i]
+		}
+	}
+	t.keys, t.spans, t.used, t.shift = nt.keys, nt.spans, live, nt.shift
 }

@@ -20,8 +20,8 @@ func TestPairTableAddGetGrow(t *testing.T) {
 			want[key] = append(want[key], v)
 		}
 	}
-	if tab.len() != keys {
-		t.Fatalf("len = %d, want %d", tab.len(), keys)
+	if tab.used != keys {
+		t.Fatalf("used = %d, want %d", tab.used, keys)
 	}
 	for key, vals := range want {
 		if got := tab.get(key); !reflect.DeepEqual(got, vals) {
@@ -59,8 +59,8 @@ func TestPairTableRandomizedAgainstMap(t *testing.T) {
 		tab.add(key, v)
 		want[key] = append(want[key], v)
 	}
-	if tab.len() != len(want) {
-		t.Fatalf("len = %d, want %d", tab.len(), len(want))
+	if tab.used != len(want) {
+		t.Fatalf("used = %d, want %d", tab.used, len(want))
 	}
 	for key, vals := range want {
 		if got := tab.get(key); !reflect.DeepEqual(got, vals) {

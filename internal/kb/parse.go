@@ -137,45 +137,48 @@ func takeAngle(s string) (tok, rest string, err error) {
 
 // Encode writes g in the text format understood by Parse, in a
 // deterministic order (subclass assertions, then type assertions, then
-// relationship/property triples, each sorted lexically).
+// relationship/property triples, each sorted lexically). Names are
+// written raw — exactly the bytes Parse reads back, as the format has
+// no escapes — so a name containing a line break, or a '>' in a name
+// written inside <…>, cannot be represented and is an error.
 func (g *Graph) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-
-	var lines []string
-	g.forEachSubclassed(func(sub ID, supers []ID) {
+	var bad error
+	term := func(id ID, quoted bool) string {
+		name := g.Name(id)
+		if bad == nil && (strings.Contains(name, "\n") || !quoted && strings.Contains(name, ">")) {
+			bad = fmt.Errorf("kb: cannot encode name %q: the text format has no escape for a line break or for '>' inside <…>", name)
+		}
+		if quoted {
+			return `"` + name + `"`
+		}
+		return "<" + name + ">"
+	}
+	var sub, typ, tri []string
+	g.forEachSubclassed(func(s ID, supers []ID) {
 		for _, super := range supers {
-			lines = append(lines, fmt.Sprintf("<%s> <%s> <%s> .", g.Name(sub), PredSubClassOf, g.Name(super)))
+			sub = append(sub, term(s, false)+" <"+PredSubClassOf+"> "+term(super, false)+" .")
 		}
 	})
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(bw, l)
-	}
-
-	lines = lines[:0]
 	g.forEachTyped(func(inst ID, classes []ID) {
 		for _, c := range classes {
-			lines = append(lines, fmt.Sprintf("<%s> <%s> <%s> .", g.Name(inst), PredType, g.Name(c)))
+			typ = append(typ, term(inst, false)+" <"+PredType+"> "+term(c, false)+" .")
 		}
 	})
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(bw, l)
-	}
-
-	lines = lines[:0]
 	for s := 0; s < g.NumNodes(); s++ {
 		for _, e := range g.out.view(ID(s)) {
-			if g.kinds[e.To] == KindLiteral {
-				lines = append(lines, fmt.Sprintf("<%s> <%s> %q .", g.Name(ID(s)), g.Name(e.Pred), g.Name(e.To)))
-			} else {
-				lines = append(lines, fmt.Sprintf("<%s> <%s> <%s> .", g.Name(ID(s)), g.Name(e.Pred), g.Name(e.To)))
-			}
+			tri = append(tri, term(ID(s), false)+" "+term(e.Pred, false)+" "+term(e.To, g.kinds[e.To] == KindLiteral)+" .")
 		}
 	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		fmt.Fprintln(bw, l)
+	if bad != nil {
+		return bad
+	}
+	bw := bufio.NewWriter(w)
+	for _, lines := range [][]string{sub, typ, tri} {
+		sort.Strings(lines)
+		for _, l := range lines {
+			bw.WriteString(l)
+			bw.WriteByte('\n')
+		}
 	}
 	return bw.Flush()
 }

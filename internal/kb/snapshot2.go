@@ -450,10 +450,10 @@ func canonPairTable(t *pairTable) (keys []uint64, spans []pairSpan, ids []ID, us
 	return nt.keys, nt.spans, nt.ids, nt.used
 }
 
-// flattenPairTable rebuilds t (flat or COW overlay chain) as a single
-// canonical flat table.
+// flattenPairTable rebuilds t as a canonical table: only keys with
+// values, in ascending order.
 func flattenPairTable(t *pairTable) *pairTable {
-	ks := make([]uint64, 0, t.len())
+	ks := make([]uint64, 0, t.used)
 	total := 0
 	t.forEachKey(func(k uint64) {
 		ks = append(ks, k)
@@ -943,8 +943,6 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	if err := loadIdx(sec2SubSpans, sec2SubIDs, c.subIDsLen, &g.subOfIdx); err != nil {
 		return err
 	}
-	g.nTypeKeys, g.nInstOfKeys = c.typeKeys, c.instOfKeys
-	g.nSuperKeys, g.nSubKeys = c.superKeys, c.subKeys
 
 	// Edge indexes.
 	loadEdges := func(spanID, edgesID byte, dst *edgeIndex) error {

@@ -74,10 +74,6 @@ func (s *Store) Swaps() int64 { return s.swaps.Load() }
 func (s *Store) Swap(g *Graph) (old *Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.swapLocked(g)
-}
-
-func (s *Store) swapLocked(g *Graph) (old *Graph) {
 	old = s.cur.Load()
 	// Stamp above every generation this store has ever published, not
 	// just the current one: after a rollback the live generation is
@@ -101,22 +97,6 @@ func (s *Store) swapLocked(g *Graph) (old *Graph) {
 	s.cur.Store(g)
 	s.retainLocked(old)
 	return old
-}
-
-// ApplyDelta builds the current graph's successor copy-on-write via
-// Graph.ApplyDelta and publishes it, all under the store's lock so no
-// concurrent Swap can slide a different base underneath the apply. On
-// error the store is untouched. The returned graph is the newly served
-// generation.
-func (s *Store) ApplyDelta(d *Delta) (*Graph, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g, err := s.cur.Load().ApplyDelta(d)
-	if err != nil {
-		return nil, err
-	}
-	s.swapLocked(g)
-	return g, nil
 }
 
 // SetRetain sets how many previously-served graphs the store keeps for

@@ -66,9 +66,9 @@ func (s *Server) StageReloadKB(g *kb.Graph, loadTime time.Duration) (int64, *Can
 }
 
 // StageReloadDelta is StageReloadKB for an incremental DKBD delta: the
-// delta is applied copy-on-write against the currently served graph —
-// untouched span-arena pages and pair-table shards are shared, only
-// touched buckets are rewritten — and the resulting candidate
+// delta is applied to the currently served graph — indexes it leaves
+// alone are shared, each one it touches is copied with the touched
+// lists rewritten — and the resulting candidate
 // generation runs the exact same canary pipeline (integrity
 // self-check, shadow replay, watchdog) before promotion. A delta whose
 // base fingerprint does not match the serving graph returns

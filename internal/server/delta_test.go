@@ -1,7 +1,7 @@
 package server_test
 
 // Delta reload tests: POST /reload?delta=1 applies an incremental
-// DKBD delta copy-on-write against the serving graph through the same
+// DKBD delta to the serving graph through the same
 // canary pipeline as a full reload. The fault cases — stale base,
 // corrupt bytes, strict-verify rejection — must all leave the serving
 // generation untouched, and mixed full/delta reloads under concurrent
@@ -123,7 +123,7 @@ func TestDeltaReloadEndpoint(t *testing.T) {
 }
 
 // TestDeltaCanaryRejectsCycle feeds ?delta=1 a delta that would
-// introduce a taxonomy cycle: the copy-on-write apply succeeds, but
+// introduce a taxonomy cycle: the delta apply succeeds, but
 // strict integrity verify must reject the candidate generation with
 // 409 before it ever serves.
 func TestDeltaCanaryRejectsCycle(t *testing.T) {

@@ -23,7 +23,7 @@ type reloadResponse struct {
 	// Delta reports whether this reload applied an incremental DKBD
 	// delta (POST /reload?delta=1) rather than re-reading the full KB
 	// file; DeltaOps is the number of ops the delta carried. For delta
-	// reloads LoadSeconds is the copy-on-write apply time.
+	// reloads LoadSeconds is the delta apply time.
 	Delta    bool `json:"delta,omitempty"`
 	DeltaOps int  `json:"deltaOps,omitempty"`
 	// Canary carries the integrity-check and shadow-replay results the
@@ -84,11 +84,11 @@ func (s *Server) ReloadHandler(load func() (*kb.Graph, error)) http.Handler {
 }
 
 // handleDeltaReload serves POST /reload?delta=1: the request body is a
-// DKBD delta (kbtool diff old.dkbs new.dkbs) applied copy-on-write
-// against the serving graph, then staged through the same canary
-// pipeline as a full reload. A malformed body answers 400, a delta
-// built against a different base graph — or a canary rejection — 409,
-// and every failure leaves the serving graph untouched.
+// DKBD delta (kbtool diff old.dkbs new.dkbs) applied to the serving
+// graph, then staged through the same canary pipeline as a full
+// reload. A malformed body answers 400, a delta built against a
+// different base graph — or a canary rejection — 409, and every
+// failure leaves the serving graph untouched.
 func (s *Server) handleDeltaReload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	d, err := kb.ReadDelta(body)

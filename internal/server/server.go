@@ -236,7 +236,7 @@ type Server struct {
 
 	// Incremental (DKBD) delta reload accounting: promoted delta
 	// applies, the triple ops they carried, and the wall time of the
-	// most recent copy-on-write apply.
+	// most recent delta apply.
 	deltaAppliedTotal *telemetry.Counter
 	deltaTriplesTotal *telemetry.Counter
 	deltaApplySeconds *telemetry.Gauge
@@ -319,11 +319,11 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 	s.loadSeconds = reg.Gauge("detective_kb_load_seconds",
 		"Wall-clock seconds the most recent KB load (parse or snapshot decode) took.", labels...)
 	s.deltaAppliedTotal = reg.Counter("detective_kb_delta_applied",
-		"Incremental DKBD deltas applied copy-on-write and promoted.", labels...)
+		"Incremental DKBD deltas applied and promoted.", labels...)
 	s.deltaTriplesTotal = reg.Counter("detective_kb_delta_triples",
 		"Triple add/remove operations carried by promoted deltas.", labels...)
 	s.deltaApplySeconds = reg.Gauge("detective_kb_delta_apply_seconds",
-		"Wall-clock seconds the most recent copy-on-write delta apply took.", labels...)
+		"Wall-clock seconds the most recent delta apply took.", labels...)
 	s.canaryStagedTotal = reg.Counter("detective_kb_canary_staged_total",
 		"Candidate graphs considered by the staged (canary) reload.", labels...)
 	s.canaryRejectedTotal = reg.Counter("detective_kb_canary_rejected_total",
@@ -796,7 +796,7 @@ type StatsResponse struct {
 	// KBDeltasApplied counts promoted incremental (DKBD) delta
 	// reloads, KBDeltaTriples the triple ops they carried, and
 	// KBDeltaApplySeconds the wall time of the most recent
-	// copy-on-write apply (0 until a delta has been applied).
+	// delta apply (0 until a delta has been applied).
 	KBDeltasApplied     int64   `json:"kbDeltasApplied"`
 	KBDeltaTriples      int64   `json:"kbDeltaTriples"`
 	KBDeltaApplySeconds float64 `json:"kbDeltaApplySeconds"`

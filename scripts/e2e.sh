@@ -116,7 +116,7 @@ assert d.get("triples", 0) > 0, d
 
 # Incremental delta reload: the committed golden delta's base is the
 # sample KB the server is serving (fingerprints match across text and
-# snapshot forms), so POST /reload?delta=1 applies it copy-on-write.
+# snapshot forms), so POST /reload?delta=1 applies it.
 out=$(curl -fsS -X POST --data-binary @testdata/delta/old_to_new.dkbsd "$OPSBASE/reload?delta=1")
 python3 -c '
 import json, sys
