@@ -53,8 +53,12 @@ chaos:
 # same delta applied to the text-parsed base), the KB text parser must
 # re-encode to a fixed point, and the flat signature index must
 # return exactly what the map-based reference index returns, in the
-# same order. Crashers land in the package's testdata/fuzz/ and then
-# run as plain tests.
+# same order, and a /clean body must stream to the same bytes and
+# counts with the repair memo on, replayed from the memo, and off.
+# FuzzCleanCSVStream caps input minimization at 200 runs: minimizing a
+# mutation of its 24 KB seed would otherwise take the whole FUZZTIME.
+# Crashers land in the package's testdata/fuzz/ and then run as plain
+# tests.
 FUZZTIME ?= 15s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/rules
@@ -62,6 +66,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzParseKB$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
+	go test -run '^$$' -fuzz '^FuzzCleanCSVStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/repair
 
 bench:
 	go test -bench=. -benchmem ./...

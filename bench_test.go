@@ -10,7 +10,6 @@ package detective_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -270,90 +269,55 @@ func BenchmarkRepairTableParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCleanCSVStreamParallel measures streaming rows/sec on the
+// BenchmarkCleanCSVStream measures streaming rows/sec on the
 // duplicate-heavy bench corpus (each Nobel row repeated in a 1–8 row
-// burst) across pipeline widths. workers=1 is the serial path; wider
-// runs add the chunked pipeline's in-chunk dedup plus, on multi-core
-// machines, worker parallelism. This is the benchmark the CI
-// regression gate (cmd/benchdiff) tracks via cmd/experiments
-// -bench-repair.
-func BenchmarkCleanCSVStreamParallel(b *testing.B) {
+// burst) with the repair memo off, so every row is a fresh repair.
+// cmd/experiments -bench-repair records it as CleanCSVStreamSerial for
+// the CI regression gate (cmd/benchdiff).
+func BenchmarkCleanCSVStream(b *testing.B) {
 	bundle := dataset.NewNobel(1, 400)
 	inj := bundle.Inject(dataset.Noise{Rate: 0.30, TypoFrac: 0.5, Seed: 1})
-	corpus := dataset.DuplicateBursts(inj.Dirty, 1, 16)
-	var buf bytes.Buffer
-	if err := corpus.WriteCSV(&buf); err != nil {
-		b.Fatal(err)
-	}
-	input := buf.String()
-
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e, err := repair.NewEngineWithOptions(bundle.Rules, bundle.Yago, bundle.Schema,
-				repair.Options{Workers: workers, MemoDisabled: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.Warm()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(input)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.CleanCSVStreamContext(context.Background(),
-					strings.NewReader(input), io.Discard, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rows != corpus.Len() {
-					b.Fatalf("streamed %d of %d rows", res.Rows, corpus.Len())
-				}
-			}
-			b.ReportMetric(float64(corpus.Len()*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
-	}
+	benchStream(b, bundle, dataset.DuplicateBursts(inj.Dirty, 1, 16), repair.Options{MemoDisabled: true})
 }
 
 // BenchmarkCleanCSVStreamZipf measures streaming rows/sec on a
 // Zipf-skewed corpus (s=1.1 over the Nobel dirty rows — the
 // head-heavy shape of real dirty feeds) with the global repair memo
-// on. Contrast with BenchmarkCleanCSVStreamParallel, which runs the
-// same pipeline widths memo-disabled on the duplicate-burst corpus:
-// on the skewed corpus the memo serves the hot head from cache, so
-// rows/s should sit well above the memo-disabled series.
+// on. Contrast with BenchmarkCleanCSVStream, which runs memo-disabled
+// on the duplicate-burst corpus: on the skewed corpus the memo serves
+// the hot head from cache, so rows/s should sit well above it.
 func BenchmarkCleanCSVStreamZipf(b *testing.B) {
 	bundle := dataset.NewNobel(1, 400)
 	inj := bundle.Inject(dataset.Noise{Rate: 0.30, TypoFrac: 0.5, Seed: 1})
-	corpus := dataset.ZipfTable(inj.Dirty, 1, 1.1, 8192)
+	benchStream(b, bundle, dataset.ZipfTable(inj.Dirty, 1, 1.1, 8192), repair.Options{})
+}
+
+// benchStream streams corpus through a warmed engine built with opts.
+func benchStream(b *testing.B, bundle *dataset.Bundle, corpus *relation.Table, opts repair.Options) {
 	var buf bytes.Buffer
 	if err := corpus.WriteCSV(&buf); err != nil {
 		b.Fatal(err)
 	}
 	input := buf.String()
-
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			e, err := repair.NewEngineWithOptions(bundle.Rules, bundle.Yago, bundle.Schema,
-				repair.Options{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			e.Warm()
-			b.ReportAllocs()
-			b.SetBytes(int64(len(input)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.CleanCSVStreamContext(context.Background(),
-					strings.NewReader(input), io.Discard, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rows != corpus.Len() {
-					b.Fatalf("streamed %d of %d rows", res.Rows, corpus.Len())
-				}
-			}
-			b.ReportMetric(float64(corpus.Len()*b.N)/b.Elapsed().Seconds(), "rows/s")
-		})
+	e, err := repair.NewEngineWithOptions(bundle.Rules, bundle.Yago, bundle.Schema, opts)
+	if err != nil {
+		b.Fatal(err)
 	}
+	e.Warm()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(input)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.CleanCSVStreamContext(context.Background(),
+			strings.NewReader(input), io.Discard, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rows != corpus.Len() {
+			b.Fatalf("streamed %d of %d rows", res.Rows, corpus.Len())
+		}
+	}
+	b.ReportMetric(float64(corpus.Len()*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func BenchmarkExtensionPathRule(b *testing.B) {

@@ -13,9 +13,7 @@
 //
 // -stream cleans row by row without materializing the table — the
 // mode for inputs larger than memory — deriving the schema from the
-// CSV header; -workers N fans the stream out over the chunked
-// parallel repair pipeline (ordered reassembly keeps the output
-// byte-identical to serial), and -chunk tunes its rows per chunk.
+// CSV header; its output is byte-identical to the table mode's.
 package main
 
 import (
@@ -48,8 +46,6 @@ func main() {
 	usage := flag.Bool("usage", false, "print the per-rule usage report to stderr")
 	versions := flag.Bool("versions", false, "emit every multi-version repair fixpoint (one output row per version)")
 	stream := flag.Bool("stream", false, "clean row by row without materializing the table (bounded memory)")
-	workers := flag.Int("workers", 0, "streaming repair workers with -stream (0 or 1 = serial; >1 = parallel pipeline)")
-	chunk := flag.Int("chunk", 0, "rows per pipeline chunk with -stream -workers > 1 (0 = default)")
 	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the repair memo serving repeated rows from cache (0 = default 48 MiB, negative = off)")
 	noMemo := flag.Bool("no-memo", false, "disable the repair memo")
 	ensembleOn := flag.Bool("ensemble", false, "with -stream: repair by the weighted vote of all engines (detective, KATARA, FD, constant CFD) and append a confidence column")
@@ -58,7 +54,7 @@ func main() {
 	flag.Parse()
 
 	if *kbPath == "" || *rulesPath == "" || *inPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: detective -kb KB -rules RULES -in CSV [-out CSV] [-marked] [-basic] [-stream [-workers N] [-chunk N]] [-check-consistency]")
+		fmt.Fprintln(os.Stderr, "usage: detective -kb KB -rules RULES -in CSV [-out CSV] [-marked] [-basic] [-stream] [-check-consistency]")
 		os.Exit(2)
 	}
 
@@ -80,7 +76,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		streamClean(g, rs, *name, *inPath, *outPath, *marked, *workers, *chunk,
+		streamClean(g, rs, *name, *inPath, *outPath, *marked,
 			detective.EngineOptions{MemoBytes: *memoBytes, MemoDisabled: *noMemo},
 			*ensembleOn, *ensembleRef, *ensembleThreshold)
 		return
@@ -170,9 +166,9 @@ func main() {
 
 // streamClean cleans inPath row by row via Cleaner.CleanCSVStream:
 // only the header is pre-read (to build the schema), so memory stays
-// bounded by the pipeline's O(workers×chunk) window regardless of the
-// input size.
-func streamClean(g *detective.KB, rs []*detective.Rule, name, inPath, outPath string, marked bool, workers, chunk int, opts detective.EngineOptions, ensOn bool, ensRef string, ensThreshold float64) {
+// bounded by one row plus the repair memo's byte budget regardless of
+// the input size.
+func streamClean(g *detective.KB, rs []*detective.Rule, name, inPath, outPath string, marked bool, opts detective.EngineOptions, ensOn bool, ensRef string, ensThreshold float64) {
 	f, err := os.Open(inPath)
 	fail(err)
 	defer f.Close()
@@ -191,8 +187,6 @@ func streamClean(g *detective.KB, rs []*detective.Rule, name, inPath, outPath st
 	fail(err)
 	schema := detective.NewSchema(name, attrs...)
 
-	opts.Workers = workers
-	opts.ChunkSize = chunk
 	var c *detective.Cleaner
 	if ensOn {
 		// The auxiliary proposers read the KB through the same store

@@ -128,8 +128,6 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrent cleaning requests (0 = 2×GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 64<<20, "max request body bytes")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain deadline")
-	streamWorkers := flag.Int("stream-workers", 0, "repair workers per /clean stream (0 or 1 = serial; >1 = chunked parallel pipeline)")
-	streamChunk := flag.Int("stream-chunk", 0, "rows per pipeline chunk when -stream-workers > 1 (0 = default)")
 	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the cross-request repair memo (0 = default 48 MiB, negative = off)")
 	noMemo := flag.Bool("no-memo", false, "disable the cross-request repair memo")
 	verifyMode := flag.String("verify-mode", "", "KB integrity self-check on reload: off, warn (default), strict (reject suspect graphs)")
@@ -165,8 +163,6 @@ func main() {
 		MaxConcurrent:     *maxConcurrent,
 		MaxBodyBytes:      *maxBody,
 		Logger:            log,
-		StreamWorkers:     *streamWorkers,
-		StreamChunkSize:   *streamChunk,
 		MemoBytes:         *memoBytes,
 		MemoDisabled:      *noMemo,
 		VerifyMode:        *verifyMode,

@@ -250,7 +250,8 @@ func writeRepairBench(path string) error {
 
 	// The per-tuple and table series run memo-disabled: they track the
 	// cold repair kernel, which a warm memo would mask. The memoized
-	// path gets its own series (FastRepairTupleMemoHit, CleanCSVStreamZipf*).
+	// path gets its own series (FastRepairTupleMemoHit,
+	// CleanCSVStreamZipfSerial, CleanCSVStreamEnsemble).
 	nobel := dataset.NewNobel(1, 500)
 	nobelInj := nobel.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1})
 	ne, err := repair.NewEngineWithOptions(nobel.Rules, nobel.Yago, nobel.Schema,
@@ -320,9 +321,8 @@ func writeRepairBench(path string) error {
 		})),
 	}
 
-	// Streaming pipeline on the duplicate-heavy corpus: serial baseline
-	// and the 8-worker chunked pipeline (same corpus as
-	// BenchmarkCleanCSVStreamParallel).
+	// The stream, memo off, on the duplicate-heavy corpus (same corpus
+	// as BenchmarkCleanCSVStream).
 	streamNobel := dataset.NewNobel(1, 400)
 	streamInj := streamNobel.Inject(dataset.Noise{Rate: 0.30, TypoFrac: 0.5, Seed: 1})
 	corpus := dataset.DuplicateBursts(streamInj.Dirty, 1, 16)
@@ -331,63 +331,51 @@ func writeRepairBench(path string) error {
 		return err
 	}
 	input := cbuf.String()
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{{"CleanCSVStreamSerial", 1}, {"CleanCSVStreamParallel8", 8}} {
-		se, err := repair.NewEngineWithOptions(streamNobel.Rules, streamNobel.Yago, streamNobel.Schema,
-			repair.Options{Workers: bench.workers, MemoDisabled: true})
-		if err != nil {
-			return err
-		}
-		se.Warm()
-		results = append(results, record(bench.name, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := se.CleanCSVStreamContext(context.Background(),
-					strings.NewReader(input), io.Discard, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
+	se, err := repair.NewEngineWithOptions(streamNobel.Rules, streamNobel.Yago, streamNobel.Schema,
+		repair.Options{MemoDisabled: true})
+	if err != nil {
+		return err
 	}
+	se.Warm()
+	results = append(results, record("CleanCSVStreamSerial", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := se.CleanCSVStreamContext(context.Background(),
+				strings.NewReader(input), io.Discard, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})))
 
 	// Zipf-skewed corpus with the global memo on: the head-heavy
-	// distribution is where cross-request memoization pays, and the
-	// serial/8-worker pair shows whether the memo-hit path or the
-	// pipeline wins at this skew (same corpus as BenchmarkCleanCSVStreamZipf).
+	// distribution is where cross-request memoization pays (same
+	// corpus as BenchmarkCleanCSVStreamZipf).
 	zipfCorpus := dataset.ZipfTable(streamInj.Dirty, 1, 1.1, 8192)
 	var zbuf bytes.Buffer
 	if err := zipfCorpus.WriteCSV(&zbuf); err != nil {
 		return err
 	}
 	zinput := zbuf.String()
-	for _, bench := range []struct {
-		name    string
-		workers int
-	}{{"CleanCSVStreamZipfSerial", 1}, {"CleanCSVStreamZipf8", 8}} {
-		ze, err := repair.NewEngineWithOptions(streamNobel.Rules, streamNobel.Yago, streamNobel.Schema,
-			repair.Options{Workers: bench.workers})
-		if err != nil {
-			return err
-		}
-		ze.Warm()
-		results = append(results, record(bench.name, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ze.CleanCSVStreamContext(context.Background(),
-					strings.NewReader(zinput), io.Discard, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
+	ze, err := repair.NewEngine(streamNobel.Rules, streamNobel.Yago, streamNobel.Schema)
+	if err != nil {
+		return err
 	}
+	ze.Warm()
+	results = append(results, record("CleanCSVStreamZipfSerial", testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ze.CleanCSVStreamContext(context.Background(),
+				strings.NewReader(zinput), io.Discard, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})))
 
 	// Ensemble mode: the four-engine weighted vote per tuple
-	// (EnsembleTuple4), and the 8-worker streaming pipeline in
-	// ensemble mode on the same Zipf corpus as CleanCSVStreamZipf8.
-	// The single-engine series above running against an
-	// ensemble-capable build is what pins the ensemble-off hot paths.
+	// (EnsembleTuple4), and the ensemble stream, memo on, over the
+	// same Zipf corpus as CleanCSVStreamZipfSerial. The single-engine
+	// series above running against an ensemble-capable build is what
+	// pins the ensemble-off hot paths.
 	ensStore := kb.NewStore(nobel.Yago)
 	ee, err := repair.NewEngineStore(nobel.Rules, ensStore, nobel.Schema, repair.Options{
 		MemoDisabled: true,
@@ -412,8 +400,7 @@ func writeRepairBench(path string) error {
 	})))
 
 	zStore := kb.NewStore(streamNobel.Yago)
-	ze8, err := repair.NewEngineStore(streamNobel.Rules, zStore, streamNobel.Schema, repair.Options{
-		Workers: 8,
+	zens, err := repair.NewEngineStore(streamNobel.Rules, zStore, streamNobel.Schema, repair.Options{
 		Ensemble: repair.EnsembleOptions{
 			Enabled:   true,
 			Proposers: adapters.BuildProposers(streamNobel.Schema, streamNobel.Pattern, zStore, streamInj.Truth),
@@ -422,11 +409,11 @@ func writeRepairBench(path string) error {
 	if err != nil {
 		return err
 	}
-	ze8.Warm()
-	results = append(results, record("CleanCSVStreamEnsemble8", testing.Benchmark(func(b *testing.B) {
+	zens.Warm()
+	results = append(results, record("CleanCSVStreamEnsemble", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ze8.CleanCSVStreamEnsembleContext(context.Background(),
+			if _, err := zens.CleanCSVStreamEnsembleContext(context.Background(),
 				strings.NewReader(zinput), io.Discard, true); err != nil {
 				b.Fatal(err)
 			}

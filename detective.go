@@ -171,9 +171,9 @@ type Cleaner struct {
 type Engine = repair.Engine
 
 // EngineOptions tunes the repair engine: the §IV-B ablation switches,
-// the per-tuple step budget, and the streaming pipeline's Workers and
-// ChunkSize. The zero value is the full fast algorithm on the serial
-// streaming path.
+// the per-tuple step budget, the repair memo, the circuit breaker and
+// ensemble mode. The zero value is the full fast algorithm with the
+// memo on.
 type EngineOptions = repair.Options
 
 // NewCleaner validates the rules against the schema and builds the
@@ -183,9 +183,8 @@ func NewCleaner(rs []*Rule, g *KB, schema *Schema) (*Cleaner, error) {
 	return NewCleanerWithOptions(rs, g, schema, EngineOptions{})
 }
 
-// NewCleanerWithOptions is NewCleaner with engine tuning — most
-// usefully EngineOptions.Workers, which fans the streaming cleaner
-// out over a chunked parallel pipeline with ordered reassembly.
+// NewCleanerWithOptions is NewCleaner with engine tuning (see
+// EngineOptions).
 func NewCleanerWithOptions(rs []*Rule, g *KB, schema *Schema, opts EngineOptions) (*Cleaner, error) {
 	e, err := repair.NewEngineWithOptions(rs, g, schema, opts)
 	if err != nil {
@@ -244,16 +243,17 @@ func (c *Cleaner) CleanTableParallel(tb *Table, workers int) *Table {
 
 // StreamStats is the per-call accounting of one streaming clean:
 // rows written, quarantined and budget-degraded rows, and rows
-// answered by the pipeline's in-chunk duplicate cache.
+// answered by the repair memo.
 type StreamStats = repair.StreamResult
 
 // CleanCSVStream cleans CSV row by row without materializing the
 // table; the first record must be a header matching the cleaner's
-// schema, and marked cells get a "+" suffix when marked is true. With
-// EngineOptions.Workers > 1 rows are repaired by the parallel
-// pipeline; output is byte-identical to the serial path. Mid-stream
-// failures arrive as a *repair.PartialError after everything cleaned
-// so far has been flushed to w.
+// schema, and marked cells get a "+" suffix when marked is true; the
+// output is byte-identical to CleanTable's result written as CSV. Rows
+// are repaired one at a time — for more cores, split the input across
+// concurrent calls or use CleanTableParallel. Mid-stream failures
+// arrive as a *repair.PartialError after everything cleaned so far
+// has been flushed to w.
 func (c *Cleaner) CleanCSVStream(ctx context.Context, r io.Reader, w io.Writer, marked bool) (StreamStats, error) {
 	return c.engine.CleanCSVStreamContext(ctx, r, w, marked)
 }

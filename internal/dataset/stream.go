@@ -10,8 +10,8 @@ import (
 // short consecutive burst of 1..maxBurst copies (uniformly drawn).
 // Real extraction pipelines emit exactly this shape — the same record
 // re-scraped from adjacent pages or near-identical list entries — and
-// it is the duplicate-heavy distribution the streaming pipeline's
-// in-chunk dedup is built for. The expected output size is
+// it is the duplicate-heavy distribution the repair memo answers from
+// cache. The expected output size is
 // len(tb) × (maxBurst+1)/2 rows.
 func DuplicateBursts(tb *relation.Table, seed int64, maxBurst int) *relation.Table {
 	if maxBurst < 1 {

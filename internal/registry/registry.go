@@ -69,7 +69,6 @@ type TenantConfig struct {
 	// process-wide server.Config defaults.
 	MaxConcurrent     int    `json:"maxConcurrent,omitempty"`
 	MemoBytes         int64  `json:"memoBytes,omitempty"`
-	StreamWorkers     int    `json:"streamWorkers,omitempty"`
 	VerifyMode        string `json:"verifyMode,omitempty"`
 	RetainGenerations int    `json:"retainGenerations,omitempty"`
 
@@ -126,9 +125,6 @@ func (tc TenantConfig) merged(d TenantConfig) TenantConfig {
 	}
 	if tc.MemoBytes == 0 {
 		tc.MemoBytes = d.MemoBytes
-	}
-	if tc.StreamWorkers == 0 {
-		tc.StreamWorkers = d.StreamWorkers
 	}
 	if tc.VerifyMode == "" {
 		tc.VerifyMode = d.VerifyMode
@@ -561,9 +557,6 @@ func (r *Registry) buildServer(t *tenant) (*server.Server, time.Duration, error)
 	}
 	if t.cfg.MemoBytes != 0 {
 		cfg.MemoBytes = t.cfg.MemoBytes
-	}
-	if t.cfg.StreamWorkers != 0 {
-		cfg.StreamWorkers = t.cfg.StreamWorkers
 	}
 	if t.cfg.VerifyMode != "" {
 		cfg.VerifyMode = t.cfg.VerifyMode

@@ -6,6 +6,10 @@
 package repair_test
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"runtime"
 	"testing"
 
 	"detective/internal/dataset"
@@ -35,4 +39,38 @@ func TestFastRepairAllocs(t *testing.T) {
 		t.Errorf("FastRepair: %.2f allocs per row, want <= 4", perRow)
 	}
 	t.Logf("FastRepair: %.2f allocs per row over %d rows", perRow, len(rows))
+}
+
+// TestCleanCSVStreamAllocs: a memo-on engine streaming Nobel-500's
+// injected rows into a cold memo averages at most 18 allocations per
+// row, counted as the runtime.MemStats.Mallocs delta over one call.
+// encoding/csv builds fresh cell strings for every record, so the memo
+// keeps them as decoded instead of cloning each one.
+func TestCleanCSVStreamAllocs(t *testing.T) {
+	bundle := dataset.NewNobel(1, 500)
+	inj := bundle.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1})
+	e, err := repair.NewEngine(bundle.Rules, bundle.Yago, bundle.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Warm()
+	var in bytes.Buffer
+	if err := inj.Dirty.WriteCSV(&in); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.CleanCSVStreamContext(context.Background(), &in, io.Discard, true)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != inj.Dirty.Len() {
+		t.Fatalf("streamed %d of %d rows", res.Rows, inj.Dirty.Len())
+	}
+	perRow := float64(after.Mallocs-before.Mallocs) / float64(res.Rows)
+	if perRow > 18 {
+		t.Errorf("CleanCSVStream: %.2f allocs per row, want <= 18", perRow)
+	}
+	t.Logf("CleanCSVStream: %.2f allocs per row over %d rows (%d deduped)", perRow, res.Rows, res.Deduped)
 }

@@ -270,14 +270,6 @@ func (e *Engine) breakerAdmit() (degrade, probe bool) {
 	return e.breaker.admit()
 }
 
-// breakerEngaged reports whether the global breaker is anywhere but
-// closed. The streaming pipeline bypasses its chunk-local dedup while
-// it is, so detect-only degradation and half-open probes see every
-// row, exactly like the serial path.
-func (e *Engine) breakerEngaged() bool {
-	return e.breaker != nil && e.breaker.state.Load() != breakerClosed
-}
-
 // breakerObserve folds one completed full repair into the global and
 // per-rule breakers. It is called exactly once per non-degraded
 // serving-path tuple — including from panic recovery, where st (though
@@ -317,7 +309,7 @@ func (e *Engine) detectOnlyTupleOn(g *kb.Graph, t *relation.Tuple) (out *relatio
 	defer func() {
 		if r := recover(); r != nil {
 			out, oc = t.Clone(), tupleQuarantined
-			e.count(oc, nil)
+			e.count(oc)
 		}
 	}()
 	cl := t.Clone()
@@ -328,7 +320,7 @@ func (e *Engine) detectOnlyTupleOn(g *kb.Graph, t *relation.Tuple) (out *relatio
 	} else {
 		out, oc = cl, tupleOK
 	}
-	e.count(oc, nil)
+	e.count(oc)
 	return out, oc
 }
 
@@ -342,7 +334,7 @@ func (e *Engine) detectOnlyRowOn(g *kb.Graph, tup *relation.Tuple) (oc tupleOutc
 		if r := recover(); r != nil {
 			oc = tupleQuarantined
 		}
-		e.count(oc, nil)
+		e.count(oc)
 	}()
 	ok := e.runFast(tup, st)
 	e.putState(st)

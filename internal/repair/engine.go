@@ -152,21 +152,6 @@ type Options struct {
 	// termination analysis bounds applications by the rule count).
 	StepBudget int
 
-	// Workers selects the streaming cleaner's execution mode
-	// (CleanCSVStream / CleanCSVStreamContext). 0 or 1 keeps the
-	// serial in-place path; 2 or more fans repair out over that many
-	// workers through the chunked, order-preserving pipeline (see
-	// pipeline.go). Output is byte-identical either way. The table
-	// APIs take their worker count as an argument instead.
-	Workers int
-
-	// ChunkSize is the number of CSV rows per pipeline chunk when
-	// Workers > 1. Larger chunks amortize channel traffic and widen
-	// the in-chunk dedup window; smaller chunks bound reassembly
-	// latency. 0 picks DefaultStreamChunkSize. Ignored on the serial
-	// path.
-	ChunkSize int
-
 	// MemoBytes is the byte budget of the global cross-request repair
 	// memo (memo.go), which caches whole-tuple outcomes. 0 picks
 	// DefaultMemoBytes; a negative value disables the memo, same as
@@ -483,7 +468,7 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 			}
 			if applied++; applied > e.stepBudget {
 				// Degrade to keep-original-value rather than loop.
-				e.count(tupleBudgetExhausted, nil)
+				e.count(tupleBudgetExhausted)
 				return t.Clone()
 			}
 			e.apply(cl, i, out, 0, alts, false, nil)
@@ -492,7 +477,7 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 			break
 		}
 		if !progress {
-			e.count(tupleOK, nil)
+			e.count(tupleOK)
 			return cl
 		}
 	}
@@ -510,7 +495,7 @@ func (e *Engine) FastRepair(t *relation.Tuple) *relation.Tuple {
 
 func (e *Engine) fastRepair(t *relation.Tuple, alts map[string][]string) *relation.Tuple {
 	cl, oc := e.fastRepairOutcome(t, alts)
-	e.count(oc, nil)
+	e.count(oc)
 	return cl
 }
 
@@ -530,7 +515,7 @@ func (e *Engine) fastRepairOutcome(t *relation.Tuple, alts map[string][]string) 
 		return cl, oc
 	}
 	cl, oc := e.fastRepairOutcomeOn(g, t, nil)
-	e.memo.putTuple(gen, fp, t.Values, t.Marked, cl, oc, 1, true)
+	e.memo.putTuple(gen, fp, t.Values, t.Marked, cl, oc, 1)
 	return cl, oc
 }
 
@@ -588,7 +573,7 @@ func (e *Engine) repairTupleSafe(t *relation.Tuple) (out *relation.Tuple, oc tup
 		fp = memo.tupleFP(t.Values, t.Marked)
 		if !probe {
 			if cl, moc, _, ok := memo.getTupleClone(gen, fp, t.Values, t.Marked); ok {
-				e.count(moc, nil)
+				e.count(moc)
 				return cl, moc
 			}
 		}
@@ -600,9 +585,9 @@ func (e *Engine) repairTupleSafe(t *relation.Tuple) (out *relation.Tuple, oc tup
 		if r := recover(); r != nil {
 			out, oc = t.Clone(), tupleQuarantined
 			e.breakerObserve(st, oc)
-			e.count(oc, nil)
+			e.count(oc)
 			if memo != nil {
-				memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1, true)
+				memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1)
 			}
 		}
 	}()
@@ -614,29 +599,11 @@ func (e *Engine) repairTupleSafe(t *relation.Tuple) (out *relation.Tuple, oc tup
 	}
 	e.breakerObserve(st, oc)
 	e.putState(st)
-	e.count(oc, nil)
+	e.count(oc)
 	if memo != nil {
-		memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1, true)
+		memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1)
 	}
 	return out, oc
-}
-
-// repairInPlace runs the fast algorithm directly on t, mutating it.
-// It is the zero-copy core used by the streaming cleaner. It reports
-// whether the repair completed within the step budget; on false, t is
-// left in a partially repaired state the caller must discard.
-func (e *Engine) repairInPlace(t *relation.Tuple) bool {
-	return e.repairInPlaceOn(e.Cat.Graph(), t)
-}
-
-// repairInPlaceOn is repairInPlace pinned to g, so streaming callers
-// that memoize the result tag it with the generation the repair
-// actually saw.
-func (e *Engine) repairInPlaceOn(g *kb.Graph, t *relation.Tuple) bool {
-	st := e.getStateOn(g)
-	ok := e.runFast(t, st)
-	e.putState(st)
-	return ok
 }
 
 // runFast drives the grouped rule schedule of Algorithm 2 over cl. It
@@ -949,7 +916,7 @@ func (e *Engine) RepairTableParallel(tb *relation.Table, workers int) *relation.
 }
 
 // RepairTableContext is RepairTableParallel with cancellation and
-// per-call accounting. Workers check ctx between tuples; on
+// per-call accounting. Each worker checks ctx between tuples; on
 // cancellation or deadline the run stops promptly, every not-yet-
 // repaired tuple is emitted as an unchanged clone of its input, and
 // the error is a *PartialError wrapping ctx.Err() whose Done field

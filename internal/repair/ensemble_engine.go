@@ -311,9 +311,9 @@ func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.T
 // repairRowEnsembleMemo is the ensemble analogue of repairRowMemo:
 // recorder, breaker fronting, then the global memo (under salted keys
 // carrying the row confidence) read-through around ensembleRowOn. tup
-// is left holding the row to emit; rec must be an unmarked input row
-// and owned follows putTuple's contract.
-func (e *Engine) repairRowEnsembleMemo(ctx context.Context, tup *relation.Tuple, rec []string, owned bool) (tupleOutcome, float64, bool) {
+// is left holding the row to emit; rec must be an unmarked input row,
+// and the memo may keep its strings (see putTuple).
+func (e *Engine) repairRowEnsembleMemo(ctx context.Context, tup *relation.Tuple, rec []string) (tupleOutcome, float64, bool) {
 	if rr := e.recorder; rr != nil {
 		rr.Record(rec)
 	}
@@ -336,12 +336,12 @@ func (e *Engine) repairRowEnsembleMemo(ctx context.Context, tup *relation.Tuple,
 	fp := memo.tupleFP(rec, nil) ^ ensembleFPSalt
 	if !probe {
 		if oc, conf, ok := memo.getRowInto(gen, fp, rec, tup); ok {
-			e.count(oc, nil)
+			e.count(oc)
 			return oc, conf, true
 		}
 	}
 	oc, conf := e.ensembleRowOn(ctx, g, tup, rec, probe)
-	memo.putTuple(gen, fp, rec, nil, tup, oc, conf, owned)
+	memo.putTuple(gen, fp, rec, nil, tup, oc, conf)
 	return oc, conf, false
 }
 
@@ -363,7 +363,7 @@ func (e *Engine) RepairTableEnsemble(ctx context.Context, tb *relation.Table) (*
 			return out, confs, &PartialError{Done: done, Err: err}
 		}
 		tup := &relation.Tuple{Values: make([]string, arity), Marked: make([]bool, arity)}
-		_, conf, _ := e.repairRowEnsembleMemo(ctx, tup, t.Values, true)
+		_, conf, _ := e.repairRowEnsembleMemo(ctx, tup, t.Values)
 		out.Tuples[i] = tup
 		confs[i] = conf
 		done++
@@ -377,6 +377,6 @@ func (e *Engine) RepairTableEnsemble(ctx context.Context, tb *relation.Table) (*
 // whether the global memo served the row. The engine must have been
 // built with Options.Ensemble.Enabled.
 func (e *Engine) RepairRowEnsemble(ctx context.Context, dst *relation.Tuple, rec []string) (RowOutcome, float64, bool) {
-	oc, conf, hit := e.repairRowEnsembleMemo(ctx, dst, rec, true)
+	oc, conf, hit := e.repairRowEnsembleMemo(ctx, dst, rec)
 	return RowOutcome(oc), conf, hit
 }

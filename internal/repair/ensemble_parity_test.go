@@ -72,15 +72,16 @@ func stripConfidence(t *testing.T, raw string) string {
 // everything else: 0} — including an adversarial proposer spraying
 // garbage at weight 0 — must produce byte-identical output to the
 // single-engine stream once the appended confidence column is
-// stripped, on the serial and the parallel path alike. This pins the
-// ensemble path to the engine's existing semantics: whatever the vote
-// machinery does, a silenced ensemble IS the single engine.
+// stripped. This pins the ensemble path to the engine's existing
+// semantics: whatever the vote machinery does, a silenced ensemble IS
+// the single engine. workers=N runs N ensemble streams through one
+// engine at once, as detectived serves concurrent /clean requests;
+// every one of them must still match.
 func TestEnsembleParityDetectiveOnly(t *testing.T) {
 	for _, tc := range streamCases(t) {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				single, err := repair.NewEngineWithOptions(tc.rules, tc.kb, tc.schema,
-					repair.Options{Workers: workers})
+				single, err := repair.NewEngineWithOptions(tc.rules, tc.kb, tc.schema, repair.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +93,7 @@ func TestEnsembleParityDetectiveOnly(t *testing.T) {
 				}
 
 				ens, err := repair.NewEngineWithOptions(tc.rules, tc.kb, tc.schema,
-					repair.Options{Workers: workers, Ensemble: repair.EnsembleOptions{
+					repair.Options{Ensemble: repair.EnsembleOptions{
 						Enabled:   true,
 						Weights:   detectiveOnlyWeights,
 						Proposers: []ensemble.Proposer{chaosProposer{}},
@@ -100,24 +101,23 @@ func TestEnsembleParityDetectiveOnly(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got bytes.Buffer
-				gotRes, err := ens.CleanCSVStreamEnsembleContext(context.Background(),
-					strings.NewReader(tc.input), &got, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				if gotRes.Rows != wantRes.Rows {
-					t.Fatalf("rows: ensemble %d, single %d", gotRes.Rows, wantRes.Rows)
-				}
-				if gotRes.BelowThreshold != 0 {
-					t.Fatalf("BelowThreshold = %d, want 0: a lone full-weight detective never degrades",
-						gotRes.BelowThreshold)
-				}
-				stripped := stripConfidence(t, got.String())
-				if stripped != want.String() {
-					t.Fatalf("ensemble output diverged from single-engine output\nensemble:\n%s\nsingle:\n%s",
-						stripped, want.String())
+				outs, ress, errs := streamConcurrently(ens.CleanCSVStreamEnsembleContext, tc.input, workers, true)
+				for s := range workers {
+					if errs[s] != nil {
+						t.Fatalf("stream %d: %v", s, errs[s])
+					}
+					if ress[s].Rows != wantRes.Rows {
+						t.Fatalf("stream %d rows: ensemble %d, single %d", s, ress[s].Rows, wantRes.Rows)
+					}
+					if ress[s].BelowThreshold != 0 {
+						t.Fatalf("stream %d BelowThreshold = %d, want 0: a lone full-weight detective never degrades",
+							s, ress[s].BelowThreshold)
+					}
+					stripped := stripConfidence(t, outs[s])
+					if stripped != want.String() {
+						t.Fatalf("stream %d: ensemble output diverged from single-engine output\nensemble:\n%s\nsingle:\n%s",
+							s, stripped, want.String())
+					}
 				}
 			})
 		}

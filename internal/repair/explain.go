@@ -70,10 +70,10 @@ func (e *Engine) FastRepairExplain(t *relation.Tuple) (*relation.Tuple, []Step) 
 	if !ok {
 		// Step budget exhausted: keep the original values; the partial
 		// step trace would describe a repair that was discarded.
-		e.count(tupleBudgetExhausted, nil)
+		e.count(tupleBudgetExhausted)
 		return t.Clone(), nil
 	}
-	e.count(tupleOK, nil)
+	e.count(tupleOK)
 	return cl, steps
 }
 
@@ -84,7 +84,7 @@ func (e *Engine) FastRepairExplainSafe(t *relation.Tuple) (out *relation.Tuple, 
 	defer func() {
 		if r := recover(); r != nil {
 			out, steps, quarantined = t.Clone(), nil, true
-			e.count(tupleQuarantined, nil)
+			e.count(tupleQuarantined)
 		}
 	}()
 	out, steps = e.FastRepairExplain(t)

@@ -3,6 +3,7 @@ package repair_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -53,14 +54,13 @@ func randomStreamTable(rng *rand.Rand, src *relation.Table, n int, poison string
 	return out
 }
 
-// TestFaultStreamParallelRandomTables is the pipeline's property
-// test: for random tables — including rows whose repair panics
-// (quarantine, via the injected similarity hook) and rows that
-// exhaust a starved step budget — the parallel streaming output must
-// be byte-identical to the serial streaming output, with identical
-// accounting. Run under -race by the fault CI job, this also checks
-// the pipeline stages for unsynchronized sharing.
-func TestFaultStreamParallelRandomTables(t *testing.T) {
+// TestFaultStreamRandomTables is the stream's property test: for
+// random tables — including rows whose repair panics (quarantine, via
+// the injected similarity hook) and rows that exhaust a starved step
+// budget — the streamed output must be byte-identical to the table
+// repair written with WriteMarkedCSV, with identical accounting. The
+// fault CI job runs it under -race.
+func TestFaultStreamRandomTables(t *testing.T) {
 	const poison = "POISON-STREAM-13F"
 	defer faultinject.PanicOnValue(poison)()
 
@@ -78,50 +78,40 @@ func TestFaultStreamParallelRandomTables(t *testing.T) {
 		input := in.String()
 
 		for _, budget := range budgets {
-			serial, err := repair.NewEngineWithOptions(nb.Rules, nb.Yago, nb.Schema,
+			table, err := repair.NewEngineWithOptions(nb.Rules, nb.Yago, nb.Schema,
 				repair.Options{StepBudget: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantOut bytes.Buffer
-			wantRes, err := serial.CleanCSVStreamContext(context.Background(),
-				strings.NewReader(input), &wantOut, true)
+			repaired, stats, err := table.RepairTableContext(context.Background(), tb, 0)
 			if err != nil {
-				t.Fatalf("seed %d budget %d serial: %v", seed, budget, err)
+				t.Fatalf("seed %d budget %d table: %v", seed, budget, err)
+			}
+			var wantOut bytes.Buffer
+			if err := repaired.WriteMarkedCSV(&wantOut); err != nil {
+				t.Fatal(err)
 			}
 
-			for _, workers := range []int{2, 4, 8} {
-				par, err := repair.NewEngineWithOptions(nb.Rules, nb.Yago, nb.Schema,
-					repair.Options{StepBudget: budget, Workers: workers, ChunkSize: 1 + rng.Intn(40)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var gotOut bytes.Buffer
-				gotRes, err := par.CleanCSVStreamContext(context.Background(),
-					strings.NewReader(input), &gotOut, true)
-				if err != nil {
-					t.Fatalf("seed %d budget %d workers %d: %v", seed, budget, workers, err)
-				}
-				if gotOut.String() != wantOut.String() {
-					gl := strings.Split(gotOut.String(), "\n")
-					wl := strings.Split(wantOut.String(), "\n")
-					for i := range wl {
-						if i >= len(gl) || gl[i] != wl[i] {
-							t.Fatalf("seed %d budget %d workers %d: line %d differs\n got %q\nwant %q",
-								seed, budget, workers, i, gl[i], wl[i])
-						}
-					}
-					t.Fatalf("seed %d budget %d workers %d: output differs", seed, budget, workers)
-				}
-				if gotRes.Rows != wantRes.Rows ||
-					gotRes.Quarantined != wantRes.Quarantined ||
-					gotRes.BudgetExhausted != wantRes.BudgetExhausted {
-					t.Fatalf("seed %d budget %d workers %d: result %+v, serial %+v",
-						seed, budget, workers, gotRes, wantRes)
-				}
+			stream, err := repair.NewEngineWithOptions(nb.Rules, nb.Yago, nb.Schema,
+				repair.Options{StepBudget: budget})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if budget == 0 && wantRes.Quarantined == 0 {
-				t.Fatalf("seed %d: property never exercised quarantine (res %+v)", seed, wantRes)
+			var gotOut bytes.Buffer
+			gotRes, err := stream.CleanCSVStreamContext(context.Background(),
+				strings.NewReader(input), &gotOut, true)
+			if err != nil {
+				t.Fatalf("seed %d budget %d stream: %v", seed, budget, err)
+			}
+			requireSameOutput(t, fmt.Sprintf("seed %d budget %d", seed, budget), gotOut.String(), wantOut.String())
+			if gotRes.Rows != tb.Len() ||
+				int64(gotRes.Quarantined) != stats.Quarantined ||
+				int64(gotRes.BudgetExhausted) != stats.BudgetExhausted {
+				t.Fatalf("seed %d budget %d: stream %+v, table %+v",
+					seed, budget, gotRes, stats)
+			}
+			if budget == 0 && gotRes.Quarantined == 0 {
+				t.Fatalf("seed %d: property never exercised quarantine (res %+v)", seed, gotRes)
 			}
 		}
 	}

@@ -132,20 +132,19 @@ func TestHotSwapRepairTable(t *testing.T) {
 	}
 }
 
-// TestHotSwapStream drives the parallel streaming pipeline while the
-// KB is being reloaded: row count must be exact and every row
-// internally consistent.
+// TestHotSwapStream drives two concurrent streams through one engine
+// while the KB is being reloaded: each stream's row count must be
+// exact and every row internally consistent. Under -race this covers
+// the memo shards and per-tuple graph pinning from several goroutines.
 func TestHotSwapStream(t *testing.T) {
 	store := kb.NewStore(swapGraph("A"))
-	e, err := repair.NewEngineStore(swapRules(), store, swapSchema, repair.Options{
-		Workers: 8, ChunkSize: 16,
-	})
+	e, err := repair.NewEngineStore(swapRules(), store, swapSchema, repair.Options{})
 	if err != nil {
 		t.Fatalf("NewEngineStore: %v", err)
 	}
 
 	const rows = 3000
-	var in bytes.Buffer
+	var in strings.Builder
 	in.WriteString("Name,City,Country\n")
 	for i := 0; i < rows; i++ {
 		in.WriteString("Alice,ParisX,EuroX\n")
@@ -170,26 +169,27 @@ func TestHotSwapStream(t *testing.T) {
 		}
 	}()
 
-	var out bytes.Buffer
-	n, err := e.CleanCSVStream(&in, &out, false)
+	outs, ress, errs := streamConcurrently(e.CleanCSVStreamContext, in.String(), 2, false)
 	close(done)
 	wg.Wait()
-	if err != nil {
-		t.Fatalf("CleanCSVStream: %v", err)
-	}
-	if n != rows {
-		t.Errorf("cleaned %d rows, want %d", n, rows)
-	}
-	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != rows+1 {
-		t.Fatalf("output has %d lines, want %d", len(lines), rows+1)
-	}
-	for i, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		if len(f) != 3 {
-			t.Fatalf("row %d: malformed output %q", i, line)
+	for s, out := range outs {
+		if errs[s] != nil {
+			t.Fatalf("stream %d: CleanCSVStream: %v", s, errs[s])
 		}
-		checkUnmixed(t, i, f[1], f[2])
+		if ress[s].Rows != rows {
+			t.Errorf("stream %d: cleaned %d rows, want %d", s, ress[s].Rows, rows)
+		}
+		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+		if len(lines) != rows+1 {
+			t.Fatalf("stream %d: output has %d lines, want %d", s, len(lines), rows+1)
+		}
+		for i, line := range lines[1:] {
+			f := strings.Split(line, ",")
+			if len(f) != 3 {
+				t.Fatalf("stream %d row %d: malformed output %q", s, i, line)
+			}
+			checkUnmixed(t, i, f[1], f[2])
+		}
 	}
 }
 
@@ -238,8 +238,8 @@ func TestHotSwapInvalidatesCandidateCache(t *testing.T) {
 	}
 }
 
-// TestHotSwapSerialStream exercises the serial (in-place) streaming
-// path across a swap performed between rows.
+// TestHotSwapSerialStream exercises the in-place streaming loop
+// across a swap performed between rows.
 func TestHotSwapSerialStream(t *testing.T) {
 	store := kb.NewStore(swapGraph("A"))
 	e, err := repair.NewEngineStore(swapRules(), store, swapSchema, repair.Options{})
@@ -277,9 +277,9 @@ func TestHotSwapSerialStream(t *testing.T) {
 }
 
 // stepReader yields its chunks one Read at a time, invoking between
-// just before a new chunk (after the first) starts being read. On the
-// serial streaming path the reader is only consulted once buffered
-// rows are repaired and flushed, so between interleaves
+// just before a new chunk (after the first) starts being read. The
+// stream consults the reader only once buffered rows are repaired and
+// flushed, so between interleaves
 // deterministically with row processing.
 type stepReader struct {
 	chunks  []string

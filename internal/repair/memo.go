@@ -3,16 +3,15 @@
 // Repair is a pure function of (rule set, KB generation, tuple
 // values): the engine is read-only after construction and every tuple
 // pins one frozen graph for its whole repair. That makes whole
-// outcomes cacheable across chunks, requests, and connections — not
-// just within one pipeline chunk — and real dirty data is heavily
-// value-skewed (Zipf), so a small bounded cache absorbs most of the
-// stream. The memo caches whole-tuple outcomes keyed by a 64-bit
-// fingerprint of (schema, cell values, marks): repaired values, marks,
-// and the quarantine/step-budget verdict, so a replay is
-// byte-identical to a fresh repair, degradation semantics included. A
-// novel tuple misses here even when it shares hot values with earlier
-// traffic; its node checks for those values are answered by the
-// catalog's candidate cache (see rules.Catalog.CandidatesOn).
+// outcomes cacheable across rows, requests, and connections, and real
+// dirty data is heavily value-skewed (Zipf), so a small bounded cache
+// absorbs most of the stream. The memo caches whole-tuple outcomes
+// keyed by a 64-bit fingerprint of (schema, cell values, marks):
+// repaired values, marks, and the quarantine/step-budget verdict, so a
+// replay is byte-identical to a fresh repair, degradation semantics
+// included. A novel tuple misses here even when it shares hot values
+// with earlier traffic; its node checks for those values are answered
+// by the catalog's candidate cache (see rules.Catalog.CandidatesOn).
 //
 // The memo is sharded 64 ways by the fingerprint's high bits, each
 // shard guarded by one mutex and bounded by an intrusive CLOCK over a
@@ -24,12 +23,14 @@
 // generations are strictly increasing and never reused, so a stale
 // entry can be wasted but never wrong. Fingerprints are verified
 // against the full stored key on every hit, so a 64-bit collision
-// degrades to a miss instead of a wrong answer.
+// degrades to a miss instead of a wrong answer. Entries keep the
+// caller's input strings as they are: table tuples are owned, and a
+// csv.Reader builds fresh cell strings for every record even with
+// ReuseRecord set.
 package repair
 
 import (
 	"math/bits"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -359,12 +360,11 @@ func (m *repairMemo) getRowInto(gen int64, fp uint64, rec []string, tup *relatio
 
 // putTuple inserts the repair of (origVals, origMk) → (out, oc, conf)
 // under generation gen. conf is the row confidence stored alongside
-// the outcome (single-engine paths pass 1). owned says the input
-// strings are safe to retain (deep-copied rows, table tuples); when
-// false (the serial stream's ReuseRecord buffers) every retained
-// string is cloned first. Oversized entries are dropped rather than
+// the outcome (single-engine paths pass 1). The entry keeps the
+// strings of origVals, which must not be mutated afterwards; only the
+// slices are copied. Oversized entries are dropped rather than
 // thrashing the CLOCK.
-func (m *repairMemo) putTuple(gen int64, fp uint64, origVals []string, origMk []bool, out *relation.Tuple, oc tupleOutcome, conf float64, owned bool) {
+func (m *repairMemo) putTuple(gen int64, fp uint64, origVals []string, origMk []bool, out *relation.Tuple, oc tupleOutcome, conf float64) {
 	size := int64(tupleEntryOverhead) + rowBytes(origVals) + rowBytes(out.Values) + int64(len(origVals)+2*len(out.Values))
 	if size > m.tupleBudget {
 		return
@@ -396,15 +396,15 @@ func (m *repairMemo) putTuple(gen int64, fp uint64, origVals []string, origMk []
 	e := &s.slots[i]
 	e.fp, e.gen, e.oc, e.conf, e.bytes = fp, gen, oc, conf, size
 	e.used, e.ref = true, true
-	e.orig = copyRowInto(e.orig, origVals, owned)
+	e.orig = copyRowInto(e.orig, origVals)
 	if anyMarked(origMk) {
 		e.origMk = append(e.origMk[:0], origMk...)
 	} else {
 		e.origMk = nil
 	}
 	// Repaired values: a cell the repair left byte-identical shares the
-	// (possibly cloned) original string; a rewritten cell holds a
-	// KB-owned canonical string, safe to retain as-is.
+	// original string; a rewritten cell holds a KB-owned canonical
+	// string, safe to retain as-is.
 	if cap(e.vals) < len(out.Values) {
 		e.vals = make([]string, len(out.Values))
 	}
@@ -448,20 +448,14 @@ func (s *tupleShard) evictTuple(budget int64, c *memoCounters, keep int32) {
 	}
 }
 
-// copyRowInto reuses dst's capacity; !owned additionally clones every
-// string so nothing retained aliases a csv.Reader's reused buffers.
-func copyRowInto(dst, src []string, owned bool) []string {
+// copyRowInto copies src's string headers into dst, reusing its
+// capacity.
+func copyRowInto(dst, src []string) []string {
 	if cap(dst) < len(src) {
 		dst = make([]string, len(src))
 	}
 	dst = dst[:len(src)]
-	if owned {
-		copy(dst, src)
-	} else {
-		for i, v := range src {
-			dst[i] = strings.Clone(v)
-		}
-	}
+	copy(dst, src)
 	return dst
 }
 
@@ -516,7 +510,7 @@ const (
 // memo served the row. rec's strings may be retained by the memo, so
 // they must not alias a reused read buffer.
 func (e *Engine) RepairRow(dst *relation.Tuple, rec []string) (RowOutcome, bool) {
-	oc, hit := e.repairRowMemo(dst, rec, true)
+	oc, hit := e.repairRowMemo(dst, rec)
 	return RowOutcome(oc), hit
 }
 
@@ -525,8 +519,8 @@ func (e *Engine) RepairRow(dst *relation.Tuple, rec []string) (RowOutcome, bool)
 // counted), then insertion — so the memo entry's generation is
 // exactly the generation the repair ran on. tup is left holding the
 // row to emit (repaired on OK, original otherwise). rec must be
-// unmarked input; owned follows putTuple's contract.
-func (e *Engine) repairRowMemo(tup *relation.Tuple, rec []string, owned bool) (tupleOutcome, bool) {
+// unmarked input, and the memo may keep its strings (see putTuple).
+func (e *Engine) repairRowMemo(tup *relation.Tuple, rec []string) (tupleOutcome, bool) {
 	if rr := e.recorder; rr != nil {
 		rr.Record(rec)
 	}
@@ -559,7 +553,7 @@ func (e *Engine) repairRowMemo(tup *relation.Tuple, rec []string, owned bool) (t
 		// verdict must not decide the probe, and the fresh verdict below
 		// overwrites (heals) the poisoned entry.
 		if oc, _, ok := memo.getRowInto(gen, fp, rec, tup); ok {
-			e.count(oc, nil)
+			e.count(oc)
 			return oc, true
 		}
 	}
@@ -571,7 +565,7 @@ func (e *Engine) repairRowMemo(tup *relation.Tuple, rec []string, owned bool) (t
 		// a replay must degrade identically.
 		copyRecInto(tup, rec)
 	}
-	memo.putTuple(gen, fp, rec, nil, tup, oc, 1, owned)
+	memo.putTuple(gen, fp, rec, nil, tup, oc, 1)
 	return oc, false
 }
 

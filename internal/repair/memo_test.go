@@ -251,13 +251,13 @@ func TestFaultMemoQuarantineReplay(t *testing.T) {
 }
 
 // TestMemoStreamByteIdenticalUnderReload is the concurrency property
-// test of the acceptance criteria: a Zipf-skewed stream cleaned by
-// the memoized parallel pipeline — while the KB is concurrently
+// test of the memo: a Zipf-skewed stream cleaned by two concurrent
+// streams on one memoized engine — while the KB is concurrently
 // hot-swapped to freshly built, semantically identical graphs, each
 // swap bumping the generation and invalidating the memo — must be
-// byte-identical to a memo-disabled serial reference. Run under
-// -race (the `make race` lane) this also proves the memo's sharded
-// state is race-clean against concurrent reloads.
+// byte-identical to a memo-disabled reference. Run under -race (the
+// `make race` lane) this also proves the memo's sharded state is
+// race-clean against concurrent streams and reloads.
 func TestMemoStreamByteIdenticalUnderReload(t *testing.T) {
 	// Zipf-skewed corpus over a small set of distinct dirty rows.
 	cities := []string{"ParisX", "Paris", "PariA", "ParisQQ", "Pari"}
@@ -282,7 +282,7 @@ func TestMemoStreamByteIdenticalUnderReload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e, store := memoEngine(t, repair.Options{Workers: 4, ChunkSize: 32})
+	e, store := memoEngine(t, repair.Options{})
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -302,16 +302,17 @@ func TestMemoStreamByteIdenticalUnderReload(t *testing.T) {
 	}()
 
 	for pass := 1; pass <= 2; pass++ {
-		var got bytes.Buffer
-		res, err := e.CleanCSVStreamContext(context.Background(), strings.NewReader(corpus.String()), &got, true)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("pass %d: memoized parallel output differs from memo-disabled serial reference", pass)
-		}
-		if res.Rows != wantRes.Rows || res.Quarantined != wantRes.Quarantined || res.BudgetExhausted != wantRes.BudgetExhausted {
-			t.Fatalf("pass %d: accounting differs: %+v vs %+v", pass, res, wantRes)
+		outs, ress, errs := streamConcurrently(e.CleanCSVStreamContext, corpus.String(), 2, true)
+		for s, res := range ress {
+			if errs[s] != nil {
+				t.Fatalf("pass %d stream %d: %v", pass, s, errs[s])
+			}
+			if outs[s] != want.String() {
+				t.Fatalf("pass %d stream %d: memoized output differs from memo-disabled reference", pass, s)
+			}
+			if res.Rows != wantRes.Rows || res.Quarantined != wantRes.Quarantined || res.BudgetExhausted != wantRes.BudgetExhausted {
+				t.Fatalf("pass %d stream %d: accounting differs: %+v vs %+v", pass, s, res, wantRes)
+			}
 		}
 	}
 	close(done)

@@ -54,25 +54,6 @@ func (c *statsCounters) snapshot() Stats {
 // Stats returns a snapshot of the engine's lifetime counters.
 func (e *Engine) Stats() Stats { return e.stats.snapshot() }
 
-// countN tallies n identical outcomes at once. It is the streaming
-// pipeline's per-chunk flush for dedup-served rows: folding a chunk's
-// duplicates into one atomic add per counter keeps the workers'
-// remaining cross-core traffic O(chunks) instead of O(rows).
-func (e *Engine) countN(oc tupleOutcome, n int64) {
-	if n <= 0 {
-		return
-	}
-	e.instr.outcomes[oc].Add(n)
-	switch oc {
-	case tupleOK:
-		e.stats.repaired.Add(n)
-	case tupleBudgetExhausted:
-		e.stats.budgetExhausted.Add(n)
-	case tupleQuarantined:
-		e.stats.quarantined.Add(n)
-	}
-}
-
 // tupleOutcome classifies how one per-tuple repair ended.
 type tupleOutcome uint8
 
@@ -82,26 +63,16 @@ const (
 	tupleQuarantined
 )
 
-// count tallies the outcome into the engine's lifetime counters, the
-// process-wide telemetry registry, and the per-call snapshot, when one
-// is supplied.
-func (e *Engine) count(oc tupleOutcome, call *Stats) {
+// count tallies the outcome into the engine's lifetime counters and
+// the process-wide telemetry registry.
+func (e *Engine) count(oc tupleOutcome) {
 	e.instr.outcomes[oc].Inc()
 	switch oc {
 	case tupleOK:
 		e.stats.repaired.Add(1)
-		if call != nil {
-			call.Repaired++
-		}
 	case tupleBudgetExhausted:
 		e.stats.budgetExhausted.Add(1)
-		if call != nil {
-			call.BudgetExhausted++
-		}
 	case tupleQuarantined:
 		e.stats.quarantined.Add(1)
-		if call != nil {
-			call.Quarantined++
-		}
 	}
 }

@@ -28,13 +28,10 @@ type StreamResult struct {
 	// BudgetExhausted counts rows that exceeded the fixpoint step
 	// budget and were emitted unchanged.
 	BudgetExhausted int
-	// Deduped counts rows whose repair was answered from a cache
-	// instead of being recomputed: the global cross-request memo when
-	// it is enabled (serial and parallel paths alike, and across
-	// chunks and calls), otherwise the parallel pipeline's in-chunk
-	// duplicate cache (always 0 on the serial path). Each served row
-	// is counted exactly once, and still counts in Rows and in the
-	// outcome tallies above.
+	// Deduped counts rows answered from the global cross-request memo
+	// instead of being recomputed (always 0 with the memo disabled).
+	// Each served row is counted exactly once, and still counts in
+	// Rows and in the outcome tallies above.
 	Deduped int
 
 	// Ensemble-mode confidence accounting (zero on single-engine
@@ -50,9 +47,11 @@ type StreamResult struct {
 
 // CleanCSVStream cleans CSV row by row without materializing the
 // table — the shape needed for inputs larger than memory (the paper's
-// engine is embarrassingly per-tuple, §V-B). The first record must be
-// a header matching the engine's schema. Marked cells get a "+"
-// suffix when marked is true. It returns the number of rows cleaned.
+// engine is embarrassingly per-tuple, §V-B, so a caller wanting more
+// cores splits the input across concurrent streams). The first record
+// must be a header matching the engine's schema. Marked cells get a
+// "+" suffix when marked is true. It returns the number of rows
+// cleaned.
 func (e *Engine) CleanCSVStream(r io.Reader, w io.Writer, marked bool) (int, error) {
 	res, err := e.CleanCSVStreamContext(context.Background(), r, w, marked)
 	return res.Rows, err
@@ -67,10 +66,6 @@ func (e *Engine) CleanCSVStream(r io.Reader, w io.Writer, marked bool) (int, err
 // validation errors are returned plain (nothing was written). A row
 // whose repair panics or exhausts the step budget is emitted
 // unchanged and tallied, not treated as a failure.
-//
-// With Options.Workers > 1 the rows are repaired by the chunked
-// parallel pipeline (see pipeline.go); the output bytes, the flush
-// cadence and the error semantics are identical to the serial path.
 func (e *Engine) CleanCSVStreamContext(ctx context.Context, r io.Reader, w io.Writer, marked bool) (StreamResult, error) {
 	return e.cleanCSVStream(ctx, r, w, marked, false)
 }
@@ -121,24 +116,22 @@ func (e *Engine) cleanCSVStream(ctx context.Context, r io.Reader, w io.Writer, m
 	if err := cw.Write(outHeader); err != nil {
 		return res, err
 	}
-	// Steady-state cleaning reuses the reader's record buffer; the
-	// serial path consumes each record before the next read, and the
-	// parallel reader stage deep-copies rows before they cross the
-	// chunk channel.
+	// Steady-state cleaning reuses the reader's record slice, and each
+	// record is consumed before the next read. The cell strings are
+	// fresh per record (encoding/csv reuses only the slice), so the
+	// memo may keep them.
 	cr.ReuseRecord = true
-	if e.opts.Workers > 1 {
-		return e.cleanStreamParallel(ctx, cr, cw, len(header), marked, ens)
-	}
-	return e.cleanStreamSerial(ctx, cr, cw, len(header), marked, ens)
+	return e.cleanRows(ctx, cr, cw, len(header), marked, ens)
 }
 
 // formatConf renders a row confidence for the CSV confidence column.
 func formatConf(conf float64) string { return strconv.FormatFloat(conf, 'f', 3, 64) }
 
-// cleanStreamSerial is the single-core streaming path: one record, one
-// tuple, and the engine's pooled repair state are reused, so the only
-// per-row allocations left are the rewritten cell values themselves.
-func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.Writer, arity int, marked, ens bool) (StreamResult, error) {
+// cleanRows is the streaming loop: one record, one tuple, and the
+// engine's pooled repair state are reused, so the only per-row
+// allocations left are the decoded record, the rewritten cell values
+// and, on a memo miss, the memo entry.
+func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, arity int, marked, ens bool) (StreamResult, error) {
 	var res StreamResult
 	// partial wraps a mid-stream failure: everything written so far is
 	// pushed through to the sink first, so the error's Done count is
@@ -171,13 +164,11 @@ func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.
 		if len(rec) != arity {
 			return partial(fmt.Errorf("repair: CSV line %d has %d fields, want %d", lineno, len(rec), arity))
 		}
-		// owned=false: with ReuseRecord the record's strings alias the
-		// reader's buffer, so anything the memo retains is cloned.
 		var oc tupleOutcome
 		var hit bool
 		if ens {
 			var conf float64
-			oc, conf, hit = e.repairRowEnsembleMemo(ctx, tup, rec, false)
+			oc, conf, hit = e.repairRowEnsembleMemo(ctx, tup, rec)
 			res.ConfidenceSum += conf
 			if conf < res.MinConfidence {
 				res.MinConfidence = conf
@@ -187,7 +178,7 @@ func (e *Engine) cleanStreamSerial(ctx context.Context, cr *csv.Reader, cw *csv.
 			}
 			out[arity] = formatConf(conf)
 		} else {
-			oc, hit = e.repairRowMemo(tup, rec, false)
+			oc, hit = e.repairRowMemo(tup, rec)
 		}
 		switch oc {
 		case tupleQuarantined:
@@ -241,7 +232,7 @@ func (e *Engine) repairRowSafeOn(g *kb.Graph, tup *relation.Tuple, probe bool) (
 			oc = tupleQuarantined
 			e.breakerObserve(st, oc)
 		}
-		e.count(oc, nil)
+		e.count(oc)
 	}()
 	if e.runFast(tup, st) {
 		oc = tupleOK

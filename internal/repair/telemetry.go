@@ -41,10 +41,8 @@ type engineInstr struct {
 	// outcomes is indexed by tupleOutcome and counted on every tuple.
 	outcomes [3]*telemetry.Counter
 
-	// streamChunks counts chunks processed by the parallel streaming
-	// pipeline; streamDeduped counts rows answered by the in-chunk
-	// dedup instead of a fresh repair.
-	streamChunks  *telemetry.Counter
+	// streamDeduped counts streamed rows answered by the repair memo
+	// instead of a fresh repair.
 	streamDeduped *telemetry.Counter
 }
 
@@ -83,10 +81,8 @@ func newEngineInstr(sampleEvery int, reg *telemetry.Registry) *engineInstr {
 		"Tuples repaired, by outcome.", telemetry.Label{Name: "outcome", Value: "budget_exhausted"})
 	in.outcomes[tupleQuarantined] = reg.Counter("detective_repair_tuples_total",
 		"Tuples repaired, by outcome.", telemetry.Label{Name: "outcome", Value: "quarantined"})
-	in.streamChunks = reg.Counter("detective_stream_chunks_total",
-		"Chunks processed by the parallel streaming pipeline.")
 	in.streamDeduped = reg.Counter("detective_stream_dedup_rows_total",
-		"Streamed rows answered from a cache instead of a fresh repair: the global repair memo when enabled, otherwise the in-chunk duplicate map. Each served row counts exactly once.")
+		"Streamed rows answered from the global repair memo instead of a fresh repair. Each served row counts exactly once.")
 	return in
 }
 

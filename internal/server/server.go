@@ -18,10 +18,10 @@
 // concurrency limit that sheds overload with 429 + Retry-After, and
 // every per-tuple failure (panic, step-budget exhaustion) is
 // quarantined by the engine instead of failing the request. Errors are
-// JSON envelopes: {"error":{"status":...,"message":...}}. With
-// Config.StreamWorkers > 1, each /clean request's rows are repaired by
-// the chunked parallel pipeline with ordered reassembly — same output
-// bytes, more cores per stream.
+// JSON envelopes: {"error":{"status":...,"message":...}}. Each /clean
+// request streams its rows through one repair loop; tuples are
+// independent (§V-B), so the server's parallelism comes from
+// concurrent requests.
 //
 // Every route is instrumented through internal/telemetry: per-route
 // request counters and latency histograms, an in-flight gauge,
@@ -90,16 +90,6 @@ type Config struct {
 	// SlowRequestThreshold is the latency above which a request is
 	// logged as slow (sampled, with its request ID). Default 5s.
 	SlowRequestThreshold time.Duration
-	// StreamWorkers fans each POST /clean request's repair work out
-	// over this many pipeline workers (repair.Options.Workers). 0 or 1
-	// keeps the serial per-request path — the right default when the
-	// server is already saturated by MaxConcurrent parallel requests;
-	// raise it when individual large streams need to finish faster
-	// than one core allows. Output is byte-identical either way.
-	StreamWorkers int
-	// StreamChunkSize is the rows-per-chunk of the streaming pipeline
-	// when StreamWorkers > 1. 0 picks repair.DefaultStreamChunkSize.
-	StreamChunkSize int
 	// MemoBytes is the byte budget of the engine's global
 	// cross-request repair memo (repair.Options.MemoBytes): repeated
 	// tuples across requests and connections are answered from cache,
@@ -281,8 +271,6 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 		store.SetRetain(cfg.RetainGenerations)
 	}
 	e, err := repair.NewEngineStore(drs, store, schema, repair.Options{
-		Workers:      cfg.StreamWorkers,
-		ChunkSize:    cfg.StreamChunkSize,
 		MemoBytes:    cfg.MemoBytes,
 		MemoDisabled: cfg.MemoDisabled,
 		Breaker:      cfg.Breaker,
