@@ -53,10 +53,13 @@ chaos:
 # same delta applied to the text-parsed base), the KB text parser must
 # re-encode to a fixed point, and the flat signature index must
 # return exactly what the map-based reference index returns, in the
-# same order, and a /clean body must stream to the same bytes and
-# counts with the repair memo on, replayed from the memo, and off.
-# FuzzCleanCSVStream caps input minimization at 200 runs: minimizing a
-# mutation of its 24 KB seed would otherwise take the whole FUZZTIME.
+# same order, a /clean body must stream to the same bytes and counts
+# with the repair memo on, replayed from the memo, and off, and a DKBS
+# snapshot must load to an error or to a graph that freezes, verifies
+# and round-trips (the mmap path must not panic on it either).
+# FuzzCleanCSVStream and FuzzLoadSnapshot cap input minimization at 200
+# runs: minimizing a mutation of a 24 KB CSV or a 247 KB snapshot seed
+# would otherwise take the whole FUZZTIME.
 # Crashers land in the package's testdata/fuzz/ and then run as plain
 # tests.
 FUZZTIME ?= 15s
@@ -65,6 +68,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzParseKB$$' -fuzztime $(FUZZTIME) ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	go test -run '^$$' -fuzz '^FuzzCleanCSVStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/repair
 

@@ -17,6 +17,7 @@ import (
 	"detective/internal/dataset"
 	"detective/internal/eval"
 	"detective/internal/katara"
+	"detective/internal/kb"
 	"detective/internal/relation"
 	"detective/internal/repair"
 )
@@ -215,12 +216,27 @@ func BenchmarkKATARATuple(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineConstruction times building an engine and its
+// signature indexes. The indexes belong to the graph, so each op
+// parses and freezes a graph no engine has read yet, with the timer
+// stopped.
 func BenchmarkEngineConstruction(b *testing.B) {
 	bundle := dataset.NewNobel(1, 500)
+	var text bytes.Buffer
+	if err := bundle.Yago.Encode(&text); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := repair.NewEngine(bundle.Rules, bundle.Yago, bundle.Schema)
+		b.StopTimer()
+		g, err := kb.Parse(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Freeze()
+		b.StartTimer()
+		e, err := repair.NewEngine(bundle.Rules, g, bundle.Schema)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -474,9 +474,9 @@ func writeRepairBench(path string) error {
 	// POST /reload of the same snapshot pays before it serves — mmap
 	// plus Freeze, which Store.Swap always runs — and KBApplyDelta* is
 	// the apply POST /reload?delta=1 pays at ~1% and ~10% churn. Each
-	// is a few percent of a promotion, which also runs verify.Check,
-	// the canary's shadow replay and Engine.Warm; perfbench's
-	// promote_*_ms_p50 time the whole path.
+	// is a few percent of a promotion, which also runs verify.Check
+	// and the canary's shadow replay; perfbench's promote_*_ms_p50 time
+	// the whole path.
 	// The engines and registry above stay reachable until here; clear
 	// the heap before the load-vs-delta series so GC assist built up
 	// by 30s of prior benchmarks doesn't skew either side.
@@ -527,15 +527,18 @@ func writeRepairBench(path string) error {
 	// engine over the mmap'd, frozen Nobel-4000 snapshot and runs Warm,
 	// which builds every rule class's signature index — the
 	// repair.build and repair.warm layers of perfbench's admit trace.
+	// Each op maps a graph no engine has read yet, timer stopped.
 	nobelBench := dataset.NewNobel(1, 4000)
-	warmKB, err := kb.LoadSnapshotFile(snapPath)
-	if err != nil {
-		return err
-	}
-	warmKB.Freeze()
 	results = append(results, record("RepairWarm", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			warmKB, err := kb.LoadSnapshotFile(snapPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			warmKB.Freeze()
+			b.StartTimer()
 			e, err := repair.NewEngineStore(nobelBench.Rules, kb.NewStore(warmKB), nobelBench.Schema, repair.Options{})
 			if err != nil {
 				b.Fatal(err)
@@ -547,6 +550,7 @@ func writeRepairBench(path string) error {
 	// Tenant cold admission, end to end: two tenants thrash a
 	// residency cap of 1, so every resolve is a full cold admission —
 	// mmap the snapshot, build the engine, evict the previous tenant.
+	// It builds no signature index; the tenant's first request does.
 	// This is the registry's worst-case request and the price of
 	// configuring far more tenants than the cap.
 	rulesPath := filepath.Join(benchDir, "rules.dr")

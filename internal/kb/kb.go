@@ -14,7 +14,10 @@ package kb
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
+
+	"detective/internal/similarity"
 )
 
 // ID is a dense interned identifier for a node (instance, class or
@@ -104,6 +107,12 @@ type Graph struct {
 	typeClosure  idSpans // instance -> all classes (incl. superclasses)
 	literalClass ID      // interned "literal" pseudo-class
 
+	// nameIdx holds the class name indexes built so far (see
+	// NameIndex); idxMu serializes their builds. Mutators that change
+	// class membership drop them.
+	idxMu   sync.RWMutex
+	nameIdx map[ID]*similarity.StringIndex
+
 	fp atomic.Pointer[fpMemo] // cached content fingerprint; see delta.go
 }
 
@@ -148,6 +157,7 @@ func (g *Graph) intern(name string, kind Kind) ID {
 	if id, ok := g.byName[name]; ok {
 		if g.kinds[id] == KindUnknown && kind != KindUnknown {
 			g.kinds[id] = kind
+			g.nameIdx = nil // the literal class may have grown
 		}
 		return id
 	}
@@ -157,6 +167,7 @@ func (g *Graph) intern(name string, kind Kind) ID {
 	g.out.addNode()
 	g.in.addNode()
 	g.byName[name] = id
+	g.nameIdx = nil
 	g.gen++
 	return id
 }
@@ -286,7 +297,7 @@ func (g *Graph) AddTypeID(inst, cls ID) {
 	}
 	g.types[inst] = append(g.types[inst], cls)
 	g.instOf[cls] = append(g.instOf[cls], inst)
-	g.closureDirty = true
+	g.closureDirty, g.nameIdx = true, nil
 	g.gen++
 }
 
@@ -305,7 +316,7 @@ func (g *Graph) AddSubclassID(sub, super ID) {
 	}
 	g.superOf[sub] = append(g.superOf[sub], super)
 	g.subOf[super] = append(g.subOf[super], sub)
-	g.closureDirty = true
+	g.closureDirty, g.nameIdx = true, nil
 	g.gen++
 }
 
@@ -497,6 +508,54 @@ func (g *Graph) InstancesOf(cls ID) []ID {
 	}
 	g.ensureClosures()
 	return g.instClosure.view(cls)
+}
+
+// NameIndexMaxED is the largest edit-distance threshold a name index
+// answers: PASS-JOIN segments are fixed when the index is built.
+const NameIndexMaxED = 3
+
+// NameIndex returns the signature index over the names of cls's
+// instances (InstancesOf), each entry's payload its node ID, and
+// builds it the first time it is read. Every reader of the graph
+// shares one index per class: concurrent first reads build it once,
+// under the graph's lock. A mutation that changes class membership
+// drops the built indexes, and the next read builds afresh.
+func (g *Graph) NameIndex(cls ID) *similarity.StringIndex {
+	g.idxMu.RLock()
+	ix := g.nameIdx[cls]
+	g.idxMu.RUnlock()
+	if ix != nil {
+		return ix
+	}
+	g.idxMu.Lock()
+	defer g.idxMu.Unlock()
+	if ix := g.nameIdx[cls]; ix != nil {
+		return ix
+	}
+	insts := g.InstancesOf(cls)
+	names := make([]string, len(insts))
+	payloads := make([]int32, len(insts))
+	for i, inst := range insts {
+		names[i], payloads[i] = g.Name(inst), int32(inst)
+	}
+	ix = similarity.BuildStringIndex(NameIndexMaxED, names, payloads)
+	if g.nameIdx == nil {
+		g.nameIdx = make(map[ID]*similarity.StringIndex)
+	}
+	g.nameIdx[cls] = ix
+	return ix
+}
+
+// IndexedNames returns the number of names in the name indexes built
+// so far.
+func (g *Graph) IndexedNames() int {
+	g.idxMu.RLock()
+	defer g.idxMu.RUnlock()
+	n := 0
+	for _, ix := range g.nameIdx {
+		n += ix.Len()
+	}
+	return n
 }
 
 func (g *Graph) literals() []ID {

@@ -40,7 +40,8 @@ package kb
 // it must decode (counts, preds) and bounds-checks every span table
 // against its arena, so a corrupt file fails the load or panics on a
 // bounds check rather than reading wild memory — but it does not CRC
-// the big arenas (touching every page would defeat the ~0ms load).
+// the big arenas or range-check the node IDs in them (touching every
+// page would defeat the ~0ms load). The decode path does both.
 // Deploy pipelines should run `kbtool verify` (which uses the fully
 // checksummed decode path) before promoting a snapshot.
 
@@ -857,10 +858,27 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	if cast == nil {
 		cast = decodeSections
 	}
+	decoded := caster == nil
 	want := func(id byte, bytes int) ([]byte, error) {
 		p := section(id)
 		if len(p) != bytes {
 			return nil, fmt.Errorf("kb: snapshot section %d: got %d bytes, counts say %d", id, len(p), bytes)
+		}
+		return p, nil
+	}
+	// wantIDs is want for an arena of node IDs (edges are pred/to ID
+	// pairs). The decode path rejects an ID outside the node range,
+	// naming the section; the mmap path leaves the arenas unread at
+	// load (see the trust model above).
+	wantIDs := func(id byte, bytes int) ([]byte, error) {
+		p, err := want(id, bytes)
+		if err != nil || !decoded {
+			return p, err
+		}
+		for i := 0; i+4 <= len(p); i += 4 {
+			if v := int32(binary.LittleEndian.Uint32(p[i:])); v < 0 || int(v) >= c.numNodes {
+				return nil, fmt.Errorf("kb: snapshot section %d (%s): ID %d out of range of %d nodes", id, v2SectionNames[id], v, c.numNodes)
+			}
 		}
 		return p, nil
 	}
@@ -923,7 +941,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 		if err != nil {
 			return err
 		}
-		ip, err := want(idsID, 4*idsLen)
+		ip, err := wantIDs(idsID, 4*idsLen)
 		if err != nil {
 			return err
 		}
@@ -950,7 +968,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 		if err != nil {
 			return err
 		}
-		ep, err := want(edgesID, 8*c.tripleCount)
+		ep, err := wantIDs(edgesID, 8*c.tripleCount)
 		if err != nil {
 			return err
 		}
@@ -975,7 +993,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 		if err != nil {
 			return nil, err
 		}
-		ip, err := want(idsID, 4*idsLen)
+		ip, err := wantIDs(idsID, 4*idsLen)
 		if err != nil {
 			return nil, err
 		}
@@ -986,7 +1004,7 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 			used:  used,
 			shift: 64 - log2(size),
 		}
-		nonzero := 0
+		nonzero, total := 0, 0
 		for i, k := range t.keys {
 			if k == 0 {
 				continue
@@ -996,9 +1014,19 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 			if int(s.off)+int(s.n) > idsLen || s.cap < s.n {
 				return nil, fmt.Errorf("kb: snapshot section %d: slot %d span out of range", spansID, i)
 			}
+			total += int(s.n)
+			if !decoded {
+				continue
+			}
+			if j, _ := t.find(k); j != i {
+				return nil, fmt.Errorf("kb: snapshot section %d: slot %d holds a key that probing finds in slot %d", keysID, i, j)
+			}
 		}
 		if nonzero != used {
 			return nil, fmt.Errorf("kb: snapshot section %d: %d occupied slots, counts say %d", keysID, nonzero, used)
+		}
+		if total != idsLen {
+			return nil, fmt.Errorf("kb: snapshot section %d: spans hold %d IDs, arena has %d", spansID, total, idsLen)
 		}
 		return t, nil
 	}
@@ -1045,12 +1073,20 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 }
 
 // checkSpans bounds-checks a span table against its arena length so
-// every later view stays inside the section.
+// every later view stays inside the section, and requires the spans to
+// hold as many entries as the arena, as the canonical writer lays
+// them out; otherwise a re-written snapshot would disagree with its
+// own counts.
 func checkSpans(secID byte, spans []pairSpan, arenaLen int) error {
+	total := 0
 	for i, s := range spans {
 		if int(s.off)+int(s.n) > arenaLen || s.cap < s.n {
 			return fmt.Errorf("kb: snapshot section %d: span %d out of range of arena %d", secID, i, arenaLen)
 		}
+		total += int(s.n)
+	}
+	if total != arenaLen {
+		return fmt.Errorf("kb: snapshot section %d: spans hold %d entries, arena has %d", secID, total, arenaLen)
 	}
 	return nil
 }

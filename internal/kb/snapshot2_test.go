@@ -77,6 +77,9 @@ func v2TestGraph() *Graph {
 	return g
 }
 
+// V2TestGraph exports v2TestGraph to the external FuzzLoadSnapshot.
+var V2TestGraph = v2TestGraph
+
 func TestSnapshotV2RoundTripDecode(t *testing.T) {
 	g := v2TestGraph()
 	snap := snap2Bytes(t, g)
@@ -296,6 +299,24 @@ func TestSnapshotV2Corruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[dirOff+4:], crc)
 			return b
 		}), "name offsets"},
+		{"type ID out of range", mutate(func(b []byte) []byte {
+			// An instance's class ID past the node range, CRC re-sealed:
+			// Freeze would index its closure tables with it.
+			dirOff, e := findV2Section(t, b, sec2TypeIDs)
+			binary.LittleEndian.PutUint32(b[e.off:], 1<<30)
+			crc := crc32.Checksum(b[e.off:e.off+e.n], crcTable)
+			binary.LittleEndian.PutUint32(b[dirOff+4:], crc)
+			return b
+		}), "(typeIDs): ID 1073741824 out of range"},
+		{"edge ID out of range", mutate(func(b []byte) []byte {
+			// The first out-edge's predicate past the node range, CRC
+			// re-sealed: Name(e.Pred) would panic on it.
+			dirOff, e := findV2Section(t, b, sec2OutEdges)
+			binary.LittleEndian.PutUint32(b[e.off:], 1<<30)
+			crc := crc32.Checksum(b[e.off:e.off+e.n], crcTable)
+			binary.LittleEndian.PutUint32(b[dirOff+4:], crc)
+			return b
+		}), "(outEdges): ID 1073741824 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

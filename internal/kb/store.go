@@ -14,10 +14,11 @@ import (
 //
 // Swap guarantees the incoming graph's Generation is strictly greater
 // than the outgoing one's. Caches keyed on a graph's generation
-// (rules.Catalog's candidate cache and signature indexes) therefore
-// distinguish pre- and post-swap content with a single integer
-// compare, and entries tagged with an older generation can never be
-// served against the new graph.
+// (rules.Catalog's candidate cache) therefore distinguish pre- and
+// post-swap content with a single integer compare, and entries tagged
+// with an older generation can never be served against the new graph.
+// The signature indexes need no such key: each graph owns its own
+// (Graph.NameIndex), so restamping a graph's generation keeps them.
 //
 // Graphs handed to NewStore or Swap must be fully loaded; the store
 // freezes them (forcing the lazy closures) before publishing, so every

@@ -633,7 +633,9 @@ func (r *Registry) TenantLoader(name string) func() (*kb.Graph, error) {
 
 // Warm admits the named tenants (all configured tenants when names is
 // empty, in LRU-safe config order) up to the residency cap, so a
-// fresh process can pre-load its hot set before taking traffic.
+// fresh process can pre-load its hot set before taking traffic. It
+// loads each KB and builds each engine; the signature indexes wait for
+// the first request that reads them.
 func (r *Registry) Warm(names ...string) error {
 	if len(names) == 0 {
 		names = r.TenantNames()

@@ -18,8 +18,9 @@ import (
 // Engine applies a set of consistent detective rules to tuples of one
 // schema against one KB. Build it once and reuse it across tuples;
 // it is safe for concurrent use after construction as long as the KB
-// has been frozen, except that the lazy per-class signature indexes
-// are built on first use (call Warm to pre-build them).
+// has been frozen. The per-class signature indexes belong to the graph
+// (kb.Graph.NameIndex): the first lookup that reads one builds it, once
+// per graph, and every engine on that graph shares it.
 //
 // Every memoizable node/edge check is assigned a dense integer ID at
 // construction time, so the per-tuple hot path never hashes a string:
@@ -345,16 +346,17 @@ func (e *Engine) Rules() []*rules.DR { return e.Graph.Rules }
 // worker starts; in-flight tuples finish on the graph they pinned.
 func (e *Engine) Store() *kb.Store { return e.Cat.Store() }
 
-// Warm pre-builds the per-class signature indexes and seeds the
-// catalog's cross-tuple candidate cache by issuing one lookup per
-// distinct (type, sim) pair over every rule node — evidence, positive
-// and negative alike — so later timing measurements exclude index
-// construction.
+// Warm builds on the current graph the signature index of every class
+// a rule node names, evidence, positive and negative alike, by issuing
+// one lookup per distinct (type, sim) pair, so later timings exclude
+// index construction. Benchmarks and the Figure 8 timings call it;
+// serving never does, and builds only the indexes its lookups read.
 func (e *Engine) Warm() {
 	type pair struct {
 		typ string
 		sim similarity.Spec
 	}
+	g := e.Cat.Graph()
 	seen := make(map[pair]bool)
 	warm := func(n rules.Node) {
 		p := pair{n.Type, n.Sim}
@@ -362,7 +364,7 @@ func (e *Engine) Warm() {
 			return
 		}
 		seen[p] = true
-		e.Cat.Candidates(n.Type, n.Sim, "")
+		e.Cat.CandidatesOn(g, n.Type, n.Sim, "")
 	}
 	for _, m := range e.fast {
 		for _, n := range m.Rule.Evidence {
@@ -907,9 +909,10 @@ func (e *Engine) RepairTableWithAlternatives(tb *relation.Table, fast bool) (*re
 // RepairTableParallel is RepairTable with the fast engine fanned out
 // over workers goroutines (0 = GOMAXPROCS). Tuples are independent —
 // "repairing one tuple is irrelevant to any other tuple" (§V-B) — so
-// this is a straight data-parallel map; the engine is warmed first so
-// workers share read-only indexes. Tuples whose repair panics are
-// quarantined (emitted unchanged) rather than crashing the run.
+// this is a straight data-parallel map; workers share the graph's
+// read-only indexes, each built by the first lookup that reads it.
+// Tuples whose repair panics are quarantined (emitted unchanged)
+// rather than crashing the run.
 func (e *Engine) RepairTableParallel(tb *relation.Table, workers int) *relation.Table {
 	out, _, _ := e.RepairTableContext(context.Background(), tb, workers)
 	return out
@@ -926,7 +929,6 @@ func (e *Engine) RepairTableContext(ctx context.Context, tb *relation.Table, wor
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e.Warm()
 	// The KB's lazy closures must be materialized before fan-out.
 	// (Graphs published through a kb.Store are frozen already; this
 	// covers direct-constructed engines whose graph mutated since.)

@@ -309,13 +309,13 @@ func TestCleanCSVStreamMatchesTable(t *testing.T) {
 	}
 }
 
-// TestStreamParallelDedup feeds a duplicate-heavy stream (each source
+// TestCleanCSVStreamDedup feeds a duplicate-heavy stream (each source
 // row repeated in a burst, as in the UIS-style duplicate generators)
 // and locks down the dedup accounting: with the global memo each
 // memo-served row counts exactly once in Deduped; with the memo
 // disabled nothing is served from a cache. Either way the output bytes
 // are the same.
-func TestStreamParallelDedup(t *testing.T) {
+func TestCleanCSVStreamDedup(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	dup := &relation.Table{Schema: ex.Schema}
 	for _, tu := range ex.Dirty.Tuples {
@@ -353,11 +353,11 @@ func TestStreamParallelDedup(t *testing.T) {
 	})
 }
 
-// TestStreamParallelReaderError checks a mid-stream input failure:
+// TestCleanCSVStreamPartialOnBadRecord checks a mid-stream input failure:
 // every row before the bad record is cleaned, flushed and counted
 // exactly as a clean stream of those rows alone would write it, and
 // the error arrives as a *PartialError naming the offending line.
-func TestStreamParallelReaderError(t *testing.T) {
+func TestCleanCSVStreamPartialOnBadRecord(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	prefix := streamCase{"prefix", ex.Rules, ex.KB, ex.Schema, tableCSV(t, ex.Dirty)}
 	want, _, err := cleanStream(t, prefix, repair.Options{}, true)
@@ -382,9 +382,9 @@ func TestStreamParallelReaderError(t *testing.T) {
 	}
 }
 
-// TestStreamParallelEmptyInput: a header-only stream must produce a
+// TestCleanCSVStreamHeaderOnly: a header-only stream must produce a
 // header-only output and no error.
-func TestStreamParallelEmptyInput(t *testing.T) {
+func TestCleanCSVStreamHeaderOnly(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	tc := streamCase{"empty", ex.Rules, ex.KB, ex.Schema,
 		strings.Join(ex.Schema.Attrs, ",") + "\n"}

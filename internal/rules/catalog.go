@@ -11,9 +11,9 @@ import (
 )
 
 // MaxEDThreshold is the largest edit-distance threshold rule nodes may
-// use. The per-class signature indexes are built once with this bound
-// (PASS-JOIN segments are fixed at index-build time).
-const MaxEDThreshold = 3
+// use: the bound the graph's class name indexes are built with
+// (kb.NameIndexMaxED).
+const MaxEDThreshold = kb.NameIndexMaxED
 
 // DefaultCandidateCacheSize is the total number of candidate lists the
 // cross-tuple cache retains before evicting (spread across its
@@ -25,6 +25,9 @@ const DefaultCandidateCacheSize = 1 << 16
 // shard pick is a mask. Sharding keeps the read-mostly cache from
 // serializing RepairTableParallel workers on one lock.
 const candShards = 64
+
+// shardCap is the per-shard entry bound.
+const shardCap = DefaultCandidateCacheSize / candShards
 
 // candKey identifies one candidate retrieval: (class ID, sim spec,
 // value). Spec is a small comparable struct, so the key hashes without
@@ -65,58 +68,46 @@ type candShard struct {
 	m  map[candKey]candEntry
 }
 
-// idxKey identifies one per-class signature index: indexes are keyed
-// by (class, graph generation) because class IDs are only meaningful
-// within one graph.
-type idxKey struct {
-	cls kb.ID
-	gen int64
-}
-
 // Catalog answers "which KB instances of class T match value v under
-// sim?" — the instance-matching primitive of §IV-B(2). It lazily
-// builds one signature-based StringIndex per KB class, shared by all
-// rules and all tuples, so similarity matching never scans a class
+// sim?" — the instance-matching primitive of §IV-B(2). Retrieval runs
+// on the graph's per-class signature indexes (kb.Graph.NameIndex),
+// which the graph builds on first read and shares with every catalog
+// and engine reading it, so similarity matching never scans a class
 // extent.
 //
 // In front of the indexes sits a sharded, read-mostly *candidate
 // cache* keyed by (class, sim, value): the repeated values that
 // dominate real dirty tables hit the cache instead of re-running
-// q-gram/PASS-JOIN retrieval.
+// q-gram/PASS-JOIN retrieval. The catalog counts its own cache and
+// index lookups, so engines sharing a graph keep separate accounts.
 //
 // The catalog reads its KB through a kb.Store, so the graph can be
 // hot-swapped while repairs are streaming. Correctness across a swap
 // rests on generations (kb.Store.Swap stamps each incoming graph
 // strictly above its predecessor): cache entries are tagged with the
 // generation they were computed under and only hit when the tag
-// matches the caller's pinned graph, and signature indexes are keyed
-// by (class, generation) with the two most recent generations
-// retained — in-flight tuples that pinned the old graph keep full
-// index service through the swap window. Callers doing multi-step
-// work pin a graph once (Graph()) and use the ...On variants.
+// matches the caller's pinned graph. In-flight tuples that pinned the
+// old graph keep reading its indexes through the swap window. Callers
+// doing multi-step work pin a graph once (Graph()) and use the ...On
+// methods.
 type Catalog struct {
 	store *kb.Store
 
-	mu  sync.RWMutex
-	idx map[idxKey]*similarity.StringIndex
-
-	cacheCap     int // per-shard entry bound; 0 disables the cache
-	gen          atomic.Int64
-	shards       [candShards]candShard
-	hits, misses atomic.Int64
+	gen                atomic.Int64
+	shards             [candShards]candShard
+	hits, misses       atomic.Int64 // candidate-cache lookups
+	idxHits, idxMisses atomic.Int64 // signature-index lookups
 }
 
-// NewCatalog creates a catalog over a fixed graph g with the default
-// candidate cache size. For hot-swappable serving use NewCatalogStore.
+// NewCatalog creates a catalog over a fixed graph g. For
+// hot-swappable serving use NewCatalogStore.
 func NewCatalog(g *kb.Graph) *Catalog {
 	return NewCatalogStore(kb.NewStore(g))
 }
 
-// NewCatalogStore creates a catalog reading the current graph of s
-// with the default candidate cache size.
+// NewCatalogStore creates a catalog reading the current graph of s.
 func NewCatalogStore(s *kb.Store) *Catalog {
-	c := &Catalog{store: s, idx: make(map[idxKey]*similarity.StringIndex)}
-	c.cacheCap = DefaultCandidateCacheSize / candShards
+	c := &Catalog{store: s}
 	c.gen.Store(-1)
 	return c
 }
@@ -128,20 +119,6 @@ func (c *Catalog) Graph() *kb.Graph { return c.store.Graph() }
 
 // Store returns the underlying swappable KB handle.
 func (c *Catalog) Store() *kb.Store { return c.store }
-
-// SetCacheSize re-bounds the candidate cache to about n entries in
-// total; n <= 0 disables caching entirely. Existing entries are
-// dropped.
-func (c *Catalog) SetCacheSize(n int) {
-	if n <= 0 {
-		c.cacheCap = 0
-	} else if n < candShards {
-		c.cacheCap = 1
-	} else {
-		c.cacheCap = n / candShards
-	}
-	c.Invalidate()
-}
 
 // CacheStats reports candidate-cache hits, misses, and the current
 // number of cached lists.
@@ -155,55 +132,28 @@ func (c *Catalog) CacheStats() (hits, misses int64, size int) {
 	return c.hits.Load(), c.misses.Load(), size
 }
 
-// IndexStats aggregates hit/miss/size accounting over every built
-// per-class signature index (similarity.StringIndex.Stats): hits are
-// lookups that found at least one candidate, size is the total number
-// of indexed instance names. Together with CacheStats this makes both
-// caching layers — the candidate cache in front, the signature
-// indexes behind it — observable through the same telemetry registry.
+// IndexStats reports this catalog's signature-index lookups — hits
+// found at least one candidate, misses found none — and the number of
+// names in the current graph's built indexes. The indexes belong to
+// the graph, the lookup counts to the catalog: a canary's scratch
+// engines reading the same graph never move the serving engine's
+// counts. Together with CacheStats this makes both layers — the
+// candidate cache in front, the signature indexes behind it —
+// observable through the same telemetry registry.
 func (c *Catalog) IndexStats() (hits, misses int64, size int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, ix := range c.idx {
-		h, m, s := ix.Stats()
-		hits += h
-		misses += m
-		size += s
-	}
-	return hits, misses, size
-}
-
-// Invalidate drops the candidate cache and the per-class signature
-// indexes. Lookups rebuild both lazily. It is not needed around KB
-// swaps or mutations — advance handles those via generations — but
-// remains useful to release memory.
-func (c *Catalog) Invalidate() {
-	c.mu.Lock()
-	c.idx = make(map[idxKey]*similarity.StringIndex)
-	c.mu.Unlock()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = nil
-		sh.mu.Unlock()
-	}
+	return c.idxHits.Load(), c.idxMisses.Load(), c.store.Graph().IndexedNames()
 }
 
 // advance notes that a reader is operating at generation gen. When gen
 // moves past the highest generation seen so far (a KB swap or
-// mutation), the candidate-cache shards are cleared — their
-// generation tags already prevent stale hits, clearing just frees the
-// memory promptly — and signature indexes older than the previous
-// generation are pruned, keeping at most the last two generations
-// alive for stragglers. Readers on older graphs (gen below current)
-// advance nothing.
+// mutation), the candidate-cache shards are cleared: their generation
+// tags already prevent stale hits, clearing just frees the memory
+// promptly. Readers on older graphs (gen below current) advance
+// nothing.
 func (c *Catalog) advance(gen int64) {
 	cur := c.gen.Load()
-	if gen <= cur {
-		return
-	}
-	if !c.gen.CompareAndSwap(cur, gen) {
-		return // someone else advanced concurrently
+	if gen <= cur || !c.gen.CompareAndSwap(cur, gen) {
+		return // nothing new, or someone else advanced concurrently
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -211,55 +161,14 @@ func (c *Catalog) advance(gen int64) {
 		sh.m = nil
 		sh.mu.Unlock()
 	}
-	c.mu.Lock()
-	for k := range c.idx {
-		if k.gen != gen && k.gen != cur {
-			delete(c.idx, k)
-		}
-	}
-	c.mu.Unlock()
 }
 
-// classIndex returns (building on first use) the signature index over
-// the instance names of cls in g. Indexes are per-generation, so
-// concurrent readers on pre- and post-swap graphs each get an index
-// built from their own graph.
-func (c *Catalog) classIndex(g *kb.Graph, cls kb.ID) *similarity.StringIndex {
-	key := idxKey{cls: cls, gen: g.Generation()}
-	c.mu.RLock()
-	ix, ok := c.idx[key]
-	c.mu.RUnlock()
-	if ok {
-		return ix
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ix, ok := c.idx[key]; ok {
-		return ix
-	}
-	insts := g.InstancesOf(cls)
-	names := make([]string, len(insts))
-	payloads := make([]int32, len(insts))
-	for i, inst := range insts {
-		names[i], payloads[i] = g.Name(inst), int32(inst)
-	}
-	ix = similarity.BuildStringIndex(MaxEDThreshold, names, payloads)
-	c.idx[key] = ix
-	return ix
-}
-
-// Candidates returns the instances of class typeName whose names match
-// value under spec, evaluated against the store's current graph. See
-// CandidatesOn for the pinned-graph variant multi-step callers need.
-func (c *Catalog) Candidates(typeName string, spec similarity.Spec, value string) []kb.ID {
-	return c.CandidatesOn(c.store.Graph(), typeName, spec, value)
-}
-
-// CandidatesOn is Candidates against an explicitly pinned graph. A
-// type unknown to the KB yields no candidates. The returned slice may
-// be shared with the cache and other callers — treat it as read-only.
-// Edit-distance specs beyond MaxEDThreshold are rejected at rule
-// validation time; reaching here with one is a programming error.
+// CandidatesOn returns the instances of class typeName in g whose
+// names match value under spec. A type unknown to the KB yields no
+// candidates. The returned slice may be shared with the cache and
+// other callers — treat it as read-only. Edit-distance specs beyond
+// MaxEDThreshold are rejected at rule validation time; reaching here
+// with one is a programming error.
 func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) []kb.ID {
 	if spec.Op == similarity.OpED && spec.K > MaxEDThreshold {
 		panic(fmt.Sprintf("rules: ED threshold %d exceeds MaxEDThreshold %d", spec.K, MaxEDThreshold))
@@ -267,9 +176,6 @@ func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spe
 	cls := g.Lookup(typeName)
 	if cls == kb.Invalid {
 		return nil
-	}
-	if c.cacheCap == 0 {
-		return c.retrieve(g, cls, spec, value)
 	}
 	gen := g.Generation()
 	c.advance(gen)
@@ -291,11 +197,11 @@ func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spe
 		// it megabytes of zeroed memory.
 		sh.m = make(map[candKey]candEntry)
 	}
-	if len(sh.m) >= c.cacheCap {
+	if len(sh.m) >= shardCap {
 		// The shard is full: evict an arbitrary eighth. Map iteration
 		// order is effectively random, which is eviction enough for a
 		// cache whose working set is the table's value distribution.
-		drop := c.cacheCap/8 + 1
+		drop := shardCap/8 + 1
 		for k := range sh.m {
 			delete(sh.m, k)
 			if drop--; drop == 0 {
@@ -308,12 +214,14 @@ func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spe
 	return out
 }
 
-// retrieve runs the underlying signature-index lookup on g.
+// retrieve runs the signature-index lookup on g and counts it.
 func (c *Catalog) retrieve(g *kb.Graph, cls kb.ID, spec similarity.Spec, value string) []kb.ID {
-	raw := c.classIndex(g, cls).Lookup(spec, value)
+	raw := g.NameIndex(cls).Lookup(spec, value)
 	if len(raw) == 0 {
+		c.idxMisses.Add(1)
 		return nil
 	}
+	c.idxHits.Add(1)
 	out := make([]kb.ID, len(raw))
 	for i, p := range raw {
 		out[i] = kb.ID(p)
@@ -321,29 +229,19 @@ func (c *Catalog) retrieve(g *kb.Graph, cls kb.ID, spec similarity.Spec, value s
 	return out
 }
 
-// HasCandidate reports whether Candidates would be non-empty; it is
-// the node-level check memoized by the fast repair engine.
-func (c *Catalog) HasCandidate(typeName string, spec similarity.Spec, value string) bool {
-	return len(c.Candidates(typeName, spec, value)) > 0
-}
-
-// HasCandidateOn is HasCandidate against a pinned graph.
+// HasCandidateOn reports whether CandidatesOn would be non-empty; it
+// is the node-level check memoized by the fast repair engine.
 func (c *Catalog) HasCandidateOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) bool {
 	return len(c.CandidatesOn(g, typeName, spec, value)) > 0
 }
 
-// CandidatesScan is the unindexed counterpart of Candidates: it
+// CandidatesScanOn is the unindexed counterpart of CandidatesOn: it
 // enumerates every instance of the class and tests the matching
 // operation directly, the O(|C|·|X|) per-node cost the paper charges
 // to the basic repair algorithm (§IV-A complexity analysis). The fast
 // repair algorithm replaces this with the signature indexes. It is
 // deliberately uncached: it models the basic algorithm's cost, and
 // caching it would corrupt the ablation contrast.
-func (c *Catalog) CandidatesScan(typeName string, spec similarity.Spec, value string) []kb.ID {
-	return c.CandidatesScanOn(c.store.Graph(), typeName, spec, value)
-}
-
-// CandidatesScanOn is CandidatesScan against a pinned graph.
 func (c *Catalog) CandidatesScanOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) []kb.ID {
 	cls := g.Lookup(typeName)
 	if cls == kb.Invalid {
@@ -358,12 +256,8 @@ func (c *Catalog) CandidatesScanOn(g *kb.Graph, typeName string, spec similarity
 	return out
 }
 
-// Lookup retrieves candidates with or without the signature indexes.
-func (c *Catalog) Lookup(typeName string, spec similarity.Spec, value string, scan bool) []kb.ID {
-	return c.LookupOn(c.store.Graph(), typeName, spec, value, scan)
-}
-
-// LookupOn is Lookup against a pinned graph.
+// LookupOn retrieves candidates on g with or without the signature
+// indexes.
 func (c *Catalog) LookupOn(g *kb.Graph, typeName string, spec similarity.Spec, value string, scan bool) []kb.ID {
 	if scan {
 		return c.CandidatesScanOn(g, typeName, spec, value)

@@ -3,6 +3,8 @@ package rules_test
 import (
 	"fmt"
 	"reflect"
+	"strconv"
+	"sync"
 	"testing"
 
 	"detective/internal/dataset"
@@ -17,16 +19,17 @@ import (
 func TestCandidateCacheHits(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	cat := rules.NewCatalog(ex.KB)
+	g := cat.Graph()
 	specs := []similarity.Spec{similarity.Eq, similarity.EDK(2), similarity.JaccardAtLeast(0.5)}
 	values := []string{"Avram Hershko", "Hershko", "Haifa", "nope", ""}
 	for _, sp := range specs {
 		for _, v := range values {
-			first := cat.Candidates("Nobel laureates in Chemistry", sp, v)
-			again := cat.Candidates("Nobel laureates in Chemistry", sp, v)
+			first := cat.CandidatesOn(g, "Nobel laureates in Chemistry", sp, v)
+			again := cat.CandidatesOn(g, "Nobel laureates in Chemistry", sp, v)
 			if !reflect.DeepEqual(first, again) {
 				t.Fatalf("%v %q: cached result %v != first %v", sp, v, again, first)
 			}
-			want := cat.CandidatesScan("Nobel laureates in Chemistry", sp, v)
+			want := cat.CandidatesScanOn(g, "Nobel laureates in Chemistry", sp, v)
 			if !sameIDSet(first, want) {
 				t.Fatalf("%v %q: cached %v, scan %v", sp, v, first, want)
 			}
@@ -50,46 +53,75 @@ func TestCandidateCacheInvalidation(t *testing.T) {
 	g.AddType("Haifa", "city")
 	cat := rules.NewCatalog(g)
 
-	if got := cat.Candidates("city", similarity.Eq, "Karcag"); len(got) != 0 {
-		t.Fatalf("Candidates(Karcag) = %v before it exists", got)
+	if got := cat.CandidatesOn(g, "city", similarity.Eq, "Karcag"); len(got) != 0 {
+		t.Fatalf("CandidatesOn(Karcag) = %v before it exists", got)
 	}
 	g.AddType("Karcag", "city")
-	if got := cat.Candidates("city", similarity.Eq, "Karcag"); len(got) != 1 {
-		t.Fatalf("Candidates(Karcag) = %v after adding it (stale cache?)", got)
+	if got := cat.CandidatesOn(g, "city", similarity.Eq, "Karcag"); len(got) != 1 {
+		t.Fatalf("CandidatesOn(Karcag) = %v after adding it (stale cache?)", got)
 	}
 }
 
-// TestCandidateCacheDisabled: SetCacheSize(0) must fall back to
-// direct index lookups with identical results.
-func TestCandidateCacheDisabled(t *testing.T) {
-	ex := dataset.NewPaperExample()
-	cached := rules.NewCatalog(ex.KB)
-	uncached := rules.NewCatalog(ex.KB)
-	uncached.SetCacheSize(0)
-	for _, v := range []string{"Avram Hershko", "Technion", "bogus"} {
-		a := cached.Candidates("Nobel laureates in Chemistry", similarity.EDK(1), v)
-		b := uncached.Candidates("Nobel laureates in Chemistry", similarity.EDK(1), v)
-		if !sameIDSet(a, b) {
-			t.Fatalf("%q: cached %v, uncached %v", v, a, b)
-		}
-	}
-	if hits, _, size := uncached.CacheStats(); hits != 0 || size != 0 {
-		t.Errorf("disabled cache recorded hits=%d size=%d", hits, size)
-	}
-}
-
-// TestCandidateCacheBound: the cache must respect its size bound
-// under a stream of distinct keys instead of growing without limit.
+// TestCandidateCacheBound: the cache must respect its default size
+// bound under a stream of distinct keys instead of growing without
+// limit.
 func TestCandidateCacheBound(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	cat := rules.NewCatalog(ex.KB)
-	const bound = 256
-	cat.SetCacheSize(bound)
-	for i := 0; i < 50*bound; i++ {
-		cat.Candidates("Nobel laureates in Chemistry", similarity.Eq, fmt.Sprintf("value-%d", i))
+	g := cat.Graph()
+	for i := 0; i < 3*rules.DefaultCandidateCacheSize; i++ {
+		cat.CandidatesOn(g, "city", similarity.Eq, strconv.Itoa(i))
 	}
-	if _, _, size := cat.CacheStats(); size > 2*bound {
-		t.Errorf("cache size %d exceeds bound %d by more than slack", size, bound)
+	if _, _, size := cat.CacheStats(); size > rules.DefaultCandidateCacheSize {
+		t.Errorf("cache size %d exceeds bound %d", size, rules.DefaultCandidateCacheSize)
+	}
+}
+
+// TestIndexStatsPerCatalog: two catalogs on one graph share its
+// signature indexes but count their own lookups. Lookups through the
+// second catalog, concurrent with the first's, must not move the first
+// catalog's hits and misses, and both report the size of every index
+// built on the graph, whichever catalog's lookup built it.
+func TestIndexStatsPerCatalog(t *testing.T) {
+	ex := dataset.NewPaperExample()
+	g := ex.KB
+	a, b := rules.NewCatalog(g), rules.NewCatalog(g)
+	if got := a.CandidatesOn(g, "city", similarity.Eq, "Haifa"); len(got) != 1 {
+		t.Fatalf("city Haifa = %v", got)
+	}
+	if got := b.CandidatesOn(g, "country", similarity.Eq, "Israel"); len(got) != 1 {
+		t.Fatalf("country Israel = %v", got)
+	}
+	// Distinct values miss the candidate cache, so every lookup below
+	// reaches an index and finds nothing there.
+	const workers, per = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				a.CandidatesOn(g, "city", similarity.Eq, fmt.Sprintf("a-%d-%d", w, i))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				b.CandidatesOn(g, "country", similarity.Eq, fmt.Sprintf("b-%d-%d", w, i))
+			}
+		}()
+	}
+	wg.Wait()
+
+	want := len(g.InstancesOf(g.Lookup("city"))) + len(g.InstancesOf(g.Lookup("country")))
+	for name, cat := range map[string]*rules.Catalog{"a": a, "b": b} {
+		h, m, size := cat.IndexStats()
+		if h != 1 || m != workers*per {
+			t.Errorf("catalog %s: index hits=%d misses=%d, want 1 and %d", name, h, m, workers*per)
+		}
+		if size != want {
+			t.Errorf("catalog %s: index size %d, want %d (city and country, built on the graph)", name, size, want)
+		}
 	}
 }
 

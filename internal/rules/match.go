@@ -956,15 +956,10 @@ func (s *workspace) nodeCandidates(row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
 	return dst
 }
 
-// NodeCheck reports whether t can match node n at the value level:
-// some KB instance of n's type matches t[col(n)] under n's sim. It is
-// the unit the fast repair engine memoizes across rules (Figure 5 node
-// keys).
-func (m *Matcher) NodeCheck(t *relation.Tuple, n Node) bool {
-	return m.NodeCheckOn(m.Cat.Graph(), t, n)
-}
-
-// NodeCheckOn is NodeCheck against a pinned graph.
+// NodeCheckOn reports whether t can match node n at the value level
+// on g: some KB instance of n's type matches t[col(n)] under n's sim.
+// It is the unit the fast repair engine memoizes across rules (Figure 5
+// node keys).
 func (m *Matcher) NodeCheckOn(g *kb.Graph, t *relation.Tuple, n Node) bool {
 	col := m.Schema.Col(n.Col)
 	if col < 0 {

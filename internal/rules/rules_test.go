@@ -264,15 +264,15 @@ func TestNodeAndEdgeChecks(t *testing.T) {
 	r1 := ex.Dirty.Tuples[0]
 	nameNode := m.Rule.Evidence[0]
 	instNode := m.Rule.Evidence[1]
-	if !m.NodeCheck(r1, nameNode) {
-		t.Error("NodeCheck(Name) = false")
+	if !m.NodeCheckOn(ex.KB, r1, nameNode) {
+		t.Error("NodeCheckOn(Name) = false")
 	}
-	if !m.NodeCheck(r1, instNode) {
-		t.Error("NodeCheck(Institution) = false")
+	if !m.NodeCheckOn(ex.KB, r1, instNode) {
+		t.Error("NodeCheckOn(Institution) = false")
 	}
 	bogus := rules.Node{Name: "x", Col: "Name", Type: "no-such-class", Sim: similarity.Eq}
-	if m.NodeCheck(r1, bogus) {
-		t.Error("NodeCheck(bogus type) = true")
+	if m.NodeCheckOn(ex.KB, r1, bogus) {
+		t.Error("NodeCheckOn(bogus type) = true")
 	}
 }
 
@@ -294,11 +294,11 @@ func TestNodeKeySharing(t *testing.T) {
 func TestCatalogUnknownType(t *testing.T) {
 	ex, _ := fixture(t)
 	cat := rules.NewCatalog(ex.KB)
-	if got := cat.Candidates("no-such-class", similarity.Eq, "x"); got != nil {
-		t.Errorf("Candidates(unknown class) = %v", got)
+	if got := cat.CandidatesOn(ex.KB, "no-such-class", similarity.Eq, "x"); got != nil {
+		t.Errorf("CandidatesOn(unknown class) = %v", got)
 	}
-	if cat.HasCandidate("no-such-class", similarity.Eq, "x") {
-		t.Error("HasCandidate(unknown class) = true")
+	if cat.HasCandidateOn(ex.KB, "no-such-class", similarity.Eq, "x") {
+		t.Error("HasCandidateOn(unknown class) = true")
 	}
 }
 
@@ -306,9 +306,9 @@ func TestCatalogTaxonomyCandidates(t *testing.T) {
 	ex, _ := fixture(t)
 	cat := rules.NewCatalog(ex.KB)
 	// "person" has no direct instances; only via taxonomy.
-	got := cat.Candidates("person", similarity.Eq, "Marie Curie")
+	got := cat.CandidatesOn(ex.KB, "person", similarity.Eq, "Marie Curie")
 	if len(got) != 1 || ex.KB.Name(got[0]) != "Marie Curie" {
-		t.Errorf("Candidates(person) = %v", got)
+		t.Errorf("CandidatesOn(person) = %v", got)
 	}
 }
 

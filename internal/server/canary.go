@@ -53,7 +53,9 @@ type CanaryReport struct {
 // (Config.VerifyMode) and a shadow replay of recently served rows
 // before it is promoted. The replay runs on scratch engines with
 // private telemetry, so serving metrics see nothing; the serving
-// engine keeps answering requests on the live graph throughout. On
+// engine keeps answering requests on the live graph throughout. The
+// signature indexes the replay builds stay on the candidate graph, so
+// the serving engine reads them after promotion. On
 // promotion the displaced graph joins the retention ring for rollback,
 // and — when Config.CanaryWatch is set — a watchdog observes the first
 // rows served by the new generation and rolls back automatically if
@@ -142,7 +144,6 @@ func (s *Server) stageLocked(g *kb.Graph, loadTime time.Duration) (int64, *Canar
 	if loadTime > 0 {
 		s.loadSeconds.Set(loadTime.Seconds())
 	}
-	s.engine.Warm()
 	s.log.Info("kb canary promoted",
 		"generation", gen,
 		"nodes", g.NumNodes(),
@@ -311,10 +312,6 @@ func (s *Server) rollback(expectGen int64, reason string) (int64, error) {
 		return 0, err
 	}
 	s.rollbackTotal.Inc()
-	// The retained graph is already frozen and warm indexes keyed by
-	// its generation may still exist, but re-warm off the request path
-	// in case they were evicted while it sat in the ring.
-	s.engine.Warm()
 	s.refreshSuspicion(now)
 	s.log.Warn("kb rolled back",
 		"generation", now.Generation(),

@@ -10,18 +10,18 @@
 //	GET  /rules          the loaded rule set in the rule text format
 //	GET  /stats          KB, rule-set and engine statistics as JSON
 //	GET  /healthz        liveness (the process is up)
-//	GET  /readyz         readiness (warmed and not draining)
+//	GET  /readyz         readiness (built and not draining)
 //
 // The handler is safe for concurrent requests: the engine is read-only
-// after construction and is pre-warmed at server creation. Requests
-// run under a per-request deadline, cleaning endpoints behind a
-// concurrency limit that sheds overload with 429 + Retry-After, and
-// every per-tuple failure (panic, step-budget exhaustion) is
-// quarantined by the engine instead of failing the request. Errors are
-// JSON envelopes: {"error":{"status":...,"message":...}}. Each /clean
-// request streams its rows through one repair loop; tuples are
-// independent (§V-B), so the server's parallelism comes from
-// concurrent requests.
+// after construction, and each signature index is built on the graph,
+// once, by the first request that reads it. Requests run under a
+// per-request deadline, cleaning endpoints behind a concurrency limit
+// that sheds overload with 429 + Retry-After, and every per-tuple
+// failure (panic, step-budget exhaustion) is quarantined by the engine
+// instead of failing the request. Errors are JSON envelopes:
+// {"error":{"status":...,"message":...}}. Each /clean request streams
+// its rows through one repair loop; tuples are independent (§V-B), so
+// the server's parallelism comes from concurrent requests.
 //
 // Every route is instrumented through internal/telemetry: per-route
 // request counters and latency histograms, an in-flight gauge,
@@ -207,7 +207,7 @@ type Server struct {
 	cfg    Config
 	log    *slog.Logger
 	sem    chan struct{} // cleaning-concurrency semaphore
-	ready  atomic.Bool   // readiness: warmed and not draining
+	ready  atomic.Bool   // readiness: built and not draining
 
 	// reloadMu serializes staged reloads and rollbacks: one swap at a
 	// time, so an operator hammering POST /reload cannot interleave
@@ -242,8 +242,9 @@ type Server struct {
 	rollbackTotal       *telemetry.Counter // all rollbacks (manual + auto)
 }
 
-// New builds the server with default Config and pre-warms the
-// engine's indexes.
+// New builds the server with default Config. It builds no signature
+// index: the first request that reads a class's index builds it on the
+// graph.
 func New(drs []*rules.DR, g *kb.Graph, schema *relation.Schema) (*Server, error) {
 	return NewWithConfig(drs, g, schema, Config{})
 }
@@ -280,7 +281,6 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 	if err != nil {
 		return nil, err
 	}
-	e.Warm()
 	s := &Server{
 		engine:     e,
 		store:      store,
@@ -397,7 +397,7 @@ func (s *Server) applySuspicion(g *kb.Graph, vr *verify.Report) {
 
 // registerCacheMetrics exports the catalog's two caching layers as
 // scrape-time series: the cross-tuple candidate cache in front
-// (rules.Catalog.CacheStats) and the per-class signature indexes
+// (rules.Catalog.CacheStats) and the current graph's signature indexes
 // behind it (rules.Catalog.IndexStats). Func collectors replace on
 // re-registration, so the newest server's catalog wins the series.
 func registerCacheMetrics(reg *telemetry.Registry, cat *rules.Catalog, labels []telemetry.Label) {
@@ -417,7 +417,7 @@ func registerCacheMetrics(reg *telemetry.Registry, cat *rules.Catalog, labels []
 		"Signature-index lookups that found no candidate.",
 		func() float64 { _, m, _ := cat.IndexStats(); return float64(m) }, labels...)
 	reg.GaugeFunc("detective_similarity_index_size",
-		"Instance names indexed across all per-class signature indexes.",
+		"Instance names in the current graph's built signature indexes.",
 		func() float64 { _, _, n := cat.IndexStats(); return float64(n) }, labels...)
 }
 
@@ -792,8 +792,10 @@ type StatsResponse struct {
 	// when the breaker is not configured).
 	Breaker repair.BreakerStats `json:"breaker"`
 	// CandidateCache is the catalog's cross-tuple candidate cache;
-	// SignatureIndex is the per-class signature indexes behind it. The
-	// same numbers are exported as Prometheus series on the ops port.
+	// SignatureIndex counts the catalog's lookups in the per-class
+	// signature indexes behind it, and sizes the current graph's built
+	// indexes. The same numbers are exported as Prometheus series on
+	// the ops port.
 	CandidateCache CacheStats `json:"candidateCache"`
 	SignatureIndex CacheStats `json:"signatureIndex"`
 	// Memo is the global cross-request repair memo of whole-tuple

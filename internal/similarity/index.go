@@ -2,7 +2,6 @@ package similarity
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 )
@@ -31,15 +30,13 @@ import (
 // Payloads are opaque int32 values (the caller typically stores
 // kb.ID). A payload may be added under several strings; one string
 // may carry several payloads.
+//
+// Lookups never write to the index, so once built it serves any number
+// of concurrent readers: kb.Graph.NameIndex builds one per KB class and
+// shares it with every catalog reading the graph. The index keeps no
+// lookup counts; each rules.Catalog counts its own.
 type StringIndex struct {
 	maxK int
-
-	// hits counts Lookup calls that produced at least one candidate;
-	// misses counts the rest — the same shape as the catalog's
-	// candidate-cache stats (rules.Catalog.CacheStats), so both layers
-	// export through one registry. Atomics keep frozen-index lookups
-	// safe for concurrent use.
-	hits, misses atomic.Int64
 
 	strs     []string
 	payloads []int32
@@ -493,36 +490,20 @@ func (c *candSet) add(e int32) bool {
 	return true
 }
 
-// Lookup dispatches on the spec and tallies hit/miss accounting.
+// Lookup dispatches on the spec.
 func (ix *StringIndex) Lookup(spec Spec, q string) []int32 {
 	fireHook(q)
-	var out []int32
 	switch spec.Op {
 	case OpEq:
-		out = ix.LookupEq(q)
+		return ix.LookupEq(q)
 	case OpED:
-		out = ix.LookupED(q, spec.K)
+		return ix.LookupED(q, spec.K)
 	case OpJaccard:
-		out = ix.LookupJaccard(q, spec.Tau)
+		return ix.LookupJaccard(q, spec.Tau)
 	case OpCosine:
-		out = ix.LookupCosine(q, spec.Tau)
-	default:
-		return nil
+		return ix.LookupCosine(q, spec.Tau)
 	}
-	if len(out) > 0 {
-		ix.hits.Add(1)
-	} else {
-		ix.misses.Add(1)
-	}
-	return out
-}
-
-// Stats reports how many Lookup calls found at least one candidate
-// (hits) or none (misses), and the number of indexed entries. It
-// mirrors rules.Catalog.CacheStats so the signature indexes and the
-// candidate cache are observable through the same telemetry registry.
-func (ix *StringIndex) Stats() (hits, misses int64, size int) {
-	return ix.hits.Load(), ix.misses.Load(), ix.Len()
+	return nil
 }
 
 // collect maps entry indexes to their payloads, deduplicating
