@@ -48,7 +48,8 @@ chaos:
 # Native Go fuzzing, FUZZTIME per target (go test -fuzz runs one
 # target at a time): the rule-text parser must re-encode to a fixed
 # point, rule evaluation must return exactly what the map-based
-# reference matcher returns, a POST /reload?delta=1 body must decode
+# reference matcher returns, bRepair and fRepair must reach the same
+# marked tuple on any cell values, a POST /reload?delta=1 body must decode
 # and apply without panicking (and an accepted apply must match the
 # same delta applied to the text-parsed base), the KB text parser must
 # re-encode to a fixed point, and the flat signature index must
@@ -66,6 +67,7 @@ FUZZTIME ?= 15s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseRules$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzEvaluate$$' -fuzztime $(FUZZTIME) ./internal/rules
+	go test -run '^$$' -fuzz '^FuzzBasicFast$$' -fuzztime $(FUZZTIME) ./internal/rules
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzParseKB$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/kb

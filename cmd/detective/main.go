@@ -18,9 +18,7 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +26,7 @@ import (
 	"strings"
 
 	"detective"
+	"detective/internal/relation"
 	"detective/internal/repair"
 	"detective/internal/repair/ensemble"
 	"detective/internal/repair/ensemble/adapters"
@@ -182,8 +181,7 @@ func streamClean(g *detective.KB, rs []*detective.Rule, name, inPath, outPath st
 	if err != nil {
 		fail(fmt.Errorf("reading header of %s: %w", inPath, err))
 	}
-	hr := csv.NewReader(strings.NewReader(header))
-	attrs, err := hr.Read()
+	_, attrs, err := relation.ReadCSVHeader(strings.NewReader(header))
 	fail(err)
 	schema := detective.NewSchema(name, attrs...)
 
@@ -241,17 +239,11 @@ func streamClean(g *detective.KB, rs []*detective.Rule, name, inPath, outPath st
 		res.Rows, res.Quarantined, res.BudgetExhausted, res.Deduped)
 }
 
-// utf8BOM is the byte order mark spreadsheet exports prepend to CSV.
-var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
-
 // readHeader peels the first line off br without its terminator,
-// tolerating a UTF-8 BOM (which would otherwise end up inside the
-// first attribute name) and CR-only line endings (where scanning for
-// '\n' would swallow the whole file as one "header").
+// tolerating CR-only line endings (where scanning for '\n' would
+// swallow the whole file as one "header"). A UTF-8 BOM stays in the
+// line; relation.ReadCSVHeader drops it.
 func readHeader(br *bufio.Reader) (string, error) {
-	if b, err := br.Peek(len(utf8BOM)); err == nil && bytes.Equal(b, utf8BOM) {
-		_, _ = br.Discard(len(utf8BOM))
-	}
 	var sb strings.Builder
 	for {
 		c, err := br.ReadByte()

@@ -13,6 +13,7 @@ import (
 
 	"detective/internal/dataset"
 	"detective/internal/kb"
+	"detective/internal/relation"
 	"detective/internal/repair"
 	"detective/internal/repair/ensemble"
 	"detective/internal/repair/ensemble/adapters"
@@ -41,9 +42,11 @@ func RunEnsemble(d *dataset.Dataset, g *kb.Graph, inj *dataset.Injected) (RunRes
 		return RunResult{}, fmt.Errorf("eval: %s: %w", d.Name, err)
 	}
 	start := time.Now()
-	repaired, _, err := e.RepairTableEnsemble(context.Background(), inj.Dirty)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("eval: %s: %w", d.Name, err)
+	repaired := &relation.Table{Schema: inj.Dirty.Schema, Tuples: make([]*relation.Tuple, inj.Dirty.Len())}
+	for i, t := range inj.Dirty.Tuples {
+		out := &relation.Tuple{Values: make([]string, len(t.Values)), Marked: make([]bool, len(t.Values))}
+		e.RepairRowEnsemble(context.Background(), out, t.Values)
+		repaired.Tuples[i] = out
 	}
 	dur := time.Since(start)
 

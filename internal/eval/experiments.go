@@ -7,6 +7,7 @@ import (
 	"detective/internal/dataset"
 	"detective/internal/katara"
 	"detective/internal/kb"
+	"detective/internal/relation"
 	"detective/internal/repair"
 	"detective/internal/rules"
 )
@@ -335,6 +336,14 @@ type TimeCurve struct {
 	Points []TimePoint
 }
 
+// timedEngine builds an engine for the Figure 8 timings. The repair
+// memo is off: the paper's fRepair has no cross-tuple cache, and with
+// it every timed pass after the first would replay the memo, which
+// bRepair never reads.
+func timedEngine(rs []*rules.DR, g *kb.Graph, schema *relation.Schema) (*repair.Engine, error) {
+	return repair.NewEngineWithOptions(rs, g, schema, repair.Options{MemoDisabled: true})
+}
+
 // timeRepair measures repairing every tuple of inj with the engine,
 // averaged over repeats runs (the paper averaged six). Matching the
 // paper's protocol for Figure 8(a)-(c), the engine is warmed first so
@@ -398,7 +407,7 @@ func Figure8a(cfg ExpConfig) ([]TimeCurve, error) {
 					if len(rs) == 0 {
 						continue
 					}
-					e, err := repair.NewEngine(rs, wb.KB(kbName), d.Schema)
+					e, err := timedEngine(rs, wb.KB(kbName), d.Schema)
 					if err != nil {
 						return nil, err
 					}
@@ -421,7 +430,7 @@ func figure8Rules(b *dataset.Bundle, noise dataset.Noise, repeats int) ([]TimeCu
 			label := fmt.Sprintf("%s(%s)", repairName(fast), kbName)
 			var pts []TimePoint
 			for k := 1; k <= len(b.Rules); k++ {
-				e, err := repair.NewEngine(b.Rules[:k], b.KB(kbName), b.Schema)
+				e, err := timedEngine(b.Rules[:k], b.KB(kbName), b.Schema)
 				if err != nil {
 					return nil, err
 				}
@@ -470,7 +479,7 @@ func Figure8d(cfg ExpConfig) ([]TimeCurve, error) {
 		for _, kbName := range dataset.KBNames {
 			for _, fast := range []bool{false, true} {
 				start := time.Now()
-				e, err := repair.NewEngine(b.Rules, kbs[fast].KB(kbName), b.Schema)
+				e, err := timedEngine(b.Rules, kbs[fast].KB(kbName), b.Schema)
 				if err != nil {
 					return nil, err
 				}

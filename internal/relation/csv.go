@@ -1,17 +1,36 @@
 package relation
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
 )
 
+// utf8BOM is the byte order mark spreadsheet exports write in front
+// of a CSV document.
+const utf8BOM = "\ufeff"
+
+// ReadCSVHeader reads the header record of the CSV document r and
+// returns it with a reader positioned at the first data record
+// (FieldsPerRecord is -1). A UTF-8 byte order mark in front of the
+// document is dropped, so it never becomes part of the first
+// attribute name, quoted or not.
+func ReadCSVHeader(r io.Reader) (*csv.Reader, []string, error) {
+	br := bufio.NewReader(r)
+	if b, err := br.Peek(len(utf8BOM)); err == nil && string(b) == utf8BOM {
+		_, _ = br.Discard(len(utf8BOM)) // cannot fail: Peek buffered these bytes
+	}
+	cr := csv.NewReader(br)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	return cr, header, err
+}
+
 // ReadCSV loads a table from CSV. The first record is the header and
 // becomes the schema's attribute list; name becomes the schema name.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	cr, header, err := ReadCSVHeader(r)
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
 	}

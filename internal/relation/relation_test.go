@@ -161,6 +161,23 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVStripsBOM: a UTF-8 byte order mark in front of the
+// header is not part of the first attribute, quoted or not.
+func TestReadCSVStripsBOM(t *testing.T) {
+	for _, in := range []string{"\ufeffName,City\nx,y\n", "\ufeff\"Name\",City\nx,y\n"} {
+		tb, err := ReadCSV("R", strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("ReadCSV(%q): %v", in, err)
+		}
+		if got := tb.Schema.Attrs; len(got) != 2 || got[0] != "Name" || got[1] != "City" {
+			t.Errorf("ReadCSV(%q) attributes = %q, want [Name City]", in, got)
+		}
+		if tb.Len() != 1 || tb.Tuples[0].Values[0] != "x" {
+			t.Errorf("ReadCSV(%q) rows = %v", in, tb.Tuples)
+		}
+	}
+}
+
 func TestWriteMarkedCSV(t *testing.T) {
 	tb := NewTable(NewSchema("R", "A", "B"))
 	tu := tb.Append("x", "y")

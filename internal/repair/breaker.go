@@ -15,9 +15,12 @@ import (
 // memo is bypassed — until a half-open probe repair succeeds. The zero
 // value leaves the breaker disabled.
 type BreakerOptions struct {
-	// Enabled turns the breaker on for the serving paths
-	// (RepairTable*, streaming cleans, RepairRow). The evaluation
-	// paths (FastRepair, BasicRepair, explanations) never consult it.
+	// Enabled turns the breaker on. Every fast single-tuple repair
+	// consults it: FastRepair, RepairTable* (fast), RepairRow, the
+	// streaming cleans and the ensemble all run through one
+	// read-through. BasicRepair, RepairVersions, RepairWithOrder and
+	// the recording paths (FastRepairExplain, the alternatives of
+	// RepairTableWithAlternatives) never do.
 	Enabled bool
 	// Window is how many full-repair outcomes one sample window holds.
 	// The trip ratio is computed over the current and previous
@@ -261,8 +264,8 @@ func (e *Engine) BreakerStats() BreakerStats {
 	return s
 }
 
-// breakerAdmit consults the global breaker for the next serving-path
-// tuple; (false, false) when the breaker is disabled.
+// breakerAdmit consults the global breaker for the next row of
+// repairInto; (false, false) when the breaker is disabled.
 func (e *Engine) breakerAdmit() (degrade, probe bool) {
 	if e.breaker == nil {
 		return false, false
@@ -271,9 +274,10 @@ func (e *Engine) breakerAdmit() (degrade, probe bool) {
 }
 
 // breakerObserve folds one completed full repair into the global and
-// per-rule breakers. It is called exactly once per non-degraded
-// serving-path tuple — including from panic recovery, where st (though
-// abandoned for pooling) still carries the rule attribution.
+// per-rule breakers. It is called exactly once per full repair that
+// repairInto runs (memo hits and detect-only rows are not samples) —
+// including from panic recovery, where st (though abandoned for
+// pooling) still carries the rule attribution.
 func (e *Engine) breakerObserve(st *fastState, oc tupleOutcome) {
 	bad := oc != tupleOK
 	if b := e.breaker; b != nil {
@@ -300,33 +304,10 @@ func (e *Engine) breakerObserve(st *fastState, oc tupleOutcome) {
 	}
 }
 
-// detectOnlyTupleOn is the degraded clone-based repair: rules evaluate
-// and mark, values stay original, the memo is untouched. Used by the
-// table path while the breaker is open.
-func (e *Engine) detectOnlyTupleOn(g *kb.Graph, t *relation.Tuple) (out *relation.Tuple, oc tupleOutcome) {
-	st := e.getStateOn(g)
-	st.detectOnly = true
-	defer func() {
-		if r := recover(); r != nil {
-			out, oc = t.Clone(), tupleQuarantined
-			e.count(oc)
-		}
-	}()
-	cl := t.Clone()
-	ok := e.runFast(cl, st)
-	e.putState(st)
-	if !ok {
-		out, oc = t.Clone(), tupleBudgetExhausted
-	} else {
-		out, oc = cl, tupleOK
-	}
-	e.count(oc)
-	return out, oc
-}
-
-// detectOnlyRowOn is detectOnlyTupleOn's in-place streaming variant.
-// On a non-OK outcome tup is left marked-but-original or partially
-// marked; the caller restores the original record.
+// detectOnlyRowOn is the breaker's degraded repair of tup in place:
+// rules evaluate and mark, values stay, and the outcome is counted but
+// not fed back into the breaker. On a non-OK outcome tup is left
+// partially marked; the caller restores the input row.
 func (e *Engine) detectOnlyRowOn(g *kb.Graph, tup *relation.Tuple) (oc tupleOutcome) {
 	st := e.getStateOn(g)
 	st.detectOnly = true

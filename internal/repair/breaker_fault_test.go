@@ -181,6 +181,38 @@ func TestFaultBreakerProbeHealsMemoizedQuarantine(t *testing.T) {
 	}
 }
 
+// TestFaultBreakerTableDegrades: the serial RepairTable feeds and obeys
+// the breaker. A storm of poisoned rows through it trips the breaker,
+// and the next table is served detect-only, row for row as RepairRow
+// serves it.
+func TestFaultBreakerTableDegrades(t *testing.T) {
+	o := breakerTestOptions()
+	o.CooldownRows = 64 // stays open for the whole test
+	e, _ := memoEngine(t, repair.Options{Breaker: o})
+	poison := "POISON-CITY-18T"
+	defer faultinject.PanicOnValue(poison)()
+
+	storm := relation.NewTable(swapSchema)
+	for i := 0; i < 6; i++ {
+		storm.Append(poisonedRec(poison, i)...)
+	}
+	e.RepairTable(storm, true)
+	if st := e.BreakerStats(); st.State != "open" || st.Trips != 1 {
+		t.Fatalf("storm through RepairTable did not trip the breaker: %+v", st)
+	}
+
+	healthy := relation.NewTable(swapSchema)
+	healthy.Append("Alice", "ParisX", "EuroX")
+	got := e.RepairTable(healthy, true).Tuples[0]
+	if got.Values[1] != "ParisX" || got.Values[2] != "EuroX" || !got.Marked[1] || !got.Marked[2] {
+		t.Fatalf("RepairTable row = %v, want detect-only marks on the original values", got)
+	}
+	dst := &relation.Tuple{Values: make([]string, 3), Marked: make([]bool, 3)}
+	if oc, hit := e.RepairRow(dst, healthy.Tuples[0].Values); oc != repair.RowRepaired || hit || !got.EqualMarked(dst) {
+		t.Fatalf("RepairRow = (%v, %v) %v, RepairTable %v", oc, hit, dst, got)
+	}
+}
+
 // TestFaultBreakerStreamDegrades runs the storm through the streaming
 // cleaner: rows before the trip repair normally, rows after pass
 // through detect-only, and the stream itself never fails.

@@ -96,7 +96,7 @@ type Engine struct {
 	breaker      *breaker
 	ruleBreakers []breaker
 
-	// recorder samples serving-path input rows for canary shadow
+	// recorder samples the input rows of repairInto for canary shadow
 	// replay; nil unless Options.Recorder was supplied.
 	recorder *RowRecorder
 
@@ -171,8 +171,9 @@ type Options struct {
 	// paths then pay a single nil check per tuple.
 	Breaker BreakerOptions
 
-	// Recorder, when non-nil, samples serving-path input rows into a
-	// ring buffer for canary shadow replay (see RowRecorder).
+	// Recorder, when non-nil, samples the input rows of every fast
+	// single-tuple repair into a ring buffer for canary shadow replay
+	// (see RowRecorder).
 	Recorder *RowRecorder
 
 	// PrivateTelemetry routes this engine's collectors to a throwaway
@@ -181,11 +182,12 @@ type Options struct {
 	// metrics.
 	PrivateTelemetry bool
 
-	// Ensemble configures the serving-path ensemble mode (see
-	// ensemble_engine.go): the detective engine plus the configured
-	// auxiliary proposers vote per cell with confidence weights. The
-	// zero value leaves it off; single-engine paths then pay one nil
-	// check and are byte-identical to an engine built without it.
+	// Ensemble configures the ensemble mode (see ensemble_engine.go):
+	// the detective engine plus the configured auxiliary proposers
+	// vote per cell with confidence weights. Only RepairRowEnsemble
+	// and CleanCSVStreamEnsembleContext vote; every other path stays
+	// single-engine and byte-identical to an engine built without it.
+	// The zero value leaves it off.
 	Ensemble EnsembleOptions
 }
 
@@ -490,122 +492,150 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 // stable); value-level node and edge checks are memoized and shared
 // across rules through the inverted indexes; failed shared evidence
 // checks prune every dependent rule; candidate retrieval uses the
-// signature indexes.
+// signature indexes. Like every fast single-tuple repair it runs
+// through repairInto: the memo may answer t, a configured breaker may
+// serve it detect-only, and a repair that panics returns t unchanged,
+// counted in Stats.Quarantined.
 func (e *Engine) FastRepair(t *relation.Tuple) *relation.Tuple {
-	return e.fastRepair(t, nil)
+	out, _ := e.repairTuple(context.TODO(), t)
+	return out
 }
 
-func (e *Engine) fastRepair(t *relation.Tuple, alts map[string][]string) *relation.Tuple {
-	cl, oc := e.fastRepairOutcome(t, alts)
-	e.count(oc)
-	return cl
+// repairTuple repairs t into a new tuple through repairInto.
+func (e *Engine) repairTuple(ctx context.Context, t *relation.Tuple) (*relation.Tuple, tupleOutcome) {
+	out := &relation.Tuple{Values: make([]string, len(t.Values)), Marked: make([]bool, len(t.Values))}
+	oc, _, _ := e.repairInto(ctx, out, t.Values, t.Marked, false)
+	return out, oc
 }
 
-// fastRepairOutcome is the uncounted core of fastRepair, fronted by
-// the global memo: a hit replays the cached result byte-identically;
-// a miss runs the repair and memoizes it under the generation it
-// pinned. Multi-version runs (alts != nil) bypass the memo — they
-// record per-cell candidate lists the memo does not store.
-func (e *Engine) fastRepairOutcome(t *relation.Tuple, alts map[string][]string) (*relation.Tuple, tupleOutcome) {
-	g := e.Cat.Graph()
-	if e.memo == nil || alts != nil {
-		return e.fastRepairOutcomeOn(g, t, alts)
-	}
-	gen := g.Generation()
-	fp := e.memo.tupleFP(t.Values, t.Marked)
-	if cl, oc, _, ok := e.memo.getTupleClone(gen, fp, t.Values, t.Marked); ok {
-		return cl, oc
-	}
-	cl, oc := e.fastRepairOutcomeOn(g, t, nil)
-	e.memo.putTuple(gen, fp, t.Values, t.Marked, cl, oc, 1)
-	return cl, oc
-}
-
-// fastRepairOutcomeOn is fastRepairOutcome's uncached core, pinned to
-// g for the whole tuple. It returns the repaired clone, or an
-// untouched clone of the original together with tupleBudgetExhausted
-// when the step budget ran out.
-func (e *Engine) fastRepairOutcomeOn(g *kb.Graph, t *relation.Tuple, alts map[string][]string) (*relation.Tuple, tupleOutcome) {
-	cl := t.Clone()
-	st := e.getStateOn(g)
-	st.alts = alts
-	ok := e.runFast(cl, st)
-	e.putState(st)
-	if !ok {
-		// Step budget exhausted: discard the partial repair and keep
-		// the original values.
-		return t.Clone(), tupleBudgetExhausted
-	}
-	return cl, tupleOK
-}
-
-// repairTupleSafe is fastRepairOutcome hardened for serving: a panic
-// anywhere in the repair of this tuple — a poisoned value tripping a
-// similarity kernel, a buggy custom matcher — is caught, the tuple is
-// quarantined (returned as an untouched clone of the original), and
-// the engine keeps going. The panicking repair's pooled state is
-// deliberately abandoned rather than recycled. The outcome is tallied
-// into the engine's lifetime counters here, exactly once.
+// repairInto is the one read-through around a fast single-tuple
+// repair; FastRepair, RepairTable*, RepairRow, the streaming cleaners
+// and the ensemble all call it. It repairs the input row (vals with
+// marks, nil meaning unmarked) into tup, whose Values and Marked have
+// the row's arity, and leaves there the row to emit: repaired on
+// tupleOK, the input otherwise. In order, it
+//   - samples the row for the canary recorder;
+//   - pins one graph, so lookup, repair and insert see one generation;
+//   - while the breaker is open, serves the row detect-only (rules
+//     mark, values stay) and bypasses the memo both ways, so degraded
+//     verdicts never outlive the incident;
+//   - answers from the memo, except on a half-open probe, which runs
+//     fresh so a cached quarantine cannot decide it and its verdict
+//     overwrites the entry; ensemble rows use salted keys;
+//   - runs the repair under the panic quarantine (with ens, alongside
+//     the auxiliary proposers, whose vote then settles tup);
+//   - memoizes the verdict, quarantine and step-budget exhaustion
+//     included, so a replay degrades identically.
 //
-// The memo read-through lives here rather than delegating to
-// fastRepairOutcome so the quarantine verdict is memoized under the
-// same pinned generation the panicking repair ran on: replaying a
-// poisoned row quarantines from the cache without re-tripping the
-// kernel.
-// The circuit breaker fronts everything: while open, the tuple is
-// served detect-only (marks, no rewrites) and the memo is bypassed in
-// both directions; a half-open probe runs a fresh full repair —
-// skipping the memo read so a cached quarantine verdict cannot fail
-// the probe forever — and its outcome decides whether the breaker
-// closes or reopens.
-func (e *Engine) repairTupleSafe(t *relation.Tuple) (out *relation.Tuple, oc tupleOutcome) {
+// It returns the outcome, counted once in the engine's counters, the
+// row confidence (1 without ens) and whether the memo served the row.
+// The memo may keep vals' strings (see putTuple).
+func (e *Engine) repairInto(ctx context.Context, tup *relation.Tuple, vals []string, marks []bool, ens bool) (tupleOutcome, float64, bool) {
 	if rr := e.recorder; rr != nil {
-		rr.Record(t.Values)
+		rr.Record(vals)
 	}
 	g := e.Cat.Graph()
 	degrade, probe := e.breakerAdmit()
-	if degrade {
-		return e.detectOnlyTupleOn(g, t)
-	}
 	memo := e.memo
+	if degrade {
+		memo = nil
+	}
 	var gen int64
 	var fp uint64
 	if memo != nil {
 		gen = g.Generation()
-		fp = memo.tupleFP(t.Values, t.Marked)
+		fp = memo.tupleFP(vals, marks)
+		if ens {
+			fp ^= ensembleFPSalt
+		}
 		if !probe {
-			if cl, moc, _, ok := memo.getTupleClone(gen, fp, t.Values, t.Marked); ok {
-				e.count(moc)
-				return cl, moc
+			if oc, conf, ok := memo.getInto(gen, fp, vals, marks, tup); ok {
+				e.count(oc)
+				return oc, conf, true
 			}
 		}
 	}
+	var vote *ensembleVote
+	if ens && !degrade {
+		vote = e.ens.propose(ctx, vals)
+	}
+	resetRow(tup, vals, marks)
+	var oc tupleOutcome
+	if degrade {
+		oc = e.detectOnlyRowOn(g, tup)
+	} else {
+		oc = e.repairRowSafeOn(g, tup, probe)
+	}
+	if oc != tupleOK {
+		// Keep-original-value: the partial repair is discarded.
+		resetRow(tup, vals, marks)
+	}
+	conf := 1.0
+	if vote != nil {
+		conf = vote.settle(tup, vals, oc)
+	}
+	if memo != nil {
+		memo.putTuple(gen, fp, vals, marks, tup, oc, conf)
+	}
+	return oc, conf, false
+}
+
+// resetRow sets tup to the input row: vals, with marks (nil means
+// unmarked).
+func resetRow(tup *relation.Tuple, vals []string, marks []bool) {
+	copy(tup.Values, vals)
+	if marks == nil {
+		clear(tup.Marked)
+	} else {
+		copy(tup.Marked, marks)
+	}
+}
+
+// repairRowSafeOn runs the in-place repair on the pinned graph g
+// under a panic quarantine and tallies the outcome into the engine's
+// lifetime counters. On a non-OK outcome tup is left in an undefined
+// state; the caller restores the input row. probe marks this row as
+// the breaker's half-open probe: its outcome resolves the breaker.
+// The panicking repair's pooled state is abandoned, not recycled.
+func (e *Engine) repairRowSafeOn(g *kb.Graph, tup *relation.Tuple, probe bool) (oc tupleOutcome) {
 	st := e.getStateOn(g)
 	st.brk = true
 	st.probe = probe
 	defer func() {
 		if r := recover(); r != nil {
-			out, oc = t.Clone(), tupleQuarantined
+			oc = tupleQuarantined
 			e.breakerObserve(st, oc)
-			e.count(oc)
-			if memo != nil {
-				memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1)
-			}
 		}
+		e.count(oc)
 	}()
-	cl := t.Clone()
-	if e.runFast(cl, st) {
-		out, oc = cl, tupleOK
+	if e.runFast(tup, st) {
+		oc = tupleOK
 	} else {
-		out, oc = t.Clone(), tupleBudgetExhausted
+		oc = tupleBudgetExhausted
 	}
 	e.breakerObserve(st, oc)
 	e.putState(st)
-	e.count(oc)
-	if memo != nil {
-		memo.putTuple(gen, fp, t.Values, t.Marked, out, oc, 1)
+	return oc
+}
+
+// recordFast is the uncached fast repair of t for the callers that
+// record what the memo cannot store: the rule applications into steps
+// (/explain) and every rewritten cell's candidate list into alts (the
+// evaluation); either may be nil. It never consults the memo, the
+// breaker or the recorder. On step-budget exhaustion it returns an
+// unchanged clone of t and false.
+func (e *Engine) recordFast(t *relation.Tuple, steps *[]Step, alts map[string][]string) (*relation.Tuple, bool) {
+	cl := t.Clone()
+	st := e.getStateOn(e.Cat.Graph())
+	st.steps, st.alts = steps, alts
+	ok := e.runFast(cl, st)
+	e.putState(st)
+	if !ok {
+		e.count(tupleBudgetExhausted)
+		return t.Clone(), false
 	}
-	return out, oc
+	e.count(tupleOK)
+	return cl, true
 }
 
 // runFast drives the grouped rule schedule of Algorithm 2 over cl. It
@@ -678,8 +708,8 @@ type fastState struct {
 
 	// Circuit-breaker bookkeeping (see breaker.go). brk marks a tuple
 	// whose caller will fold the outcome into the breakers via
-	// breakerObserve; per-rule breakers are consulted only then, so an
-	// eval-path tuple can never strand a probe token. lastRule is the
+	// breakerObserve; per-rule breakers are consulted only then, so a
+	// detect-only or recording repair can never strand a probe token. lastRule is the
 	// rule index being evaluated, read by panic recovery for
 	// attribution; ran/probes collect the per-rule samples to record
 	// at tuple end.
@@ -691,16 +721,10 @@ type fastState struct {
 	probes     []int32
 }
 
-// getState returns a reset fastState pinned to the store's current
-// graph, reusing a pooled one when available so the per-tuple hot
-// path allocates nothing.
-func (e *Engine) getState() *fastState {
-	return e.getStateOn(e.Cat.Graph())
-}
-
-// getStateOn is getState pinned to an already-chosen graph, for
-// callers (the memo read-throughs) that must tag their results with
-// the exact generation the repair ran on.
+// getStateOn returns a reset fastState pinned to g, reusing a pooled
+// one when available so the per-tuple hot path allocates nothing. The
+// caller picks g so it can tag results with the generation the repair
+// ran on.
 func (e *Engine) getStateOn(g *kb.Graph) *fastState {
 	st, _ := e.pool.Get().(*fastState)
 	if st == nil {
@@ -946,7 +970,7 @@ func (e *Engine) RepairTableContext(ctx context.Context, tb *relation.Table, wor
 				if i >= tb.Len() {
 					return
 				}
-				t, oc := e.repairTupleSafe(tb.Tuples[i])
+				t, oc := e.repairTuple(ctx, tb.Tuples[i])
 				out.Tuples[i] = t
 				switch oc {
 				case tupleOK:
@@ -990,10 +1014,13 @@ func (e *Engine) repairTable(tb *relation.Table, fast, trackAlts bool) (*relatio
 		if trackAlts {
 			alts = make(map[string][]string)
 		}
-		if fast {
-			out.Tuples[i] = e.fastRepair(t, alts)
-		} else {
+		switch {
+		case !fast:
 			out.Tuples[i] = e.basicRepair(t, alts)
+		case trackAlts:
+			out.Tuples[i], _ = e.recordFast(t, nil, alts)
+		default:
+			out.Tuples[i] = e.FastRepair(t)
 		}
 		for col, vs := range alts {
 			cellAlts[[2]int{i, e.Schema.MustCol(col)}] = vs

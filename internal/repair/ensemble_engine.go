@@ -3,10 +3,12 @@
 // internal/repair/ensemble) on every tuple, their cell-level
 // proposals are combined by a weighted vote, and each decided cell
 // carries a confidence score. Cells whose winning value falls below
-// the acceptance threshold degrade to detect-only marks. The ensemble
-// path shares the engine's breaker, recorder, telemetry, and global
-// memo (under salted keys, so ensemble and single-engine results
-// never cross-contaminate).
+// the acceptance threshold degrade to detect-only marks. An ensemble
+// row is one more caller of repairInto, the read-through every fast
+// single-tuple repair shares: the recorder, the breaker, the detective
+// leg's panic quarantine and the global memo are the same code, and
+// only the memo key is salted, so ensemble and single-engine results
+// never cross-contaminate.
 package repair
 
 import (
@@ -15,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"detective/internal/kb"
 	"detective/internal/relation"
 	"detective/internal/repair/ensemble"
 	"detective/internal/telemetry"
@@ -195,50 +196,45 @@ func (e *Engine) EnsembleReliability() map[string]float64 {
 	return out
 }
 
-// drLeg runs the detective leg of the ensemble on tup (which holds a
-// fresh copy of the input record): the ordinary fast repair in place,
-// panic-quarantined and breaker-observed, its outcome counted into
-// the engine's lifetime counters exactly once. On a non-OK outcome
-// tup is restored to the original record.
-func (e *Engine) drLeg(g *kb.Graph, tup *relation.Tuple, rec []string, probe bool) tupleOutcome {
-	oc := e.repairRowSafeOn(g, tup, probe)
-	if oc != tupleOK {
-		copyRecInto(tup, rec)
-	}
-	return oc
+// ensembleVote is one row's vote in flight: the auxiliary proposers
+// run concurrently with the detective leg, each into its own slot of
+// byEngine (slot 0 is the detective's).
+type ensembleVote struct {
+	es       *ensembleState
+	wg       sync.WaitGroup
+	byEngine [][]ensemble.Proposal
 }
 
-// ensembleRowOn is the uncached ensemble core for one unmarked input
-// record. The auxiliary proposers run concurrently with the detective
-// leg; the weighted vote then settles every contested cell into tup,
-// whose Values/Marked must have the schema's arity. It returns the
-// detective leg's outcome (the row-level degradation verdict) and the
-// row confidence — the minimum winning confidence over decided cells,
-// 1 when no cell was contested.
-func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.Tuple, rec []string, probe bool) (tupleOutcome, float64) {
-	es := e.ens
-	n := 1 + len(es.proposers)
-	byEngine := make([][]ensemble.Proposal, n)
-
-	var wg sync.WaitGroup
+// propose starts the auxiliary proposers on the unmarked input record
+// rec.
+func (es *ensembleState) propose(ctx context.Context, rec []string) *ensembleVote {
+	v := &ensembleVote{es: es, byEngine: make([][]ensemble.Proposal, 1+len(es.proposers))}
 	for i, p := range es.proposers {
-		wg.Add(1)
+		v.wg.Add(1)
 		go func(slot int, p ensemble.Proposer) {
-			defer wg.Done()
+			defer v.wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					// Quarantine this engine for this tuple only: its
 					// proposals are dropped, every other voter proceeds.
-					byEngine[slot] = nil
+					v.byEngine[slot] = nil
 					es.instr.quarantined[slot].Inc()
 				}
 			}()
-			byEngine[slot] = p.Propose(ctx, rec, nil)
+			v.byEngine[slot] = p.Propose(ctx, rec, nil)
 		}(1+i, p)
 	}
+	return v
+}
 
-	copyRecInto(tup, rec)
-	oc := e.drLeg(g, tup, rec, probe)
+// settle finishes the vote on rec: tup holds the detective leg's row
+// (outcome oc, the row-level degradation verdict), the proposers are
+// awaited, and the weighted vote settles every contested cell into
+// tup. It returns the row confidence — the minimum winning confidence
+// over decided cells, 1 when no cell was contested.
+func (v *ensembleVote) settle(tup *relation.Tuple, rec []string, oc tupleOutcome) float64 {
+	es, byEngine := v.es, v.byEngine
+	n := len(byEngine)
 
 	// The detective leg's proposals are the cells it rewrote; cells it
 	// marked without rewriting are proven correct and removed from the
@@ -246,9 +242,9 @@ func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.T
 	var proven []bool
 	if oc == tupleOK {
 		var drProps []ensemble.Proposal
-		for col, v := range tup.Values {
-			if v != rec[col] {
-				drProps = append(drProps, ensemble.Proposal{Col: col, Value: v, Conf: 1, KB: true})
+		for col, val := range tup.Values {
+			if val != rec[col] {
+				drProps = append(drProps, ensemble.Proposal{Col: col, Value: val, Conf: 1, KB: true})
 			} else if tup.Marked[col] {
 				if proven == nil {
 					proven = make([]bool, len(rec))
@@ -258,7 +254,7 @@ func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.T
 		}
 		byEngine[detectiveEngine] = drProps
 	}
-	wg.Wait()
+	v.wg.Wait()
 
 	weights := make([]float64, n)
 	for i := range weights {
@@ -305,70 +301,7 @@ func (e *Engine) ensembleRowOn(ctx context.Context, g *kb.Graph, tup *relation.T
 			}
 		}
 	}
-	return oc, rowConf
-}
-
-// repairRowEnsembleMemo is the ensemble analogue of repairRowMemo:
-// recorder, breaker fronting, then the global memo (under salted keys
-// carrying the row confidence) read-through around ensembleRowOn. tup
-// is left holding the row to emit; rec must be an unmarked input row,
-// and the memo may keep its strings (see putTuple).
-func (e *Engine) repairRowEnsembleMemo(ctx context.Context, tup *relation.Tuple, rec []string) (tupleOutcome, float64, bool) {
-	if rr := e.recorder; rr != nil {
-		rr.Record(rec)
-	}
-	g := e.Cat.Graph()
-	degrade, probe := e.breakerAdmit()
-	if degrade {
-		copyRecInto(tup, rec)
-		oc := e.detectOnlyRowOn(g, tup)
-		if oc != tupleOK {
-			copyRecInto(tup, rec)
-		}
-		return oc, 1, false
-	}
-	memo := e.memo
-	if memo == nil {
-		oc, conf := e.ensembleRowOn(ctx, g, tup, rec, probe)
-		return oc, conf, false
-	}
-	gen := g.Generation()
-	fp := memo.tupleFP(rec, nil) ^ ensembleFPSalt
-	if !probe {
-		if oc, conf, ok := memo.getRowInto(gen, fp, rec, tup); ok {
-			e.count(oc)
-			return oc, conf, true
-		}
-	}
-	oc, conf := e.ensembleRowOn(ctx, g, tup, rec, probe)
-	memo.putTuple(gen, fp, rec, nil, tup, oc, conf)
-	return oc, conf, false
-}
-
-// RepairTableEnsemble runs the ensemble over every tuple of tb
-// (unmarked input) and returns the repaired copy together with the
-// per-row confidences. It errors after a context cancellation with a
-// *PartialError; rows not reached pass through unchanged.
-func (e *Engine) RepairTableEnsemble(ctx context.Context, tb *relation.Table) (*relation.Table, []float64, error) {
-	out := &relation.Table{Schema: tb.Schema, Tuples: make([]*relation.Tuple, tb.Len())}
-	confs := make([]float64, tb.Len())
-	arity := e.Schema.Arity()
-	done := 0
-	for i, t := range tb.Tuples {
-		if err := ctx.Err(); err != nil {
-			for j := i; j < tb.Len(); j++ {
-				out.Tuples[j] = tb.Tuples[j].Clone()
-				confs[j] = 1
-			}
-			return out, confs, &PartialError{Done: done, Err: err}
-		}
-		tup := &relation.Tuple{Values: make([]string, arity), Marked: make([]bool, arity)}
-		_, conf, _ := e.repairRowEnsembleMemo(ctx, tup, t.Values)
-		out.Tuples[i] = tup
-		confs[i] = conf
-		done++
-	}
-	return out, confs, nil
+	return rowConf
 }
 
 // RepairRowEnsemble is RepairRow in ensemble mode: rec is repaired
@@ -377,6 +310,6 @@ func (e *Engine) RepairTableEnsemble(ctx context.Context, tb *relation.Table) (*
 // whether the global memo served the row. The engine must have been
 // built with Options.Ensemble.Enabled.
 func (e *Engine) RepairRowEnsemble(ctx context.Context, dst *relation.Tuple, rec []string) (RowOutcome, float64, bool) {
-	oc, conf, hit := e.repairRowEnsembleMemo(ctx, dst, rec)
+	oc, conf, hit := e.repairInto(ctx, dst, rec, nil, true)
 	return RowOutcome(oc), conf, hit
 }

@@ -59,22 +59,17 @@ func (s Step) String() string {
 }
 
 // FastRepairExplain is FastRepair plus the ordered list of rule
-// applications that produced the result.
+// applications that produced the result. It runs the uncached
+// recording repair: the memo stores outcomes, not steps. When the step
+// budget runs out it returns the original values and no steps, since
+// the partial trace would describe a repair that was discarded.
 func (e *Engine) FastRepairExplain(t *relation.Tuple) (*relation.Tuple, []Step) {
-	cl := t.Clone()
-	st := e.getState()
 	steps := []Step{}
-	st.steps = &steps
-	ok := e.runFast(cl, st)
-	e.putState(st)
+	out, ok := e.recordFast(t, &steps, nil)
 	if !ok {
-		// Step budget exhausted: keep the original values; the partial
-		// step trace would describe a repair that was discarded.
-		e.count(tupleBudgetExhausted)
-		return t.Clone(), nil
+		return out, nil
 	}
-	e.count(tupleOK)
-	return cl, steps
+	return out, steps
 }
 
 // FastRepairExplainSafe is FastRepairExplain under the per-tuple

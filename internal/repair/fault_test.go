@@ -52,6 +52,67 @@ func TestFaultPanicQuarantineParallel(t *testing.T) {
 	}
 }
 
+// TestFaultPanicQuarantineSerial: the serial fast paths share the
+// stream's panic quarantine. A poisoned row comes back unchanged from
+// FastRepair and from RepairTable, counted as one quarantine each, and
+// the table path writes the same marked CSV as the stream.
+func TestFaultPanicQuarantineSerial(t *testing.T) {
+	ex := dataset.NewPaperExample()
+	poison := "POISON-NAME-66T"
+	dirty := ex.Dirty.Clone()
+	dirty.SetCell(2, "Name", poison)
+	defer faultinject.PanicOnValue(poison)()
+	newEngine := func(t *testing.T) *repair.Engine {
+		t.Helper()
+		e, err := repair.NewEngine(ex.Rules, ex.KB, ex.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	t.Run("FastRepair", func(t *testing.T) {
+		e := newEngine(t)
+		if got := e.FastRepair(dirty.Tuples[2]); !got.EqualMarked(dirty.Tuples[2]) {
+			t.Errorf("poisoned row was modified: %v", got)
+		}
+		if got := e.Stats(); got.Quarantined != 1 {
+			t.Errorf("Stats = %+v, want one quarantine", got)
+		}
+	})
+	t.Run("RepairTable", func(t *testing.T) {
+		e := newEngine(t)
+		out := e.RepairTable(dirty, true)
+		if got := e.Stats(); got.Quarantined != 1 || got.Repaired != int64(dirty.Len()-1) {
+			t.Errorf("Stats = %+v, want one quarantine and %d repairs", got, dirty.Len()-1)
+		}
+		if !out.Tuples[2].EqualMarked(dirty.Tuples[2]) {
+			t.Errorf("poisoned row was modified: %v", out.Tuples[2])
+		}
+		want := e.RepairTable(ex.Dirty, true)
+		for _, i := range []int{0, 1, 3} {
+			if !out.Tuples[i].EqualMarked(want.Tuples[i]) {
+				t.Errorf("row %d: got %v, want %v", i, out.Tuples[i], want.Tuples[i])
+			}
+		}
+	})
+	t.Run("table-matches-stream", func(t *testing.T) {
+		var table, in, stream bytes.Buffer
+		if err := newEngine(t).RepairTable(dirty, true).WriteMarkedCSV(&table); err != nil {
+			t.Fatal(err)
+		}
+		if err := dirty.WriteCSV(&in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newEngine(t).CleanCSVStream(&in, &stream, true); err != nil {
+			t.Fatal(err)
+		}
+		if table.String() != stream.String() {
+			t.Errorf("table CSV:\n%s\nstream CSV:\n%s", table.String(), stream.String())
+		}
+	})
+}
+
 func TestFaultPanicQuarantineStream(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	poison := "POISON-NAME-88S"

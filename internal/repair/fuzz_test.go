@@ -13,13 +13,15 @@ import (
 )
 
 // FuzzCleanCSVStream fuzzes the /clean body decoder. The harness
-// writes the schema header, then the fuzz bytes, and streams the
-// document three times: on a memo-on engine shared by every input, a
-// second time on that engine (now answered from its memo), and on a
-// memo-off engine. Each run must end cleanly or with a *PartialError
-// whose Done equals Rows, and all three must write the same bytes and
-// report the same Rows, Quarantined and BudgetExhausted: memo on ≡
-// off, and replay ≡ fresh.
+// writes the schema header, after a UTF-8 byte order mark when bom is
+// set, then the fuzz bytes, and streams the document three times: on a
+// memo-on engine shared by every input, a second time on that engine
+// (now answered from its memo), and on a memo-off engine. Each run
+// must end cleanly or with a *PartialError whose Done equals Rows, and
+// all three must write the same bytes and report the same Rows,
+// Quarantined and BudgetExhausted: memo on ≡ off, and replay ≡ fresh.
+// A document with the mark must also stream exactly as it does
+// without.
 func FuzzCleanCSVStream(f *testing.F) {
 	b := dataset.NewNobel(7, 64)
 	memoOn, err := repair.NewEngine(b.Rules, b.Yago, b.Schema)
@@ -47,12 +49,13 @@ func FuzzCleanCSVStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	_, sampleBody, _ := strings.Cut(string(sample), "\n")
-	f.Add([]byte(body))
-	f.Add([]byte(sampleBody))
-	f.Add([]byte("\ufeff" + rows[1]))
-	f.Add([]byte(strings.ReplaceAll(body, "\n", "\r\n")))
-	f.Add([]byte(strings.ReplaceAll(body, "\n", "\r")))
-	f.Add([]byte(`"Marie ""Sklodowska"" Curie",1867-11-07,"Pol""and",Nobel Prize in Physics,"University of Paris",Paris` + "\n"))
+	f.Add(false, []byte(body))
+	f.Add(false, []byte(sampleBody))
+	f.Add(false, []byte("\ufeff"+rows[1]))
+	f.Add(false, []byte(strings.ReplaceAll(body, "\n", "\r\n")))
+	f.Add(false, []byte(strings.ReplaceAll(body, "\n", "\r")))
+	f.Add(false, []byte(`"Marie ""Sklodowska"" Curie",1867-11-07,"Pol""and",Nobel Prize in Physics,"University of Paris",Paris`+"\n"))
+	f.Add(true, []byte(body))
 
 	type run struct {
 		out string
@@ -72,14 +75,23 @@ func FuzzCleanCSVStream(f *testing.F) {
 		}
 		return run{out.String(), res}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, bom bool, data []byte) {
 		in := header + string(data)
+		if bom {
+			in = "\ufeff" + in
+		}
 		fresh := clean(t, memoOn, in)
-		for _, r := range []struct {
+		type variant struct {
 			name string
 			e    *repair.Engine
-		}{{"memo replay", memoOn}, {"memo off", memoOff}} {
-			got := clean(t, r.e, in)
+			in   string
+		}
+		runs := []variant{{"memo replay", memoOn, in}, {"memo off", memoOff, in}}
+		if bom {
+			runs = append(runs, variant{"without the BOM", memoOff, in[len("\ufeff"):]})
+		}
+		for _, r := range runs {
+			got := clean(t, r.e, r.in)
 			if got.out != fresh.out {
 				t.Fatalf("%s: output differs from the first memo-on run\n got %q\nwant %q", r.name, got.out, fresh.out)
 			}

@@ -12,6 +12,11 @@
 // included. A novel tuple misses here even when it shares hot values
 // with earlier traffic; its node checks for those values are answered
 // by the catalog's candidate cache (see rules.Catalog.CandidatesOn).
+// One function reads and writes the memo: repairInto, the read-through
+// every fast single-tuple repair runs (FastRepair, RepairTable*,
+// RepairRow, the streaming cleaners, the ensemble). Input marks are
+// part of the key. The recording repairs (/explain's steps, the
+// evaluation's per-cell alternatives) bypass it.
 //
 // The memo is sharded 64 ways by the fingerprint's high bits, each
 // shard guarded by one mutex and bounded by an intrusive CLOCK over a
@@ -30,6 +35,7 @@
 package repair
 
 import (
+	"context"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -322,34 +328,16 @@ func (s *tupleShard) lookupTuple(c *memoCounters, gen int64, fp uint64, vals []s
 	return e
 }
 
-// getTupleClone returns a fresh clone of the memoized repair of
-// (vals, mk) under generation gen, for the table/request path where
-// the caller owns the result. The third result is the stored row
-// confidence (always 1 for single-engine entries).
-func (m *repairMemo) getTupleClone(gen int64, fp uint64, vals []string, mk []bool) (*relation.Tuple, tupleOutcome, float64, bool) {
+// getInto copies the memoized repair of the row (vals, mk) under
+// generation gen into tup, whose Values and Marked have the row's
+// arity, without allocating. It returns the stored outcome and row
+// confidence (1 for single-engine entries) and whether the memo held
+// the row.
+func (m *repairMemo) getInto(gen int64, fp uint64, vals []string, mk []bool, tup *relation.Tuple) (tupleOutcome, float64, bool) {
 	s := &m.tuple[memoShard(fp)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.lookupTuple(&m.tupleStats, gen, fp, vals, mk)
-	if e == nil {
-		return nil, 0, 0, false
-	}
-	cl := &relation.Tuple{
-		Values: append([]string(nil), e.vals...),
-		Marked: append([]bool(nil), e.mk...),
-	}
-	return cl, e.oc, e.conf, true
-}
-
-// getRowInto copies the memoized repair of the unmarked row rec into
-// tup without allocating — the streaming read-through. It only
-// matches entries whose input was unmarked (origMk nil), which is
-// every entry the streaming paths insert.
-func (m *repairMemo) getRowInto(gen int64, fp uint64, rec []string, tup *relation.Tuple) (tupleOutcome, float64, bool) {
-	s := &m.tuple[memoShard(fp)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.lookupTuple(&m.tupleStats, gen, fp, rec, nil)
 	if e == nil {
 		return 0, 0, false
 	}
@@ -502,77 +490,14 @@ const (
 	RowQuarantined
 )
 
-// RepairRow is the allocation-free serving-path repair of one row: it
+// RepairRow is the allocation-free repair of one unmarked row: it
 // repairs rec into the caller-owned dst (whose Values and Marked must
-// have the schema's arity) through the global memo when enabled,
-// under the same panic-quarantine and keep-original-value semantics
-// as the streaming cleaner. It reports the outcome and whether the
-// memo served the row. rec's strings may be retained by the memo, so
-// they must not alias a reused read buffer.
+// have the schema's arity) through repairInto, the read-through every
+// fast single-tuple repair shares (memo, breaker, recorder, panic
+// quarantine and keep-original-value). It reports the outcome and
+// whether the memo served the row. rec's strings may be retained by
+// the memo, so they must not alias a reused read buffer.
 func (e *Engine) RepairRow(dst *relation.Tuple, rec []string) (RowOutcome, bool) {
-	oc, hit := e.repairRowMemo(dst, rec)
+	oc, _, hit := e.repairInto(context.TODO(), dst, rec, nil, false)
 	return RowOutcome(oc), hit
-}
-
-// repairRowMemo is the shared streaming read-through: memo lookup,
-// on miss a pinned in-place repair (panic-quarantined, outcome
-// counted), then insertion — so the memo entry's generation is
-// exactly the generation the repair ran on. tup is left holding the
-// row to emit (repaired on OK, original otherwise). rec must be
-// unmarked input, and the memo may keep its strings (see putTuple).
-func (e *Engine) repairRowMemo(tup *relation.Tuple, rec []string) (tupleOutcome, bool) {
-	if rr := e.recorder; rr != nil {
-		rr.Record(rec)
-	}
-	g := e.Cat.Graph() // pin: lookup, repair, and insert see one generation
-	degrade, probe := e.breakerAdmit()
-	if degrade {
-		// Detect-only while the breaker is open: rules mark, values stay
-		// original, and the memo is bypassed in both directions so stale
-		// degraded verdicts never outlive the incident.
-		copyRecInto(tup, rec)
-		oc := e.detectOnlyRowOn(g, tup)
-		if oc != tupleOK {
-			copyRecInto(tup, rec)
-		}
-		return oc, false
-	}
-	memo := e.memo
-	if memo == nil {
-		copyRecInto(tup, rec)
-		oc := e.repairRowSafeOn(g, tup, probe)
-		if oc != tupleOK {
-			copyRecInto(tup, rec)
-		}
-		return oc, false
-	}
-	gen := g.Generation()
-	fp := memo.tupleFP(rec, nil)
-	if !probe {
-		// A half-open probe skips the memo read: a cached quarantine
-		// verdict must not decide the probe, and the fresh verdict below
-		// overwrites (heals) the poisoned entry.
-		if oc, _, ok := memo.getRowInto(gen, fp, rec, tup); ok {
-			e.count(oc)
-			return oc, true
-		}
-	}
-	copyRecInto(tup, rec)
-	oc := e.repairRowSafeOn(g, tup, probe)
-	if oc != tupleOK {
-		// Keep-original-value: the partially repaired state is
-		// discarded, and that degraded verdict is what gets memoized —
-		// a replay must degrade identically.
-		copyRecInto(tup, rec)
-	}
-	memo.putTuple(gen, fp, rec, nil, tup, oc, 1)
-	return oc, false
-}
-
-// copyRecInto resets tup to the unmarked input record.
-func copyRecInto(tup *relation.Tuple, rec []string) {
-	copy(tup.Values, rec)
-	for i := range tup.Marked {
-		tup.Marked[i] = false
-	}
 }

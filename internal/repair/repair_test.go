@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"detective/internal/dataset"
+	"detective/internal/kb"
 	"detective/internal/relation"
 	"detective/internal/repair"
 	"detective/internal/rules"
@@ -123,6 +124,48 @@ func TestBasicAndFastAgree(t *testing.T) {
 		if !b.EqualMarked(f) {
 			t.Errorf("truth tuple %d: basic %v != fast %v", i, b, f)
 		}
+	}
+}
+
+// TestBasicAndFastAgreeAtScale pins the paper's central claim on its
+// own inputs: bRepair (Algorithm 1) and fRepair (Algorithm 2, through
+// the memo-on read-through every fast repair shares) reach the same
+// marked tuple on every row of Nobel-1069 and UIS-1500 with both KBs
+// (10% noise, half typos), and of the 37 WebTables at Table III's
+// noise.
+func TestBasicAndFastAgreeAtScale(t *testing.T) {
+	agree := func(t *testing.T, drs []*rules.DR, g *kb.Graph, inj *dataset.Injected) int {
+		t.Helper()
+		e, err := repair.NewEngine(drs, g, inj.Dirty.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tu := range inj.Dirty.Tuples {
+			if b, f := e.BasicRepair(tu), e.FastRepair(tu); !b.EqualMarked(f) {
+				t.Errorf("row %d %v: basic %v != fast %v", i, tu.Values, b, f)
+			}
+		}
+		return inj.Dirty.Len()
+	}
+	noise := dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1}
+	for _, b := range []*dataset.Bundle{dataset.NewNobel(1, 1069), dataset.NewUIS(1, 1500)} {
+		inj := b.Inject(noise)
+		for _, kbName := range dataset.KBNames {
+			t.Run(b.Name+"/"+kbName, func(t *testing.T) {
+				agree(t, b.Rules, b.KB(kbName), inj)
+			})
+		}
+	}
+	wb := dataset.NewWebTables(1)
+	for _, kbName := range dataset.KBNames {
+		t.Run("WebTables/"+kbName, func(t *testing.T) {
+			rows := 0
+			for i, d := range wb.Tables {
+				inj := d.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.65, HardFrac: 0.1, SwapFallback: true, Seed: 1 + int64(i)})
+				rows += agree(t, d.Rules, wb.KB(kbName), inj)
+			}
+			t.Logf("%d rows over %d tables", rows, len(wb.Tables))
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"strconv"
 
-	"detective/internal/kb"
 	"detective/internal/relation"
 )
 
@@ -49,9 +48,10 @@ type StreamResult struct {
 // table — the shape needed for inputs larger than memory (the paper's
 // engine is embarrassingly per-tuple, §V-B, so a caller wanting more
 // cores splits the input across concurrent streams). The first record
-// must be a header matching the engine's schema. Marked cells get a
-// "+" suffix when marked is true. It returns the number of rows
-// cleaned.
+// must be a header matching the engine's schema; a UTF-8 byte order
+// mark in front of it is dropped (relation.ReadCSVHeader). Marked
+// cells get a "+" suffix when marked is true. It returns the number of
+// rows cleaned.
 func (e *Engine) CleanCSVStream(r io.Reader, w io.Writer, marked bool) (int, error) {
 	res, err := e.CleanCSVStreamContext(context.Background(), r, w, marked)
 	return res.Rows, err
@@ -70,12 +70,6 @@ func (e *Engine) CleanCSVStreamContext(ctx context.Context, r io.Reader, w io.Wr
 	return e.cleanCSVStream(ctx, r, w, marked, false)
 }
 
-// CleanCSVStreamEnsemble is CleanCSVStreamEnsembleContext without
-// cancellation.
-func (e *Engine) CleanCSVStreamEnsemble(r io.Reader, w io.Writer, marked bool) (StreamResult, error) {
-	return e.CleanCSVStreamEnsembleContext(context.Background(), r, w, marked)
-}
-
 // CleanCSVStreamEnsembleContext is the ensemble-mode streaming clean:
 // every row is repaired by the weighted vote over the detective
 // engine and the configured auxiliary proposers, and the output CSV
@@ -92,9 +86,7 @@ func (e *Engine) CleanCSVStreamEnsembleContext(ctx context.Context, r io.Reader,
 
 func (e *Engine) cleanCSVStream(ctx context.Context, r io.Reader, w io.Writer, marked, ens bool) (StreamResult, error) {
 	var res StreamResult
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	cr, header, err := relation.ReadCSVHeader(r)
 	if err != nil {
 		return res, fmt.Errorf("repair: reading CSV header: %w", err)
 	}
@@ -164,11 +156,8 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 		if len(rec) != arity {
 			return partial(fmt.Errorf("repair: CSV line %d has %d fields, want %d", lineno, len(rec), arity))
 		}
-		var oc tupleOutcome
-		var hit bool
+		oc, conf, hit := e.repairInto(ctx, tup, rec, nil, ens)
 		if ens {
-			var conf float64
-			oc, conf, hit = e.repairRowEnsembleMemo(ctx, tup, rec)
 			res.ConfidenceSum += conf
 			if conf < res.MinConfidence {
 				res.MinConfidence = conf
@@ -177,8 +166,6 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 				res.BelowThreshold++
 			}
 			out[arity] = formatConf(conf)
-		} else {
-			oc, hit = e.repairRowMemo(tup, rec)
 		}
 		switch oc {
 		case tupleQuarantined:
@@ -216,30 +203,4 @@ func formatRow(dst []string, tup *relation.Tuple, marked bool) {
 			dst[i] = v
 		}
 	}
-}
-
-// repairRowSafeOn runs the in-place repair on the pinned graph g
-// under a panic quarantine and tallies the outcome into the engine's
-// lifetime counters. On a non-OK outcome tup is left in an undefined
-// state; the caller restores the original record. probe marks this row
-// as the breaker's half-open probe: its outcome resolves the breaker.
-func (e *Engine) repairRowSafeOn(g *kb.Graph, tup *relation.Tuple, probe bool) (oc tupleOutcome) {
-	st := e.getStateOn(g)
-	st.brk = true
-	st.probe = probe
-	defer func() {
-		if r := recover(); r != nil {
-			oc = tupleQuarantined
-			e.breakerObserve(st, oc)
-		}
-		e.count(oc)
-	}()
-	if e.runFast(tup, st) {
-		oc = tupleOK
-	} else {
-		oc = tupleBudgetExhausted
-	}
-	e.breakerObserve(st, oc)
-	e.putState(st)
-	return oc
 }

@@ -8,6 +8,7 @@ import (
 	"detective/internal/dataset"
 	"detective/internal/kb"
 	"detective/internal/relation"
+	"detective/internal/repair"
 	"detective/internal/rules"
 )
 
@@ -98,6 +99,46 @@ func FuzzEvaluate(f *testing.F) {
 		arow := relation.NewTuple(a, b)
 		for _, p := range ambiguous {
 			checkAgainstReference(t, p.m.Rule.Name, p.m, p.ref, ag, arow)
+		}
+	})
+}
+
+// FuzzBasicFast: on any cell values, bRepair (Algorithm 1) and fRepair
+// (Algorithm 2, through the memo-on read-through every fast repair
+// shares) reach the same marked tuple — the Church-Rosser property of
+// §IV-A that lets fRepair stand in for bRepair. The KB and rules are
+// fixed: the paper's running example (six columns) and the path-rule
+// fixture (the first three values).
+func FuzzBasicFast(f *testing.F) {
+	ex := dataset.NewPaperExample()
+	for _, tu := range append(ex.Dirty.Tuples, ex.Truth.Tuples...) {
+		v := tu.Values
+		f.Add(v[0], v[1], v[2], v[3], v[4], v[5])
+	}
+	f.Add("Ann", "Springfield", "22222", "", "", "")
+	f.Add("Ann", "Springfield", "11112", "", "", "")
+
+	paper, err := repair.NewEngine(ex.Rules, ex.KB, ex.Schema)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pg, pschema, pdr := pathFixture()
+	path, err := repair.NewEngine([]*rules.DR{pdr}, pg, pschema)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g string) {
+		for _, run := range []struct {
+			e   *repair.Engine
+			row *relation.Tuple
+		}{
+			{paper, relation.NewTuple(a, b, c, d, e, g)},
+			{path, relation.NewTuple(a, b, c)},
+		} {
+			basic, fast := run.e.BasicRepair(run.row), run.e.FastRepair(run.row)
+			if !basic.EqualMarked(fast) {
+				t.Fatalf("%q: basic %v != fast %v", run.row.Values, basic, fast)
+			}
 		}
 	})
 }

@@ -87,9 +87,6 @@ type Config struct {
 	// Metrics is the registry the server's HTTP metrics and cache
 	// exports register into. Nil uses telemetry.Default().
 	Metrics *telemetry.Registry
-	// SlowRequestThreshold is the latency above which a request is
-	// logged as slow (sampled, with its request ID). Default 5s.
-	SlowRequestThreshold time.Duration
 	// MemoBytes is the byte budget of the engine's global
 	// cross-request repair memo (repair.Options.MemoBytes): repeated
 	// tuples across requests and connections are answered from cache,
@@ -108,12 +105,11 @@ type Config struct {
 	// keeps for rollback (POST /rollback and the canary watchdog).
 	// 0 picks 2; negative disables retention.
 	RetainGenerations int
-	// RecorderRows and RecorderSampleEvery size the ring buffer of
-	// recent input rows the canary replays against a candidate graph:
-	// up to RecorderRows rows (0 picks 1024), sampling one row in every
-	// RecorderSampleEvery (0 picks 16). RecorderSampleEvery < 0
-	// disables recording — and with it the shadow replay.
-	RecorderRows        int
+	// RecorderSampleEvery sets how often rows are sampled into the ring
+	// buffer of the 1,024 most recent sampled input rows that the
+	// canary replays against a candidate graph: one row in every
+	// RecorderSampleEvery (0 picks 16). A negative value disables
+	// recording, and with it the shadow replay.
 	RecorderSampleEvery int
 	// CanaryRows caps how many recorded rows the staged reload replays
 	// through scratch engines on the live and candidate graphs before
@@ -124,11 +120,6 @@ type Config struct {
 	// may exceed the live graph's by at most this fraction, else the
 	// candidate is rejected. 0 picks 0.10.
 	CanaryMaxBadDelta float64
-	// CanaryMaxDivergence, when > 0, additionally rejects a candidate
-	// whose replay output differs from the live graph's on more than
-	// this fraction of rows. Divergence is expected when the KB content
-	// legitimately changed, so it is reported but not gated by default.
-	CanaryMaxDivergence float64
 	// CanaryWatch enables the post-promote watchdog for this long: if
 	// the live bad-row rate over the rows served on the new generation
 	// exceeds the pre-swap rate by CanaryMaxBadDelta (after
@@ -160,6 +151,14 @@ type Config struct {
 	MetricLabels []telemetry.Label
 }
 
+// slowRequest is the latency above which a request is logged as slow
+// (sampled, with its request ID).
+const slowRequest = 5 * time.Second
+
+// recorderRows is the capacity of the canary's ring of recent input
+// rows.
+const recorderRows = 1024
+
 func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -176,14 +175,8 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = telemetry.Default()
 	}
-	if c.SlowRequestThreshold <= 0 {
-		c.SlowRequestThreshold = 5 * time.Second
-	}
 	if c.RetainGenerations == 0 {
 		c.RetainGenerations = 2
-	}
-	if c.RecorderRows <= 0 {
-		c.RecorderRows = 1024
 	}
 	if c.RecorderSampleEvery == 0 {
 		c.RecorderSampleEvery = 16
@@ -266,7 +259,7 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 	}
 	var recorder *repair.RowRecorder
 	if cfg.RecorderSampleEvery > 0 {
-		recorder = repair.NewRowRecorder(cfg.RecorderRows, cfg.RecorderSampleEvery)
+		recorder = repair.NewRowRecorder(recorderRows, cfg.RecorderSampleEvery)
 	}
 	if cfg.RetainGenerations > 0 {
 		store.SetRetain(cfg.RetainGenerations)
@@ -329,7 +322,7 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 	httpm.SetLogger(s.log)
 	httpm.SetSlowLogger(&telemetry.SlowLogger{
 		Logger:    s.log,
-		Threshold: cfg.SlowRequestThreshold,
+		Threshold: slowRequest,
 		Every:     1,
 	})
 	// Every route sits behind the middleware: per-route request

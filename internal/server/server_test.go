@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -98,6 +99,39 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 	if !foundCity {
 		t.Fatal("no City repair step in explanation")
+	}
+}
+
+// TestCleanAndExplainAcceptBOM: /clean and /explain answer a body
+// whose header starts with a UTF-8 byte order mark exactly as they
+// answer the same body without it.
+func TestCleanAndExplainAcceptBOM(t *testing.T) {
+	ts, ex := newTestServer(t)
+	var csv strings.Builder
+	if err := ex.Dirty.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, b)
+		}
+		return string(b)
+	}
+	for _, path := range []string{"/clean?marked=1", "/explain"} {
+		plain := post(path, csv.String())
+		if got := post(path, "\ufeff"+csv.String()); got != plain {
+			t.Errorf("POST %s with a BOM:\n%s\nwithout:\n%s", path, got, plain)
+		}
 	}
 }
 
