@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff snapshot-check delta-check metrics-check experiments examples e2e clean
+.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff ab snapshot-check delta-check metrics-check experiments examples e2e clean
 
 all: build vet fmt-check test
 
@@ -87,6 +87,15 @@ bench-smoke:
 benchdiff:
 	go run ./cmd/experiments -bench-repair BENCH_repair.json
 	go run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_repair.json
+
+# Alternating 30-s perfbench pairs of BASE against the working tree on
+# one workload, which side runs first flipping per seed; prints each
+# contract metric's medians, quartiles and pairs won per side.
+BASE ?= HEAD
+WORKLOAD ?= clean-cold
+SEEDS ?= 1 2 3
+ab:
+	./scripts/ab.sh $(BASE) $(WORKLOAD) $(SEEDS)
 
 # Snapshot golden gate: packing the checked-in sample KB must be
 # byte-deterministic, and unpacking the snapshot must round-trip to

@@ -183,7 +183,12 @@ func BenchmarkFastRepairTupleMemoHit(b *testing.B) {
 	}
 	for i, t := range inj.Dirty.Tuples {
 		recs[i] = t.Values
-		e.RepairRow(dst, t.Values) // populate the memo
+	}
+	// Populate the memo: its doorkeeper admits a row on the second miss.
+	for pass := 0; pass < 2; pass++ {
+		for _, rec := range recs {
+			e.RepairRow(dst, rec)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -270,8 +270,12 @@ func writeRepairBench(path string) error {
 		Values: make([]string, len(nobel.Schema.Attrs)),
 		Marked: make([]bool, len(nobel.Schema.Attrs)),
 	}
-	for _, t := range nobelInj.Dirty.Tuples {
-		me.RepairRow(memoDst, t.Values) // warm the memo for the hit series
+	// Warm the memo for the hit series: its doorkeeper admits a row on
+	// the second miss.
+	for pass := 0; pass < 2; pass++ {
+		for _, t := range nobelInj.Dirty.Tuples {
+			me.RepairRow(memoDst, t.Values)
+		}
 	}
 
 	uis := dataset.NewUIS(1, 1500)

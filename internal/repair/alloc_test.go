@@ -42,10 +42,12 @@ func TestFastRepairAllocs(t *testing.T) {
 }
 
 // TestCleanCSVStreamAllocs: a memo-on engine streaming Nobel-500's
-// injected rows into a cold memo averages at most 18 allocations per
-// row, counted as the runtime.MemStats.Mallocs delta over one call.
-// encoding/csv builds fresh cell strings for every record, so the memo
-// keeps them as decoded instead of cloning each one.
+// injected rows for the first time averages at most 15 allocations
+// per row, counted as the runtime.MemStats.Mallocs delta over one
+// call; the memo's doorkeeper declines every row. A second pass on the
+// same engine, which inserts every row into the memo, averages at most
+// 18. encoding/csv builds fresh cell strings for every record, so the
+// memo keeps them as decoded instead of cloning each one.
 func TestCleanCSVStreamAllocs(t *testing.T) {
 	bundle := dataset.NewNobel(1, 500)
 	inj := bundle.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1})
@@ -54,23 +56,28 @@ func TestCleanCSVStreamAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Warm()
-	var in bytes.Buffer
-	if err := inj.Dirty.WriteCSV(&in); err != nil {
-		t.Fatal(err)
+	for _, pass := range []struct {
+		name  string
+		limit float64
+	}{{"first sight", 15}, {"admitting", 18}} {
+		var in bytes.Buffer
+		if err := inj.Dirty.WriteCSV(&in); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := e.CleanCSVStreamContext(context.Background(), &in, io.Discard, true)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows != inj.Dirty.Len() {
+			t.Fatalf("%s: streamed %d of %d rows", pass.name, res.Rows, inj.Dirty.Len())
+		}
+		perRow := float64(after.Mallocs-before.Mallocs) / float64(res.Rows)
+		if perRow > pass.limit {
+			t.Errorf("CleanCSVStream, %s: %.2f allocs per row, want <= %.0f", pass.name, perRow, pass.limit)
+		}
+		t.Logf("CleanCSVStream, %s: %.2f allocs per row over %d rows (%d deduped)", pass.name, perRow, res.Rows, res.Deduped)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := e.CleanCSVStreamContext(context.Background(), &in, io.Discard, true)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows != inj.Dirty.Len() {
-		t.Fatalf("streamed %d of %d rows", res.Rows, inj.Dirty.Len())
-	}
-	perRow := float64(after.Mallocs-before.Mallocs) / float64(res.Rows)
-	if perRow > 18 {
-		t.Errorf("CleanCSVStream: %.2f allocs per row, want <= 18", perRow)
-	}
-	t.Logf("CleanCSVStream: %.2f allocs per row over %d rows (%d deduped)", perRow, res.Rows, res.Deduped)
 }

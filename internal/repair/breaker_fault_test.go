@@ -145,8 +145,11 @@ func TestFaultBreakerProbeHealsMemoizedQuarantine(t *testing.T) {
 
 	dst := &relation.Tuple{Values: make([]string, 3), Marked: make([]bool, 3)}
 	victim := []string{"Alice", poison, "EuroX"}
-	if oc, _ := e.RepairRow(dst, victim); oc != repair.RowQuarantined {
-		t.Fatalf("victim row = %v, want RowQuarantined", oc)
+	// Twice: the second miss admits the verdict to the memo.
+	for i := 0; i < 2; i++ {
+		if oc, _ := e.RepairRow(dst, victim); oc != repair.RowQuarantined {
+			t.Fatalf("victim row #%d = %v, want RowQuarantined", i+1, oc)
+		}
 	}
 	// The verdict is memoized: a replay is a hit, still quarantined.
 	if oc, hit := e.RepairRow(dst, victim); oc != repair.RowQuarantined || !hit {
@@ -162,10 +165,16 @@ func TestFaultBreakerProbeHealsMemoizedQuarantine(t *testing.T) {
 	}
 
 	uninstall()
-	// Cooldown on the victim row: detect-only, memo bypassed — were it
-	// consulted, the cached quarantine would short-circuit recovery.
-	for i := 0; i < 4; i++ {
-		e.RepairRow(dst, victim)
+	// Cooldown on the victim row until the breaker is half-open:
+	// detect-only, memo bypassed — were it consulted, the cached
+	// quarantine would short-circuit recovery.
+	for i := 0; i < 8 && e.BreakerStats().State != "half-open"; i++ {
+		if _, hit := e.RepairRow(dst, victim); hit {
+			t.Fatalf("cooldown row %d was served from the memo", i+1)
+		}
+	}
+	if st := e.BreakerStats(); st.State != "half-open" {
+		t.Fatalf("breaker state = %q after the cooldown, want half-open", st.State)
 	}
 	// Probe on the victim row: skips the memo read, runs fresh, closes
 	// the breaker, and overwrites the cached verdict.

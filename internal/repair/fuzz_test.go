@@ -14,14 +14,15 @@ import (
 
 // FuzzCleanCSVStream fuzzes the /clean body decoder. The harness
 // writes the schema header, after a UTF-8 byte order mark when bom is
-// set, then the fuzz bytes, and streams the document three times: on a
-// memo-on engine shared by every input, a second time on that engine
-// (now answered from its memo), and on a memo-off engine. Each run
-// must end cleanly or with a *PartialError whose Done equals Rows, and
-// all three must write the same bytes and report the same Rows,
-// Quarantined and BudgetExhausted: memo on ≡ off, and replay ≡ fresh.
-// A document with the mark must also stream exactly as it does
-// without.
+// set, then the fuzz bytes, and streams the document four times: three
+// times on a memo-on engine shared by every input, and once on a
+// memo-off engine. On the memo-on engine the second run inserts the
+// rows the doorkeeper has now seen twice, and the third replays them
+// from the memo. Each run must end cleanly or with a *PartialError
+// whose Done equals Rows, and all of them must write the same bytes
+// and report the same Rows, Quarantined and BudgetExhausted: memo on ≡
+// off, and replay ≡ fresh. A document with the mark must also stream
+// exactly as it does without.
 func FuzzCleanCSVStream(f *testing.F) {
 	b := dataset.NewNobel(7, 64)
 	memoOn, err := repair.NewEngine(b.Rules, b.Yago, b.Schema)
@@ -86,7 +87,7 @@ func FuzzCleanCSVStream(f *testing.F) {
 			e    *repair.Engine
 			in   string
 		}
-		runs := []variant{{"memo replay", memoOn, in}, {"memo off", memoOff, in}}
+		runs := []variant{{"memo admit", memoOn, in}, {"memo replay", memoOn, in}, {"memo off", memoOff, in}}
 		if bom {
 			runs = append(runs, variant{"without the BOM", memoOff, in[len("\ufeff"):]})
 		}

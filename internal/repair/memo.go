@@ -32,6 +32,19 @@
 // caller's input strings as they are: table tuples are owned, and a
 // csv.Reader builds fresh cell strings for every record even with
 // ReuseRecord set.
+//
+// A row is memoized on its second miss, not its first: a doorkeeper
+// in front of insertion (after TinyLFU's; Einziger, Friedman and
+// Manes, ACM TOS 2017) remembers 16-bit tags of recent misses, four to
+// a bucket, and a miss whose tag is not already in its bucket only
+// pushes it in, dropping the bucket's oldest tag. Fresh rows, seen
+// once, never take the memo's bytes, so a row is replayed from its
+// third sighting on. Four ways keep two rows that share a bucket from
+// evicting each other's tag forever, as one slot per bucket would. A
+// fingerprint already resident is always overwritten (the breaker's
+// probe heals a cached quarantine that way), and a generation eviction
+// pushes the row's tag, so after a KB swap a hot row is admitted again
+// on its first miss.
 package repair
 
 import (
@@ -47,12 +60,27 @@ import (
 // Options.MemoBytes is 0: comfortably thousands of cached tuples at
 // eval-dataset row sizes while staying irrelevant next to the KB's own
 // footprint.
+//
+// The budget tracks live heap. Over 27,069 Nobel-4000 rows an entry
+// was accounted at 548 bytes, and the memo grew the live heap (memo on
+// minus memo off, after runtime.GC) by 553 bytes per entry when it
+// held the only reference to the row's strings, as it does for a
+// /clean stream's freshly decoded cells, and by 437 when the caller
+// kept them. RSS runs to about twice the live heap, because under
+// GOGC=100 the heap grows to twice its live size before a collection:
+// a memo filled to the 48 MiB budget measured ~70 MB of extra RSS on
+// perfbench's clean-cold.
 const DefaultMemoBytes = 48 << 20
 
 const (
 	memoShardBits  = 6
 	memoShardCount = 1 << memoShardBits
 )
+
+// doorBytesPerTag sizes the doorkeeper: one tag per 4 KiB of budget,
+// rounded up to a power of two, at least one bucket of four per shard.
+// The default budget gets 16,384 tags in 4,096 buckets (32 KiB).
+const doorBytesPerTag = 4096
 
 // Fixed per-entry cost estimates: slot struct + map entry + slice
 // headers. Cell values and row strings are accounted exactly on top.
@@ -127,8 +155,11 @@ type MemoTierStats struct {
 	// their pinned KB generation was superseded by a hot reload.
 	Evictions    int64 `json:"evictions"`
 	GenEvictions int64 `json:"genEvictions"`
-	Entries      int64 `json:"entries"`
-	Bytes        int64 `json:"bytes"`
+	// Declined counts misses the doorkeeper did not insert, because
+	// it had not seen the row before.
+	Declined int64 `json:"declined"`
+	Entries  int64 `json:"entries"`
+	Bytes    int64 `json:"bytes"`
 }
 
 // MemoStats is a point-in-time snapshot of the repair memo, exposed
@@ -149,6 +180,7 @@ type memoCounters struct {
 	misses       atomic.Int64
 	evictions    atomic.Int64
 	genEvictions atomic.Int64
+	declined     atomic.Int64
 	entries      atomic.Int64
 	bytes        atomic.Int64
 }
@@ -159,6 +191,7 @@ func (c *memoCounters) snapshot() MemoTierStats {
 		Misses:       c.misses.Load(),
 		Evictions:    c.evictions.Load(),
 		GenEvictions: c.genEvictions.Load(),
+		Declined:     c.declined.Load(),
 		Entries:      c.entries.Load(),
 		Bytes:        c.bytes.Load(),
 	}
@@ -215,6 +248,13 @@ type repairMemo struct {
 
 	tuple      [memoShardCount]tupleShard
 	tupleStats memoCounters
+
+	// door is the doorkeeper: buckets of four 16-bit tags, newest in
+	// the low bits, split into memoShardCount contiguous regions of
+	// doorMask+1 buckets. Shard i owns region i and reads and writes it
+	// only under its mutex.
+	door     []uint64
+	doorMask uint64
 }
 
 // newRepairMemo sizes the memo for schema under a byte budget.
@@ -223,10 +263,16 @@ func newRepairMemo(schema *relation.Schema, budget int64) *repairMemo {
 	for _, a := range schema.Attrs {
 		h = fpString(h, a)
 	}
+	buckets := uint64(memoShardCount)
+	for 4*buckets < uint64(budget/doorBytesPerTag) {
+		buckets <<= 1
+	}
 	m := &repairMemo{
 		schemaFP:    fpFinish(h),
 		budget:      budget,
 		tupleBudget: budget / memoShardCount,
+		door:        make([]uint64, buckets),
+		doorMask:    buckets/memoShardCount - 1,
 	}
 	for i := range m.tuple {
 		m.tuple[i].idx = make(map[uint64]int32)
@@ -235,6 +281,23 @@ func newRepairMemo(schema *relation.Schema, budget int64) *repairMemo {
 }
 
 func memoShard(fp uint64) int { return int(fp >> (64 - memoShardBits)) }
+
+// seen reports whether fp's tag is in its doorkeeper bucket, which
+// its low bits pick inside its shard's region, and otherwise pushes it
+// in. The caller holds fp's shard mutex.
+func (m *repairMemo) seen(fp uint64) bool {
+	b := &m.door[uint64(memoShard(fp))*(m.doorMask+1)+fp&m.doorMask]
+	// Bits that pick neither the shard nor the bucket; never 0, so an
+	// empty way cannot match.
+	tag := uint64(uint16(fp>>32) | 1)
+	for w := *b; w != 0; w >>= 16 {
+		if w&0xffff == tag {
+			return true
+		}
+	}
+	*b = *b<<16 | tag
+	return false
+}
 
 // tupleFP fingerprints a row's cell values and marks against the
 // schema, without allocating. mk nil is the all-unmarked row and
@@ -303,10 +366,12 @@ func rowBytes(vals []string) int64 {
 }
 
 // lookupTuple finds, verifies, and touches the entry for (gen, fp,
-// vals, mk) under the shard lock, counting the outcome. It returns
-// nil on any miss — absent, superseded generation (the entry is
-// evicted), or fingerprint collision.
-func (s *tupleShard) lookupTuple(c *memoCounters, gen int64, fp uint64, vals []string, mk []bool) *tupleEntry {
+// vals, mk) in shard s, whose lock the caller holds, counting the
+// outcome. It returns nil on any miss — absent, superseded generation
+// (the entry is evicted and its tag pushed into the doorkeeper, so
+// the next insert admits it), or fingerprint collision.
+func (m *repairMemo) lookupTuple(s *tupleShard, gen int64, fp uint64, vals []string, mk []bool) *tupleEntry {
+	c := &m.tupleStats
 	i, ok := s.idx[fp]
 	if !ok {
 		c.misses.Add(1)
@@ -315,6 +380,7 @@ func (s *tupleShard) lookupTuple(c *memoCounters, gen int64, fp uint64, vals []s
 	e := &s.slots[i]
 	if e.gen != gen {
 		s.remove(i, c)
+		m.seen(fp)
 		c.genEvictions.Add(1)
 		c.misses.Add(1)
 		return nil
@@ -337,7 +403,7 @@ func (m *repairMemo) getInto(gen int64, fp uint64, vals []string, mk []bool, tup
 	s := &m.tuple[memoShard(fp)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.lookupTuple(&m.tupleStats, gen, fp, vals, mk)
+	e := m.lookupTuple(s, gen, fp, vals, mk)
 	if e == nil {
 		return 0, 0, false
 	}
@@ -347,11 +413,13 @@ func (m *repairMemo) getInto(gen int64, fp uint64, vals []string, mk []bool, tup
 }
 
 // putTuple inserts the repair of (origVals, origMk) → (out, oc, conf)
-// under generation gen. conf is the row confidence stored alongside
-// the outcome (single-engine paths pass 1). The entry keeps the
-// strings of origVals, which must not be mutated afterwards; only the
-// slices are copied. Oversized entries are dropped rather than
-// thrashing the CLOCK.
+// under generation gen, if the doorkeeper admits it: a fingerprint
+// not resident is inserted only when the doorkeeper has seen it
+// before, and otherwise only recorded there. conf is the row
+// confidence stored alongside the outcome (single-engine paths pass
+// 1). The entry keeps the strings of origVals, which must not be
+// mutated afterwards; only the slices are copied. Oversized entries
+// are dropped rather than thrashing the CLOCK.
 func (m *repairMemo) putTuple(gen int64, fp uint64, origVals []string, origMk []bool, out *relation.Tuple, oc tupleOutcome, conf float64) {
 	size := int64(tupleEntryOverhead) + rowBytes(origVals) + rowBytes(out.Values) + int64(len(origVals)+2*len(out.Values))
 	if size > m.tupleBudget {
@@ -369,6 +437,9 @@ func (m *repairMemo) putTuple(gen int64, fp uint64, origVals []string, origMk []
 		e := &s.slots[i]
 		s.bytes -= e.bytes
 		m.tupleStats.bytes.Add(-e.bytes)
+	} else if !m.seen(fp) {
+		m.tupleStats.declined.Add(1)
+		return
 	} else if n := len(s.free); n > 0 {
 		i = s.free[n-1]
 		s.free = s.free[:n-1]

@@ -28,21 +28,22 @@ func memoEngine(t *testing.T, opts repair.Options) (*repair.Engine, *kb.Store) {
 	return e, store
 }
 
-// TestMemoHitIdentity repairs the same tuple twice: the second repair
-// must be a tuple-tier hit and byte-identical to the first, and the
-// clone handed out must not alias cache memory (mutating a result
-// must not poison later replays).
+// TestMemoHitIdentity repairs the same tuple three times: the second
+// repair admits it to the memo, the third must be a tuple-tier hit and
+// byte-identical to the first, and the clone handed out must not alias
+// cache memory (mutating a result must not poison later replays).
 func TestMemoHitIdentity(t *testing.T) {
 	e, _ := memoEngine(t, repair.Options{})
 	tu := relation.NewTuple("Alice", "ParisX", "EuroX")
 
 	r1 := e.FastRepair(tu)
+	e.FastRepair(tu) // the second miss admits the row
 	ms0 := e.MemoStats()
 	if !ms0.Enabled {
 		t.Fatal("memo should be enabled by default")
 	}
 	if ms0.Tuple.Entries == 0 {
-		t.Fatalf("no tuple entry cached after first repair: %+v", ms0.Tuple)
+		t.Fatalf("no tuple entry cached after the second repair: %+v", ms0.Tuple)
 	}
 	r2 := e.FastRepair(tu)
 	if !r1.EqualMarked(r2) {
@@ -50,7 +51,7 @@ func TestMemoHitIdentity(t *testing.T) {
 	}
 	ms1 := e.MemoStats()
 	if ms1.Tuple.Hits <= ms0.Tuple.Hits {
-		t.Fatalf("second repair was not a tuple hit: %+v -> %+v", ms0.Tuple, ms1.Tuple)
+		t.Fatalf("third repair was not a tuple hit: %+v -> %+v", ms0.Tuple, ms1.Tuple)
 	}
 
 	// Corrupt the returned clone; the cache must be unaffected.
@@ -69,22 +70,128 @@ func TestMemoRepairRow(t *testing.T) {
 	dst := &relation.Tuple{Values: make([]string, 3), Marked: make([]bool, 3)}
 	rec := []string{"Alice", "ParisX", "EuroX"}
 
-	oc, hit := e.RepairRow(dst, rec)
-	if oc != repair.RowRepaired || hit {
-		t.Fatalf("cold RepairRow = (%v, %v), want (RowRepaired, false)", oc, hit)
+	// Two cold repairs: the first is declined by the doorkeeper, the
+	// second admits the row.
+	for i := 0; i < 2; i++ {
+		oc, hit := e.RepairRow(dst, rec)
+		if oc != repair.RowRepaired || hit {
+			t.Fatalf("cold RepairRow #%d = (%v, %v), want (RowRepaired, false)", i+1, oc, hit)
+		}
 	}
 	if dst.Values[1] != "ParisA" || dst.Values[2] != "EuroA" {
 		t.Fatalf("cold repair wrong: %v", dst.Values)
 	}
 	cold := dst.Clone()
 
-	oc, hit = e.RepairRow(dst, rec)
+	oc, hit := e.RepairRow(dst, rec)
 	if oc != repair.RowRepaired || !hit {
 		t.Fatalf("warm RepairRow = (%v, %v), want (RowRepaired, true)", oc, hit)
 	}
 	if !dst.EqualMarked(cold) {
 		t.Fatalf("warm repair differs: %v, want %v", dst, cold)
 	}
+}
+
+// TestMemoAdmission pins the doorkeeper: the memo inserts a row on
+// its second miss, not its first. Rows resident when the KB swaps are
+// admitted again on their first miss after it, and a breaker probe
+// overwrites a resident quarantine, even after other rows have pushed
+// the row's tag out of the doorkeeper.
+func TestMemoAdmission(t *testing.T) {
+	dst := &relation.Tuple{Values: make([]string, 3), Marked: make([]bool, 3)}
+	rec := []string{"Alice", "ParisX", "EuroX"}
+	// flood repairs n distinct rows once each, and each of them is
+	// declined. Under a 256 KiB budget the doorkeeper has one bucket of
+	// four tags per shard, so 1,000 rows (about 16 per shard) push
+	// every earlier tag out.
+	flood := func(t *testing.T, e *repair.Engine, n int) {
+		t.Helper()
+		before := e.MemoStats().Tuple
+		for i := 0; i < n; i++ {
+			e.RepairRow(dst, []string{fmt.Sprintf("Passerby-%d", i), "ParisX", "EuroX"})
+		}
+		if after := e.MemoStats().Tuple; after.Entries != before.Entries || after.Declined-before.Declined != int64(n) {
+			t.Fatalf("flood of %d fresh rows: %+v -> %+v, want all declined", n, before, after)
+		}
+	}
+
+	t.Run("seen once", func(t *testing.T) {
+		e, _ := memoEngine(t, repair.Options{})
+		for i := 0; i < 4000; i++ {
+			e.RepairRow(dst, []string{fmt.Sprintf("Nobody-%d", i), "ParisX", "EuroX"})
+		}
+		ms := e.MemoStats().Tuple
+		if ms.Entries != 0 || ms.Bytes != 0 || ms.Declined != 4000 || ms.Misses != 4000 {
+			t.Fatalf("4,000 fresh rows: %+v, want 0 entries, 0 bytes, 4,000 declined", ms)
+		}
+	})
+
+	t.Run("second miss inserts", func(t *testing.T) {
+		e, _ := memoEngine(t, repair.Options{})
+		want := []repair.MemoTierStats{
+			{Misses: 1, Declined: 1},
+			{Misses: 2, Declined: 1, Entries: 1},
+			{Hits: 1, Misses: 2, Declined: 1, Entries: 1},
+		}
+		for i, w := range want {
+			_, hit := e.RepairRow(dst, rec)
+			ms := e.MemoStats().Tuple
+			ms.Bytes = 0
+			if ms != w || hit != (w.Hits == 1) {
+				t.Fatalf("repair #%d: hit %v, %+v, want %+v", i+1, hit, ms, w)
+			}
+		}
+	})
+
+	t.Run("readmitted after swap", func(t *testing.T) {
+		e, store := memoEngine(t, repair.Options{MemoBytes: 256 << 10})
+		e.RepairRow(dst, rec)
+		e.RepairRow(dst, rec)
+		flood(t, e, 1000)
+		store.Swap(swapGraph("B"))
+		before := e.MemoStats().Tuple
+		if _, hit := e.RepairRow(dst, rec); hit || dst.Values[1] != "ParisB" {
+			t.Fatalf("first repair after the swap: hit %v, %v, want a fresh ParisB", hit, dst.Values)
+		}
+		ms := e.MemoStats().Tuple
+		if ms.GenEvictions != before.GenEvictions+1 || ms.Entries != 1 || ms.Declined != before.Declined {
+			t.Fatalf("first miss after the swap: %+v -> %+v, want the row evicted and inserted again", before, ms)
+		}
+		if _, hit := e.RepairRow(dst, rec); !hit || dst.Values[1] != "ParisB" {
+			t.Fatalf("second repair after the swap: hit %v, %v, want a memoized ParisB", hit, dst.Values)
+		}
+	})
+
+	t.Run("probe overwrites quarantine", func(t *testing.T) {
+		e, _ := memoEngine(t, repair.Options{MemoBytes: 256 << 10, Breaker: breakerTestOptions()})
+		poison := "POISON-CITY-27A"
+		uninstall := faultinject.PanicOnValue(poison)
+		defer uninstall()
+		victim := []string{"Alice", poison, "EuroX"}
+		e.RepairRow(dst, victim)
+		e.RepairRow(dst, victim)
+		if oc, hit := e.RepairRow(dst, victim); oc != repair.RowQuarantined || !hit {
+			t.Fatalf("victim replay = (%v, %v), want memoized quarantine", oc, hit)
+		}
+		flood(t, e, 1000)
+		for i := 0; i < 32 && e.BreakerStats().State != "open"; i++ {
+			e.RepairRow(dst, poisonedRec(poison, i))
+		}
+		if st := e.BreakerStats().State; st != "open" {
+			t.Fatalf("breaker state = %q after the storm, want open", st)
+		}
+		uninstall()
+		// Cooldown rows are detect-only; the probe closes the breaker.
+		for i := 0; i < 32 && e.BreakerStats().State != "closed"; i++ {
+			e.RepairRow(dst, victim)
+		}
+		if st := e.BreakerStats(); st.State != "closed" || st.Recoveries != 1 {
+			t.Fatalf("probe on the victim did not close the breaker: %+v", st)
+		}
+		if oc, hit := e.RepairRow(dst, victim); oc != repair.RowRepaired || !hit {
+			t.Fatalf("healed replay = (%v, %v), want memoized RowRepaired", oc, hit)
+		}
+	})
 }
 
 // TestCandidateCacheSharesHotValues: a novel tuple that shares a hot
@@ -126,7 +233,7 @@ func TestMemoInvalidatedOnSwap(t *testing.T) {
 	if r1.Values[1] != "ParisA" {
 		t.Fatalf("pre-swap repair = %v, want ParisA", r1.Values)
 	}
-	e.FastRepair(tu) // warm hit under generation A
+	e.FastRepair(tu) // admitted under generation A
 
 	store.Swap(swapGraph("B"))
 	r2 := e.FastRepair(tu)
@@ -150,14 +257,17 @@ func TestMemoInvalidatedOnSwap(t *testing.T) {
 }
 
 // TestMemoEvictionRespectsBudget floods a deliberately tiny memo with
-// distinct rows: the CLOCK must keep resident bytes under the
-// configured budget and count capacity evictions.
+// distinct rows, each fed twice so the doorkeeper admits it: the CLOCK
+// must keep resident bytes under the configured budget and count
+// capacity evictions.
 func TestMemoEvictionRespectsBudget(t *testing.T) {
 	const budget = 256 << 10
 	e, _ := memoEngine(t, repair.Options{MemoBytes: budget})
 	dst := &relation.Tuple{Values: make([]string, 3), Marked: make([]bool, 3)}
 	for i := 0; i < 4000; i++ {
-		e.RepairRow(dst, []string{fmt.Sprintf("Nobody-%d", i), "ParisX", "EuroX"})
+		rec := []string{fmt.Sprintf("Nobody-%d", i), "ParisX", "EuroX"}
+		e.RepairRow(dst, rec)
+		e.RepairRow(dst, rec)
 	}
 	ms := e.MemoStats()
 	if ms.BudgetBytes != budget {
@@ -198,10 +308,11 @@ func TestMemoDisabled(t *testing.T) {
 
 // TestFaultMemoQuarantineReplay pins the verdict-caching contract:
 // a poisoned row's quarantine is memoized under the generation it ran
-// on, so replaying the same row is answered from the cache —
-// byte-identical, still counted as quarantined — without re-entering
-// the panicking kernel. (TestFault* naming opts this into the nightly
-// fault lane's -count=5 runs.)
+// on (on its second pass, when the doorkeeper admits it), so replaying
+// the same row is answered from the cache — byte-identical, still
+// counted as quarantined — without re-entering the panicking kernel.
+// (TestFault* naming opts this into the nightly fault lane's -count=5
+// runs.)
 func TestFaultMemoQuarantineReplay(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	poison := "POISON-MEMO-13M"
@@ -214,16 +325,22 @@ func TestFaultMemoQuarantineReplay(t *testing.T) {
 	}
 	uninstall := faultinject.PanicOnValue(poison)
 
-	var in1, out1 bytes.Buffer
-	if err := dirty.WriteCSV(&in1); err != nil {
-		t.Fatal(err)
-	}
-	res1, err := e.CleanCSVStreamContext(context.Background(), &in1, &out1, false)
-	if err != nil {
-		t.Fatalf("first stream: %v", err)
-	}
-	if res1.Quarantined != 1 {
-		t.Fatalf("first pass Quarantined = %d, want 1", res1.Quarantined)
+	var out1 []byte
+	for pass := 1; pass <= 2; pass++ {
+		var in, out bytes.Buffer
+		if err := dirty.WriteCSV(&in); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.CleanCSVStreamContext(context.Background(), &in, &out, false)
+		if err != nil {
+			t.Fatalf("poisoned stream %d: %v", pass, err)
+		}
+		if res.Quarantined != 1 {
+			t.Fatalf("poisoned pass %d Quarantined = %d, want 1", pass, res.Quarantined)
+		}
+		if pass == 1 {
+			out1 = out.Bytes()
+		}
 	}
 
 	// Remove the fault. A fresh repair of the poisoned row would now
@@ -237,7 +354,7 @@ func TestFaultMemoQuarantineReplay(t *testing.T) {
 	}
 	res2, err := e.CleanCSVStreamContext(context.Background(), &in2, &out2, false)
 	if err != nil {
-		t.Fatalf("second stream: %v", err)
+		t.Fatalf("replay stream: %v", err)
 	}
 	if res2.Quarantined != 1 {
 		t.Fatalf("replayed pass Quarantined = %d, want 1 (from the memoized verdict)", res2.Quarantined)
@@ -245,8 +362,8 @@ func TestFaultMemoQuarantineReplay(t *testing.T) {
 	if res2.Deduped != dirty.Len() {
 		t.Errorf("replayed pass Deduped = %d, want %d (every row memo-served)", res2.Deduped, dirty.Len())
 	}
-	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
-		t.Errorf("replay not byte-identical:\n%s\nvs:\n%s", out2.Bytes(), out1.Bytes())
+	if !bytes.Equal(out1, out2.Bytes()) {
+		t.Errorf("replay not byte-identical:\n%s\nvs:\n%s", out2.Bytes(), out1)
 	}
 }
 
@@ -342,7 +459,8 @@ func TestMemoDoesNotPerturbEval(t *testing.T) {
 	}
 
 	want := off.RepairTable(inj.Dirty, true)
-	for pass := 1; pass <= 2; pass++ { // pass 2 is fully memo-served
+	for pass := 1; pass <= 3; pass++ { // pass 2 admits, pass 3 is fully memo-served
+		hits := on.MemoStats().Tuple.Hits
 		got := on.RepairTable(inj.Dirty, true)
 		if got.Len() != want.Len() {
 			t.Fatalf("pass %d: %d rows, want %d", pass, got.Len(), want.Len())
@@ -353,8 +471,11 @@ func TestMemoDoesNotPerturbEval(t *testing.T) {
 					pass, i, got.Tuples[i], want.Tuples[i])
 			}
 		}
+		if served := on.MemoStats().Tuple.Hits - hits; pass == 3 && served != int64(want.Len()) {
+			t.Errorf("third pass: %d of %d rows memo-served", served, want.Len())
+		}
 	}
 	if ms := on.MemoStats(); ms.Tuple.Hits == 0 {
-		t.Error("second pass produced no memo hits")
+		t.Error("repeated passes produced no memo hits")
 	}
 }

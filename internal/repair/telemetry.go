@@ -110,6 +110,9 @@ func (in *engineInstr) registerMemo(m *repairMemo) {
 	reg.CounterFunc("detective_memo_evictions_total",
 		"Repair-memo entries evicted, by tier and reason.",
 		func() float64 { return float64(m.tupleStats.genEvictions.Load()) }, reason("generation"), tier("tuple"))
+	reg.CounterFunc("detective_memo_declined_total",
+		"Repair-memo misses not inserted because the doorkeeper had not seen the row before, by tier.",
+		func() float64 { return float64(m.tupleStats.declined.Load()) }, tier("tuple"))
 	reg.GaugeFunc("detective_memo_bytes",
 		"Bytes held by the repair memo, by tier.",
 		func() float64 { return float64(m.tupleStats.bytes.Load()) }, tier("tuple"))

@@ -223,14 +223,28 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	// The default registry carries the engine's repair metrics (the
-	// engine always instruments process-wide); a full detectived ops
-	// scrape includes both.
+	// The default registry carries the engine's repair and memo
+	// metrics (the engine always instruments process-wide); a full
+	// detectived ops scrape includes both.
 	var dbuf bytes.Buffer
 	if err := telemetry.Default().WritePrometheus(&dbuf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(dbuf.Bytes(), []byte("detective_repair_tuples_total")) {
-		t.Error("default registry missing repair outcome counters")
+	if _, err := telemetry.ValidateExposition(bytes.NewReader(dbuf.Bytes())); err != nil {
+		t.Fatalf("default registry exposition does not parse: %v", err)
+	}
+	for _, want := range []string{
+		"detective_repair_tuples_total",
+		`detective_memo_hits_total{tier="tuple"}`,
+		`detective_memo_misses_total{tier="tuple"}`,
+		`detective_memo_declined_total{tier="tuple"}`,
+		`detective_memo_evictions_total{reason="capacity",tier="tuple"}`,
+		`detective_memo_evictions_total{reason="generation",tier="tuple"}`,
+		`detective_memo_bytes{tier="tuple"}`,
+		`detective_memo_entries{tier="tuple"}`,
+	} {
+		if !bytes.Contains(dbuf.Bytes(), []byte(want)) {
+			t.Errorf("default registry missing %q", want)
+		}
 	}
 }
