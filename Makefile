@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff ab snapshot-check delta-check metrics-check experiments examples e2e clean
+.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff ab perfbench-check snapshot-check delta-check metrics-check experiments examples e2e clean
 
 all: build vet fmt-check test
 
@@ -96,6 +96,12 @@ WORKLOAD ?= clean-cold
 SEEDS ?= 1 2 3
 ab:
 	./scripts/ab.sh $(BASE) $(WORKLOAD) $(SEEDS)
+
+# perfbench is a nested module, so `go build/vet/test ./...` never
+# compile it; it calls Catalog.CandidatesOn, Matcher.EvaluateOn and
+# Engine.Warm, so a change to them can break perfbench/run.sh unseen.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
 
 # Snapshot golden gate: packing the checked-in sample KB must be
 # byte-deterministic, and unpacking the snapshot must round-trip to

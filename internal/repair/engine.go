@@ -106,11 +106,12 @@ type Engine struct {
 }
 
 // check is one memoizable value-level test, identified by its dense
-// ID. Edge checks carry no payload: they are only consulted when
-// already memoized (see fastStep).
+// ID. A node check names the rule's evidence node it tests; edge
+// checks carry no payload: they are only consulted when already
+// memoized (see fastStep).
 type check struct {
 	id     int32
-	node   rules.Node
+	ev     int
 	isEdge bool
 }
 
@@ -259,9 +260,9 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		}
 
 		var evs []check
-		for _, n := range dr.Evidence {
+		for k, n := range dr.Evidence {
 			id := idOf(n.Key(), n.Col)
-			evs = append(evs, check{id: id, node: n})
+			evs = append(evs, check{id: id, ev: k})
 			e.evIndex[id] = append(e.evIndex[id], i)
 		}
 		evSet := make(map[string]bool, len(dr.Evidence))
@@ -349,10 +350,12 @@ func (e *Engine) Rules() []*rules.DR { return e.Graph.Rules }
 func (e *Engine) Store() *kb.Store { return e.Cat.Store() }
 
 // Warm builds on the current graph the signature index of every class
-// a rule node names, evidence, positive and negative alike, by issuing
-// one lookup per distinct (type, sim) pair, so later timings exclude
-// index construction. Benchmarks and the Figure 8 timings call it;
-// serving never does, and builds only the indexes its lookups read.
+// a similarity rule node names, evidence, positive and negative alike,
+// by issuing one lookup per distinct (type, sim) pair, so later timings
+// exclude index construction. Exact nodes read the KB's name table and
+// build none. Benchmarks and the Figure 8 timings call it; serving
+// never does, and builds only the indexes its lookups read: on the
+// Nobel rules, those of the similarity evidence classes.
 func (e *Engine) Warm() {
 	type pair struct {
 		typ string
@@ -697,6 +700,7 @@ func (e *Engine) runFastGroups(cl *relation.Tuple, st *fastState) bool {
 type fastState struct {
 	alive   []bool
 	memo    []int8              // check ID -> tri-state result for the current values
+	cands   rules.RowCandidates // the tuple's candidate lists, for every rule
 	changed []int               // columns the current application rewrote
 	alts    map[string][]string // optional multi-version recorder
 	steps   *[]Step             // optional explanation recorder
@@ -743,6 +747,7 @@ func (e *Engine) getStateOn(g *kb.Graph) *fastState {
 	st.steps = nil
 	st.timer = nil
 	st.g = g // pin the chosen KB for this tuple
+	st.cands.Reset(g)
 	st.stepsLeft = e.stepBudget
 	st.exceeded = false
 	st.detectOnly = false
@@ -759,6 +764,7 @@ func (e *Engine) putState(st *fastState) {
 	st.steps = nil
 	st.timer = nil
 	st.g = nil
+	st.cands.Reset(nil)
 	e.pool.Put(st)
 }
 
@@ -790,6 +796,9 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 
 	// Evidence prechecks, shared across rules (Alg. 2 lines 3-9).
 	if e.opts.NoSharedChecks {
+		// Ablation: no check is shared, so no evaluation reads the
+		// candidates another retrieved.
+		st.cands.Reset(st.g)
 		goto evaluate
 	}
 	for _, c := range e.evChecks[idx] {
@@ -805,10 +814,10 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 			}
 			var hold bool
 			if st.timer == nil {
-				hold = m.NodeCheckOn(st.g, t, c.node)
+				hold = m.EvidenceCheck(&st.cands, t, c.ev)
 			} else {
 				t0 := time.Now()
-				hold = m.NodeCheckOn(st.g, t, c.node)
+				hold = m.EvidenceCheck(&st.cands, t, c.ev)
 				st.timer.detect += time.Since(t0)
 			}
 			if hold {
@@ -838,9 +847,9 @@ evaluate:
 	}
 	var out rules.Outcome
 	if st.steps == nil {
-		out = m.VerdictOn(st.g, t)
+		out = m.VerdictRow(&st.cands, t)
 	} else {
-		out = m.EvaluateOn(st.g, t) // the witness goes into the step
+		out = m.EvaluateRow(&st.cands, t) // the witness goes into the step
 	}
 	if st.timer != nil {
 		st.timer.detect += time.Since(t0)

@@ -49,6 +49,17 @@ func swapRules() []*rules.DR {
 	}
 }
 
+// swapRulesED is swapRules with the Name evidence matched under ED,1,
+// for tests of the candidate cache: exact nodes read the KB's name
+// table and never reach it.
+func swapRulesED() []*rules.DR {
+	drs := swapRules()
+	for _, dr := range drs {
+		dr.Evidence[0].Sim = similarity.EDK(1)
+	}
+	return drs
+}
+
 var swapSchema = relation.NewSchema("people", "Name", "City", "Country")
 
 // checkUnmixed verifies a repaired tuple is entirely from one graph
@@ -201,7 +212,7 @@ func TestHotSwapInvalidatesCandidateCache(t *testing.T) {
 	store := kb.NewStore(swapGraph("A"))
 	// The repair memo would answer the second repair before it ever
 	// reached the candidate cache; disable it to observe the cache.
-	e, err := repair.NewEngineStore(swapRules(), store, swapSchema, repair.Options{MemoDisabled: true})
+	e, err := repair.NewEngineStore(swapRulesED(), store, swapSchema, repair.Options{MemoDisabled: true})
 	if err != nil {
 		t.Fatalf("NewEngineStore: %v", err)
 	}

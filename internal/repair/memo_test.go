@@ -197,9 +197,13 @@ func TestMemoAdmission(t *testing.T) {
 // TestCandidateCacheSharesHotValues: a novel tuple that shares a hot
 // evidence value with earlier traffic misses the memo, and the
 // catalog's candidate cache answers that value's node check without
-// another signature-index lookup.
+// another signature-index lookup. The evidence node is an ED one:
+// exact nodes read the KB's name table and never reach the cache.
 func TestCandidateCacheSharesHotValues(t *testing.T) {
-	e, _ := memoEngine(t, repair.Options{})
+	e, err := repair.NewEngineStore(swapRulesED(), kb.NewStore(swapGraph("A")), swapSchema, repair.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.FastRepair(relation.NewTuple("Alice", "ParisX", "EuroX"))
 	ms0 := e.MemoStats()
 	hits0, _, _ := e.Cat.CacheStats()

@@ -1,11 +1,13 @@
 package repair
 
 import (
+	"bufio"
 	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
+	"unsafe"
 
 	"detective/internal/relation"
 )
@@ -15,6 +17,11 @@ import (
 // bounds both memory and the staleness of partial output: whatever was
 // cleaned before a mid-stream failure has already been flushed.
 const flushEvery = 64
+
+// streamBufSize is the csv.Writer's buffer: large enough to hold
+// flushEvery rows, so only the periodic flush writes to the sink
+// (csv.NewWriter adopts a *bufio.Writer of at least 4 KiB as its own).
+const streamBufSize = 16 << 10
 
 // StreamResult is the per-call accounting of one streaming clean.
 type StreamResult struct {
@@ -100,7 +107,7 @@ func (e *Engine) cleanCSVStream(ctx context.Context, r io.Reader, w io.Writer, m
 		}
 	}
 
-	cw := csv.NewWriter(w)
+	cw := csv.NewWriter(bufio.NewWriterSize(w, streamBufSize))
 	outHeader := header
 	if ens {
 		outHeader = append(append([]string(nil), header...), "confidence")
@@ -138,6 +145,7 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 		res.MinConfidence = 1
 	}
 	out := make([]string, outArity)
+	var cells []byte // the row's marked cells, viewed by out
 	tup := &relation.Tuple{
 		Values: make([]string, arity),
 		Marked: make([]bool, arity),
@@ -177,7 +185,7 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 			res.Deduped++
 			e.instr.streamDeduped.Inc()
 		}
-		formatRow(out[:arity], tup, marked)
+		cells = formatRow(out[:arity], cells[:0], tup, marked)
 		if err := cw.Write(out); err != nil {
 			return partial(err)
 		}
@@ -194,13 +202,20 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 }
 
 // formatRow renders a repaired tuple into dst, applying the "+" mark
-// suffix when marked is set.
-func formatRow(dst []string, tup *relation.Tuple, marked bool) {
+// suffix when marked is set. A marked cell is appended to buf and dst
+// holds a view of it, so a row costs no allocation once buf has grown
+// to fit; it returns the extended buf. The views are valid until buf
+// is next reused, which is long enough for csv.Writer.Write: it copies
+// every field before it returns.
+func formatRow(dst []string, buf []byte, tup *relation.Tuple, marked bool) []byte {
 	for i, v := range tup.Values {
-		if marked && tup.Marked[i] {
-			dst[i] = v + "+"
-		} else {
+		if !marked || !tup.Marked[i] {
 			dst[i] = v
+			continue
 		}
+		start := len(buf)
+		buf = append(append(buf, v...), '+')
+		dst[i] = unsafe.String(&buf[start], len(buf)-start)
 	}
+	return buf
 }

@@ -69,17 +69,20 @@ type candShard struct {
 }
 
 // Catalog answers "which KB instances of class T match value v under
-// sim?" — the instance-matching primitive of §IV-B(2). Retrieval runs
-// on the graph's per-class signature indexes (kb.Graph.NameIndex),
-// which the graph builds on first read and shares with every catalog
-// and engine reading it, so similarity matching never scans a class
-// extent.
+// sim?" — the instance-matching primitive of §IV-B(2). An exact ("=")
+// node's candidate is the instance the KB's name table gives for v,
+// kept if it belongs to T: a hash lookup with no cache entry and no
+// index. Similarity nodes retrieve through the graph's per-class
+// signature indexes (kb.Graph.NameIndex), which the graph builds on
+// first read and shares with every catalog and engine reading it, so
+// similarity matching never scans a class extent.
 //
 // In front of the indexes sits a sharded, read-mostly *candidate
 // cache* keyed by (class, sim, value): the repeated values that
 // dominate real dirty tables hit the cache instead of re-running
 // q-gram/PASS-JOIN retrieval. The catalog counts its own cache and
-// index lookups, so engines sharing a graph keep separate accounts.
+// index lookups, similarity nodes only, so engines sharing a graph
+// keep separate accounts.
 //
 // The catalog reads its KB through a kb.Store, so the graph can be
 // hot-swapped while repairs are streaming. Correctness across a swap
@@ -121,7 +124,7 @@ func (c *Catalog) Graph() *kb.Graph { return c.store.Graph() }
 func (c *Catalog) Store() *kb.Store { return c.store }
 
 // CacheStats reports candidate-cache hits, misses, and the current
-// number of cached lists.
+// number of cached lists. Only similarity nodes reach the cache.
 func (c *Catalog) CacheStats() (hits, misses int64, size int) {
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -133,13 +136,13 @@ func (c *Catalog) CacheStats() (hits, misses int64, size int) {
 }
 
 // IndexStats reports this catalog's signature-index lookups — hits
-// found at least one candidate, misses found none — and the number of
-// names in the current graph's built indexes. The indexes belong to
-// the graph, the lookup counts to the catalog: a canary's scratch
-// engines reading the same graph never move the serving engine's
-// counts. Together with CacheStats this makes both layers — the
-// candidate cache in front, the signature indexes behind it —
-// observable through the same telemetry registry.
+// found at least one candidate, misses found none; exact nodes make
+// none — and the number of names in the current graph's built
+// indexes. The indexes belong to the graph, the lookup counts to the
+// catalog: a canary's scratch engines reading the same graph never
+// move the serving engine's counts. Together with CacheStats this
+// makes both layers — the candidate cache in front, the signature
+// indexes behind it — observable through the same telemetry registry.
 func (c *Catalog) IndexStats() (hits, misses int64, size int) {
 	return c.idxHits.Load(), c.idxMisses.Load(), c.store.Graph().IndexedNames()
 }
@@ -170,12 +173,37 @@ func (c *Catalog) advance(gen int64) {
 // MaxEDThreshold are rejected at rule validation time; reaching here
 // with one is a programming error.
 func (c *Catalog) CandidatesOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) []kb.ID {
-	if spec.Op == similarity.OpED && spec.K > MaxEDThreshold {
-		panic(fmt.Sprintf("rules: ED threshold %d exceeds MaxEDThreshold %d", spec.K, MaxEDThreshold))
-	}
 	cls := g.Lookup(typeName)
 	if cls == kb.Invalid {
 		return nil
+	}
+	if spec.Op == similarity.OpEq {
+		if x := exactCandidate(g, cls, value); x != kb.Invalid {
+			return []kb.ID{x}
+		}
+		return nil
+	}
+	return c.similar(g, cls, spec, value)
+}
+
+// exactCandidate is an exact node's retrieval: the instance of class
+// cls named value, or kb.Invalid. Node names are unique in a graph, so
+// the name table's answer, kept if HasType puts it in cls, is exactly
+// what a scan of the class extent would find. The match hook sees the
+// value, as it does on every similarity retrieval.
+func exactCandidate(g *kb.Graph, cls kb.ID, value string) kb.ID {
+	similarity.Observe(value)
+	if x := g.Lookup(value); x != kb.Invalid && g.HasType(x, cls) {
+		return x
+	}
+	return kb.Invalid
+}
+
+// similar is a similarity node's retrieval on class cls: the candidate
+// cache in front, the graph's signature index behind it.
+func (c *Catalog) similar(g *kb.Graph, cls kb.ID, spec similarity.Spec, value string) []kb.ID {
+	if spec.Op == similarity.OpED && spec.K > MaxEDThreshold {
+		panic(fmt.Sprintf("rules: ED threshold %d exceeds MaxEDThreshold %d", spec.K, MaxEDThreshold))
 	}
 	gen := g.Generation()
 	c.advance(gen)
@@ -229,24 +257,74 @@ func (c *Catalog) retrieve(g *kb.Graph, cls kb.ID, spec similarity.Spec, value s
 	return out
 }
 
-// HasCandidateOn reports whether CandidatesOn would be non-empty; it
-// is the node-level check memoized by the fast repair engine.
-func (c *Catalog) HasCandidateOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) bool {
-	return len(c.CandidatesOn(g, typeName, spec, value)) > 0
+// RowCandidates holds one tuple's candidate lists on one pinned graph,
+// keyed by (column, class, spec, value). The fast repair engine keeps
+// one per tuple, so its evidence checks and every rule's evidence
+// matching retrieve each node once per tuple; a lone evaluation keeps
+// its own. A rewritten cell changes its key, so nothing needs
+// invalidating. It is not safe for concurrent use.
+type RowCandidates struct {
+	g    *kb.Graph
+	ents []rowEntry
+	one  []kb.ID // backing for exact nodes' single candidates
+}
+
+type rowEntry struct {
+	col   int
+	cls   kb.ID
+	spec  similarity.Spec
+	value string
+	ids   []kb.ID
+}
+
+// Reset empties r and pins it to g. Reset(nil) also drops the graph
+// and the cell values r held.
+func (r *RowCandidates) Reset(g *kb.Graph) {
+	r.g = g
+	clear(r.ents)
+	r.ents, r.one = r.ents[:0], r.one[:0]
+}
+
+// candidates returns the instances of class cls whose names match
+// value, the tuple's cell in column col, under spec; the first request
+// for a key retrieves them. The list is read-only.
+func (r *RowCandidates) candidates(cat *Catalog, col int, cls kb.ID, spec similarity.Spec, value string) []kb.ID {
+	for i := range r.ents {
+		if e := &r.ents[i]; e.col == col && e.cls == cls && e.spec == spec && e.value == value {
+			return e.ids
+		}
+	}
+	var ids []kb.ID
+	if spec.Op == similarity.OpEq {
+		if x := exactCandidate(r.g, cls, value); x != kb.Invalid {
+			r.one = append(r.one, x)
+			n := len(r.one)
+			ids = r.one[n-1 : n : n]
+		}
+	} else {
+		ids = cat.similar(r.g, cls, spec, value)
+	}
+	r.ents = append(r.ents, rowEntry{col: col, cls: cls, spec: spec, value: value, ids: ids})
+	return ids
 }
 
 // CandidatesScanOn is the unindexed counterpart of CandidatesOn: it
 // enumerates every instance of the class and tests the matching
 // operation directly, the O(|C|·|X|) per-node cost the paper charges
 // to the basic repair algorithm (§IV-A complexity analysis). The fast
-// repair algorithm replaces this with the signature indexes. It is
-// deliberately uncached: it models the basic algorithm's cost, and
-// caching it would corrupt the ablation contrast.
+// repair algorithm replaces this with the name table and the signature
+// indexes. It is deliberately uncached: it models the basic
+// algorithm's cost, and caching it would corrupt the ablation contrast.
 func (c *Catalog) CandidatesScanOn(g *kb.Graph, typeName string, spec similarity.Spec, value string) []kb.ID {
 	cls := g.Lookup(typeName)
 	if cls == kb.Invalid {
 		return nil
 	}
+	return scanCandidates(g, cls, spec, value)
+}
+
+// scanCandidates is CandidatesScanOn on a resolved class.
+func scanCandidates(g *kb.Graph, cls kb.ID, spec similarity.Spec, value string) []kb.ID {
 	var out []kb.ID
 	for _, inst := range g.InstancesOf(cls) {
 		if spec.Match(value, g.Name(inst)) {
@@ -256,8 +334,8 @@ func (c *Catalog) CandidatesScanOn(g *kb.Graph, typeName string, spec similarity
 	return out
 }
 
-// LookupOn retrieves candidates on g with or without the signature
-// indexes.
+// LookupOn retrieves candidates on g by CandidatesOn, or by the class
+// extent scan when scan is set.
 func (c *Catalog) LookupOn(g *kb.Graph, typeName string, spec similarity.Spec, value string, scan bool) []kb.ID {
 	if scan {
 		return c.CandidatesScanOn(g, typeName, spec, value)

@@ -47,33 +47,40 @@ func TestCandidateCacheHits(t *testing.T) {
 // TestCandidateCacheInvalidation: growing the KB after lookups must
 // not serve stale candidate lists — the generation check watches
 // kb.Graph.Generation, which moves on every mutation (including
-// type-only additions, which don't change the triple count).
+// type-only additions, which don't change the triple count). The
+// exact node reads the name table; the ED node goes through the cache.
 func TestCandidateCacheInvalidation(t *testing.T) {
-	g := kb.New()
-	g.AddType("Haifa", "city")
-	cat := rules.NewCatalog(g)
+	for _, sp := range []similarity.Spec{similarity.Eq, similarity.EDK(1)} {
+		g := kb.New()
+		g.AddType("Haifa", "city")
+		cat := rules.NewCatalog(g)
 
-	if got := cat.CandidatesOn(g, "city", similarity.Eq, "Karcag"); len(got) != 0 {
-		t.Fatalf("CandidatesOn(Karcag) = %v before it exists", got)
-	}
-	g.AddType("Karcag", "city")
-	if got := cat.CandidatesOn(g, "city", similarity.Eq, "Karcag"); len(got) != 1 {
-		t.Fatalf("CandidatesOn(Karcag) = %v after adding it (stale cache?)", got)
+		if got := cat.CandidatesOn(g, "city", sp, "Karcag"); len(got) != 0 {
+			t.Fatalf("%v: CandidatesOn(Karcag) = %v before it exists", sp, got)
+		}
+		g.AddType("Karcag", "city")
+		if got := cat.CandidatesOn(g, "city", sp, "Karcag"); len(got) != 1 {
+			t.Fatalf("%v: CandidatesOn(Karcag) = %v after adding it (stale cache?)", sp, got)
+		}
 	}
 }
 
 // TestCandidateCacheBound: the cache must respect its default size
 // bound under a stream of distinct keys instead of growing without
-// limit.
+// limit. The keys are an ED node's: exact nodes never reach the cache.
 func TestCandidateCacheBound(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	cat := rules.NewCatalog(ex.KB)
 	g := cat.Graph()
 	for i := 0; i < 3*rules.DefaultCandidateCacheSize; i++ {
-		cat.CandidatesOn(g, "city", similarity.Eq, strconv.Itoa(i))
+		cat.CandidatesOn(g, "city", similarity.EDK(1), strconv.Itoa(i))
 	}
-	if _, _, size := cat.CacheStats(); size > rules.DefaultCandidateCacheSize {
+	_, _, size := cat.CacheStats()
+	if size > rules.DefaultCandidateCacheSize {
 		t.Errorf("cache size %d exceeds bound %d", size, rules.DefaultCandidateCacheSize)
+	}
+	if size == 0 {
+		t.Error("no candidate list cached")
 	}
 }
 
@@ -81,15 +88,17 @@ func TestCandidateCacheBound(t *testing.T) {
 // signature indexes but count their own lookups. Lookups through the
 // second catalog, concurrent with the first's, must not move the first
 // catalog's hits and misses, and both report the size of every index
-// built on the graph, whichever catalog's lookup built it.
+// built on the graph, whichever catalog's lookup built it. The lookups
+// are an ED node's: exact nodes read the name table, not an index.
 func TestIndexStatsPerCatalog(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	g := ex.KB
 	a, b := rules.NewCatalog(g), rules.NewCatalog(g)
-	if got := a.CandidatesOn(g, "city", similarity.Eq, "Haifa"); len(got) != 1 {
+	ed := similarity.EDK(1)
+	if got := a.CandidatesOn(g, "city", ed, "Haifa"); len(got) != 1 {
 		t.Fatalf("city Haifa = %v", got)
 	}
-	if got := b.CandidatesOn(g, "country", similarity.Eq, "Israel"); len(got) != 1 {
+	if got := b.CandidatesOn(g, "country", ed, "Israel"); len(got) != 1 {
 		t.Fatalf("country Israel = %v", got)
 	}
 	// Distinct values miss the candidate cache, so every lookup below
@@ -101,13 +110,13 @@ func TestIndexStatsPerCatalog(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				a.CandidatesOn(g, "city", similarity.Eq, fmt.Sprintf("a-%d-%d", w, i))
+				a.CandidatesOn(g, "city", ed, fmt.Sprintf("a-%d-%d", w, i))
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				b.CandidatesOn(g, "country", similarity.Eq, fmt.Sprintf("b-%d-%d", w, i))
+				b.CandidatesOn(g, "country", ed, fmt.Sprintf("b-%d-%d", w, i))
 			}
 		}()
 	}

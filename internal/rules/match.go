@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"detective/internal/kb"
 	"detective/internal/relation"
@@ -25,8 +26,10 @@ type Assignment []kb.ID
 // order, and edges are checked as soon as both endpoints are bound.
 func FindAssignments(cat *Catalog, schema *relation.Schema, t *relation.Tuple,
 	nodes []Node, edges []Edge, limit int) []Assignment {
-	p := newPlan(schema, nodes, edges)
-	s := getWorkspace(cat.Graph())
+	var sy symbols
+	p := newPlan(schema, nodes, edges, &sy)
+	g := cat.Graph()
+	s := getWorkspace(g, sy.on(g), nil)
 	defer putWorkspace(s)
 	n := s.find(cat, t, &p, limit, false)
 	if n == 0 {
@@ -39,13 +42,38 @@ func FindAssignments(cat *Catalog, schema *relation.Schema, t *relation.Tuple,
 	return out
 }
 
+// symbols are the type and relation names of a matcher's plans and
+// poles, which refer to them by index, so that a graph resolves each
+// name once (Matcher.resolve) instead of on every retrieval.
+type symbols []string
+
+// intern returns name's index, adding it on first sight.
+func (sy *symbols) intern(name string) int32 {
+	if i := slices.Index(*sy, name); i >= 0 {
+		return int32(i)
+	}
+	*sy = append(*sy, name)
+	return int32(len(*sy) - 1)
+}
+
+// on resolves every symbol on g; a name g lacks resolves to kb.Invalid.
+func (sy symbols) on(g *kb.Graph) []kb.ID {
+	ids := make([]kb.ID, len(sy))
+	for i, name := range sy {
+		ids[i] = g.Lookup(name)
+	}
+	return ids
+}
+
 // plan is a node list prepared for slot-addressed matching. What
 // depends only on the rule and the schema is resolved once: each
-// node's schema column, each edge's endpoint slots, and the order in
-// which path nodes attach to the column-bound ones.
+// node's schema column and type symbol, each edge's endpoint slots and
+// relation symbol, and the order in which path nodes attach to the
+// column-bound ones.
 type plan struct {
 	nodes []Node
-	cols  []int // schema column per node; -1 for a path node or a column the schema lacks
+	cols  []int   // schema column per node; -1 for a path node or a column the schema lacks
+	cls   []int32 // type symbol per node
 	edges []planEdge
 	bound []int32 // column-bound node slots, in node order
 	lazy  []int32 // path node slots, in the order they attach to the bound ones
@@ -58,7 +86,7 @@ type plan struct {
 // edges touching other nodes constrain nothing and are dropped.
 type planEdge struct {
 	from, to int32
-	rel      string
+	rel      int32 // relation symbol
 }
 
 // touches reports whether slot i is an endpoint of e, and if so the
@@ -84,17 +112,19 @@ func slotOf(nodes []Node, name string) int32 {
 	return -1
 }
 
-func newPlan(schema *relation.Schema, nodes []Node, edges []Edge) plan {
-	p := plan{nodes: nodes, cols: make([]int, len(nodes)), edges: make([]planEdge, 0, len(edges))}
+func newPlan(schema *relation.Schema, nodes []Node, edges []Edge, sy *symbols) plan {
+	p := plan{nodes: nodes, cols: make([]int, len(nodes)), cls: make([]int32, len(nodes)),
+		edges: make([]planEdge, 0, len(edges))}
 	for _, e := range edges {
 		fi, ti := slotOf(nodes, e.From), slotOf(nodes, e.To)
 		if fi < 0 || ti < 0 {
 			continue
 		}
-		p.edges = append(p.edges, planEdge{from: fi, to: ti, rel: e.Rel})
+		p.edges = append(p.edges, planEdge{from: fi, to: ti, rel: sy.intern(e.Rel)})
 	}
 	var lazy []int32
 	for i, n := range nodes {
+		p.cls[i] = sy.intern(n.Type)
 		p.cols[i] = -1
 		if n.Col == "" {
 			lazy = append(lazy, int32(i))
@@ -150,6 +180,7 @@ func (p *plan) attach(bound, lazy []int32) (order []int32, ok bool) {
 // draws corrections.
 type pole struct {
 	node Node
+	cls  int32 // type symbol of node
 	// Rules without path nodes: the pole's incident edges, each with
 	// the source slot of its other endpoint.
 	inc []poleEdge
@@ -167,15 +198,15 @@ type pole struct {
 type poleEdge struct {
 	src int32 // source slot of the other endpoint; -1 if the source row lacks it
 	out bool  // the pole is the edge's From end
-	rel string
+	rel int32 // relation symbol
 }
 
 type seed struct{ side, src int32 }
 
-func newPole(node Node, incident []Edge, side *plan, src []Node) pole {
-	p := pole{node: node, side: side, inc: make([]poleEdge, 0, len(incident))}
+func newPole(node Node, incident []Edge, side *plan, src []Node, sy *symbols) pole {
+	p := pole{node: node, cls: sy.intern(node.Type), side: side, inc: make([]poleEdge, 0, len(incident))}
 	for _, e := range incident {
-		pe := poleEdge{out: e.From == node.Name, rel: e.Rel}
+		pe := poleEdge{out: e.From == node.Name, rel: sy.intern(e.Rel)}
 		other := e.From
 		if pe.out {
 			other = e.To
@@ -206,25 +237,27 @@ func newPole(node Node, incident []Edge, side *plan, src []Node) pole {
 // node's options) are pushed on stack and popped on return; a push that
 // grows stack leaves the lists below it intact in the old array.
 type workspace struct {
-	g *kb.Graph
+	g   *kb.Graph
+	ids []kb.ID // the matcher's symbols resolved on g
+
+	// rc holds the tuple's candidate lists: the caller's, or own.
+	rc  *RowCandidates
+	own RowCandidates
 
 	// find: the plan being matched, each column node's candidates, the
-	// visiting order, each edge's relation ID, the row being bound and
-	// the rows found so far, back to back.
+	// visiting order, the row being bound and the rows found so far,
+	// back to back.
 	p     *plan
 	cands [][]kb.ID
 	order []int32
-	rels  []kb.ID
 	cur   []kb.ID
 	rows  []kb.ID
 	nrows int
 	limit int
 
-	// poleCandidates over a path rule's side graph: the pole, its
-	// relation IDs and row, and the sorted pole set growing at
-	// pset[pstart:].
+	// poleCandidates over a path rule's side graph: the pole, its row,
+	// and the sorted pole set growing at pset[pstart:].
 	pp         *pole
-	prels      []kb.ID
 	pcur       []kb.ID
 	pset       []kb.ID
 	pstart     int
@@ -252,16 +285,24 @@ type rankedName struct {
 
 var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
 
-func getWorkspace(g *kb.Graph) *workspace {
+// getWorkspace returns a workspace on g, with ids the symbols resolved
+// on g, reading and keeping candidate lists in rc, or in its own when
+// rc is nil.
+func getWorkspace(g *kb.Graph, ids []kb.ID, rc *RowCandidates) *workspace {
 	s := workspacePool.Get().(*workspace)
-	s.g = g
+	s.g, s.ids, s.rc = g, ids, rc
+	if rc == nil {
+		s.own.Reset(g)
+		s.rc = &s.own
+	}
 	return s
 }
 
-// putWorkspace recycles s. It drops the graph and the names it held, so
-// a pooled workspace keeps no retired KB reachable.
+// putWorkspace recycles s. It drops the graph and the names and values
+// it held, so a pooled workspace keeps no retired KB reachable.
 func putWorkspace(s *workspace) {
-	s.g, s.p, s.pp = nil, nil, nil
+	s.g, s.ids, s.rc, s.p, s.pp = nil, nil, nil, nil, nil
+	s.own.Reset(nil)
 	clear(s.cands)
 	clear(s.names)
 	clear(s.ranked)
@@ -272,20 +313,11 @@ func putWorkspace(s *workspace) {
 // row returns found row i of width w.
 func (s *workspace) row(i, w int) []kb.ID { return s.rows[i*w : (i+1)*w] }
 
-// resolve looks up the relation ID of every edge of p on s.g into dst.
-func (s *workspace) resolve(dst []kb.ID, p *plan) []kb.ID {
-	dst = dst[:0]
-	for _, e := range p.edges {
-		dst = append(dst, s.g.Lookup(e.rel))
-	}
-	return dst
-}
-
 // find enumerates the instance-level matching graphs of p on t into
 // s.rows, one row of len(p.nodes) slots per match, and returns their
-// number, stopping after limit rows (limit <= 0: all). scan retrieves
-// candidates by the basic algorithm's class-extent scan instead of the
-// signature indexes.
+// number, stopping after limit rows (limit <= 0: all). Column nodes'
+// candidates come from the tuple's lists in s.rc, or, when scan is
+// set, from the basic algorithm's class-extent scan.
 func (s *workspace) find(cat *Catalog, t *relation.Tuple, p *plan, limit int, scan bool) int {
 	s.rows, s.nrows = s.rows[:0], 0
 	if cap(s.cands) < len(p.nodes) {
@@ -293,12 +325,16 @@ func (s *workspace) find(cat *Catalog, t *relation.Tuple, p *plan, limit int, sc
 	}
 	s.cands = s.cands[:len(p.nodes)]
 	for _, i := range p.bound {
-		col := p.cols[i]
-		if col < 0 {
+		col, cls := p.cols[i], s.ids[p.cls[i]]
+		if col < 0 || cls == kb.Invalid {
 			return 0
 		}
-		n := &p.nodes[i]
-		c := cat.LookupOn(s.g, n.Type, n.Sim, t.Values[col], scan)
+		var c []kb.ID
+		if spec := p.nodes[i].Sim; scan {
+			c = scanCandidates(s.g, cls, spec, t.Values[col])
+		} else {
+			c = s.rc.candidates(cat, col, cls, spec, t.Values[col])
+		}
 		if len(c) == 0 {
 			return 0
 		}
@@ -313,7 +349,6 @@ func (s *workspace) find(cat *Catalog, t *relation.Tuple, p *plan, limit int, sc
 	order := append(s.order[:0], p.bound...)
 	slices.SortStableFunc(order, func(a, b int32) int { return len(s.cands[a]) - len(s.cands[b]) })
 	s.order = append(order, p.lazy...)
-	s.rels = s.resolve(s.rels, p)
 	s.cur = fillInvalid(s.cur, len(p.nodes))
 	s.p, s.limit = p, limit
 	s.match(0)
@@ -333,7 +368,7 @@ func (s *workspace) match(step int) bool {
 	mark := len(s.stack)
 	options := s.cands[ni]
 	if p.nodes[ni].Col == "" {
-		options = s.lazyCandidates(p, s.rels, s.cur, ni)
+		options = s.lazyCandidates(p, s.cur, ni)
 	}
 	hit := false
 candidates:
@@ -349,7 +384,7 @@ candidates:
 			if e.from != ni {
 				from, to = to, from
 			}
-			if rel := s.rels[ei]; rel == kb.Invalid || !s.g.HasEdge(from, rel, to) {
+			if rel := s.ids[e.rel]; rel == kb.Invalid || !s.g.HasEdge(from, rel, to) {
 				continue candidates
 			}
 		}
@@ -368,9 +403,9 @@ candidates:
 // column-less node ni: the intersection of the relationship
 // neighbourhoods of its bound neighbours in cur, filtered by type, in
 // ascending ID order. It returns the pushed list.
-func (s *workspace) lazyCandidates(p *plan, rels, cur []kb.ID, ni int32) []kb.ID {
+func (s *workspace) lazyCandidates(p *plan, cur []kb.ID, ni int32) []kb.ID {
 	start := len(s.stack)
-	cls := s.g.Lookup(p.nodes[ni].Type)
+	cls := s.ids[p.cls[ni]]
 	if cls == kb.Invalid {
 		return nil
 	}
@@ -381,15 +416,16 @@ func (s *workspace) lazyCandidates(p *plan, rels, cur []kb.ID, ni int32) []kb.ID
 		if !ok || cur[other] == kb.Invalid {
 			continue
 		}
-		if rels[ei] == kb.Invalid {
+		rel := s.ids[e.rel]
+		if rel == kb.Invalid {
 			s.stack = s.stack[:start]
 			return nil
 		}
 		var neigh []kb.ID
 		if e.from == ni {
-			neigh = s.g.Subjects(rels[ei], cur[other])
+			neigh = s.g.Subjects(rel, cur[other])
 		} else {
-			neigh = s.g.Objects(cur[other], rels[ei])
+			neigh = s.g.Objects(cur[other], rel)
 		}
 		s.stack = s.narrow(s.stack, start, neigh, cls, first)
 		first = false
@@ -501,6 +537,13 @@ type Matcher struct {
 	// reproducing the basic repair algorithm's per-node cost model.
 	Scan bool
 
+	// syms are the type and relation names the plans and poles use, and
+	// res holds them resolved on the generation evaluated last. It
+	// holds IDs only, so no retired graph stays reachable through it;
+	// copies of the Matcher share it.
+	syms symbols
+	res  *atomic.Pointer[resolution]
+
 	ev  plan // evidence nodes and the edges among them
 	pos plan // evidence ∪ path ∪ {pos}; the pole's slot is len(Evidence)
 	neg plan // evidence ∪ path ∪ {neg}; no nodes if annotation-only
@@ -531,15 +574,16 @@ func NewMatcher(rule *DR, cat *Catalog, schema *relation.Schema) (*Matcher, erro
 				rule.Name, n.Name, n.Sim.K, MaxEDThreshold)
 		}
 	}
-	m := &Matcher{Rule: rule, Cat: cat, Schema: schema}
-	m.ev = newPlan(schema, rule.Evidence, rule.evidenceEdges())
+	m := &Matcher{Rule: rule, Cat: cat, Schema: schema, res: new(atomic.Pointer[resolution])}
+	sy := &m.syms
+	m.ev = newPlan(schema, rule.Evidence, rule.evidenceEdges(), sy)
 	pg := rule.positiveGraph()
-	m.pos = newPlan(schema, pg.Nodes, pg.Edges)
-	m.posFromEv = newPole(rule.Pos, rule.posEdges(), &m.pos, rule.Evidence)
+	m.pos = newPlan(schema, pg.Nodes, pg.Edges, sy)
+	m.posFromEv = newPole(rule.Pos, rule.posEdges(), &m.pos, rule.Evidence, sy)
 	if ng, ok := rule.negativeGraph(); ok {
-		m.neg = newPlan(schema, ng.Nodes, ng.Edges)
-		m.negFromEv = newPole(*rule.Neg, rule.negEdges(), &m.neg, rule.Evidence)
-		m.posFromNeg = newPole(rule.Pos, rule.posEdges(), &m.pos, ng.Nodes)
+		m.neg = newPlan(schema, ng.Nodes, ng.Edges, sy)
+		m.negFromEv = newPole(*rule.Neg, rule.negEdges(), &m.neg, rule.Evidence, sy)
+		m.posFromNeg = newPole(rule.Pos, rule.posEdges(), &m.pos, ng.Nodes, sy)
 	}
 	for _, n := range rule.Evidence {
 		m.evCols = append(m.evCols, schema.MustCol(n.Col))
@@ -551,6 +595,27 @@ func NewMatcher(rule *DR, cat *Catalog, schema *relation.Schema) (*Matcher, erro
 
 // MarkCols returns the columns a successful application marks.
 func (m *Matcher) MarkCols() []string { return m.markCols }
+
+// resolution is a matcher's symbols resolved on one graph generation.
+type resolution struct {
+	gen int64
+	ids []kb.ID
+}
+
+// resolve returns m's symbols resolved on g, resolving them afresh
+// when g's generation is not the one resolved last. Generations key it
+// as they key the candidate cache: kb.Store.Swap stamps every graph it
+// publishes above all earlier ones, so a generation never names two
+// contents.
+func (m *Matcher) resolve(g *kb.Graph) []kb.ID {
+	gen := g.Generation()
+	if r := m.res.Load(); r != nil && r.gen == gen {
+		return r.ids
+	}
+	r := &resolution{gen: gen, ids: m.syms.on(g)}
+	m.res.Store(r)
+	return r.ids
+}
 
 // assignmentCap bounds the number of instance-level matching graphs
 // enumerated per rule per tuple. Evidence matches are near-functional
@@ -587,18 +652,31 @@ func (m *Matcher) Evaluate(t *relation.Tuple) Outcome {
 // evaluate every rule on it, so a concurrent hot swap never mixes two
 // KBs within one tuple.
 func (m *Matcher) EvaluateOn(g *kb.Graph, t *relation.Tuple) Outcome {
-	return m.evaluate(g, t, true)
+	return m.evaluate(g, nil, t, true)
 }
 
 // VerdictOn is EvaluateOn without the Witness, for callers that do not
 // record provenance. Its other fields equal EvaluateOn's, and when the
 // verdict needs no Repairs or Canonical cells it allocates nothing.
 func (m *Matcher) VerdictOn(g *kb.Graph, t *relation.Tuple) Outcome {
-	return m.evaluate(g, t, false)
+	return m.evaluate(g, nil, t, false)
 }
 
-func (m *Matcher) evaluate(g *kb.Graph, t *relation.Tuple, witness bool) Outcome {
-	s := getWorkspace(g)
+// EvaluateRow is EvaluateOn on rc's graph with t's candidate lists in
+// rc: the rule's column nodes read what earlier evaluations and
+// evidence checks on t retrieved, and keep there what they retrieve.
+func (m *Matcher) EvaluateRow(rc *RowCandidates, t *relation.Tuple) Outcome {
+	return m.evaluate(rc.g, rc, t, true)
+}
+
+// VerdictRow is VerdictOn with t's candidate lists in rc, as
+// EvaluateRow.
+func (m *Matcher) VerdictRow(rc *RowCandidates, t *relation.Tuple) Outcome {
+	return m.evaluate(rc.g, rc, t, false)
+}
+
+func (m *Matcher) evaluate(g *kb.Graph, rc *RowCandidates, t *relation.Tuple, witness bool) Outcome {
+	s := getWorkspace(g, m.resolve(g), rc)
 	var out Outcome
 	if !m.Scan && len(m.Rule.Evidence) > 0 {
 		out = m.evaluateEdgeDriven(s, t, witness)
@@ -875,7 +953,6 @@ func (m *Matcher) poleCandidates(s *workspace, row []kb.ID, p *pole, dst []kb.ID
 	for _, sd := range p.seeds {
 		s.pcur[sd.side] = row[sd.src]
 	}
-	s.prels = s.resolve(s.prels, p.side)
 	s.pp, s.pset, s.pstart, s.expansions = p, dst, len(dst), 0
 	s.walk(0)
 	dst, s.pset = s.pset, nil
@@ -909,7 +986,7 @@ func (s *workspace) walk(step int) bool {
 	}
 	mark := len(s.stack)
 	hit := false
-	for _, inst := range s.lazyCandidates(p.side, s.prels, s.pcur, ni) {
+	for _, inst := range s.lazyCandidates(p.side, s.pcur, ni) {
 		s.expansions++
 		s.pcur[ni] = inst
 		hit = s.walk(step + 1)
@@ -928,7 +1005,7 @@ func (s *workspace) walk(step int) bool {
 // pole's type, in ascending ID order.
 func (s *workspace) nodeCandidates(row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
 	start := len(dst)
-	cls := s.g.Lookup(p.node.Type)
+	cls := s.ids[p.cls]
 	if cls == kb.Invalid {
 		return dst
 	}
@@ -936,7 +1013,7 @@ func (s *workspace) nodeCandidates(row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
 		if e.src < 0 {
 			return dst[:start]
 		}
-		rel := s.g.Lookup(e.rel)
+		rel := s.ids[e.rel]
 		if rel == kb.Invalid {
 			return dst[:start]
 		}
@@ -956,16 +1033,19 @@ func (s *workspace) nodeCandidates(row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
 	return dst
 }
 
-// NodeCheckOn reports whether t can match node n at the value level
-// on g: some KB instance of n's type matches t[col(n)] under n's sim.
-// It is the unit the fast repair engine memoizes across rules (Figure 5
-// node keys).
-func (m *Matcher) NodeCheckOn(g *kb.Graph, t *relation.Tuple, n Node) bool {
-	col := m.Schema.Col(n.Col)
-	if col < 0 {
+// EvidenceCheck reports whether t can match the rule's evidence node i
+// at the value level on rc's graph: some KB instance of the node's type
+// matches its cell under its sim. The candidates stay in rc, t's
+// candidate lists, where the rule's evaluation finds them. It is the
+// unit the fast repair engine memoizes across rules (Figure 5 node
+// keys).
+func (m *Matcher) EvidenceCheck(rc *RowCandidates, t *relation.Tuple, i int) bool {
+	cls := m.resolve(rc.g)[m.ev.cls[i]]
+	if cls == kb.Invalid {
 		return false
 	}
-	return m.Cat.HasCandidateOn(g, n.Type, n.Sim, t.Values[col])
+	col := m.evCols[i]
+	return len(rc.candidates(m.Cat, col, cls, m.Rule.Evidence[i].Sim, t.Values[col])) > 0
 }
 
 // EdgeKey is the shared-computation identity of an edge check — the

@@ -262,17 +262,23 @@ func TestNodeAndEdgeChecks(t *testing.T) {
 	ex, cat := fixture(t)
 	m := matcherFor(t, ex, cat, "phi2")
 	r1 := ex.Dirty.Tuples[0]
-	nameNode := m.Rule.Evidence[0]
-	instNode := m.Rule.Evidence[1]
-	if !m.NodeCheckOn(ex.KB, r1, nameNode) {
-		t.Error("NodeCheckOn(Name) = false")
+	var rc rules.RowCandidates
+	rc.Reset(ex.KB)
+	if !m.EvidenceCheck(&rc, r1, 0) {
+		t.Error("EvidenceCheck(Name) = false")
 	}
-	if !m.NodeCheckOn(ex.KB, r1, instNode) {
-		t.Error("NodeCheckOn(Institution) = false")
+	if !m.EvidenceCheck(&rc, r1, 1) {
+		t.Error("EvidenceCheck(Institution) = false")
 	}
-	bogus := rules.Node{Name: "x", Col: "Name", Type: "no-such-class", Sim: similarity.Eq}
-	if m.NodeCheckOn(ex.KB, r1, bogus) {
-		t.Error("NodeCheckOn(bogus type) = true")
+	bogus := *m.Rule
+	bogus.Evidence = append([]rules.Node{{Name: "w1", Col: "Name", Type: "no-such-class", Sim: similarity.Eq}},
+		m.Rule.Evidence[1:]...)
+	bm, err := rules.NewMatcher(&bogus, cat, ex.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bm.EvidenceCheck(&rc, r1, 0) {
+		t.Error("EvidenceCheck(bogus type) = true")
 	}
 }
 
@@ -294,11 +300,10 @@ func TestNodeKeySharing(t *testing.T) {
 func TestCatalogUnknownType(t *testing.T) {
 	ex, _ := fixture(t)
 	cat := rules.NewCatalog(ex.KB)
-	if got := cat.CandidatesOn(ex.KB, "no-such-class", similarity.Eq, "x"); got != nil {
-		t.Errorf("CandidatesOn(unknown class) = %v", got)
-	}
-	if cat.HasCandidateOn(ex.KB, "no-such-class", similarity.Eq, "x") {
-		t.Error("HasCandidateOn(unknown class) = true")
+	for _, sp := range []similarity.Spec{similarity.Eq, similarity.EDK(1)} {
+		if got := cat.CandidatesOn(ex.KB, "no-such-class", sp, "x"); got != nil {
+			t.Errorf("CandidatesOn(unknown class, %v) = %v", sp, got)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ import "sync/atomic"
 // kernels — and must be cheap: they run on the repair hot path.
 type MatchHook func(q string)
 
-// matchHook is read on every Spec.Match / StringIndex.Lookup; an
-// atomic pointer keeps installation race-free under -race while
-// costing a single relaxed load when no hook is installed.
+// matchHook is read on every Observe call; an atomic pointer keeps
+// installation race-free under -race while costing a single relaxed
+// load when no hook is installed.
 var matchHook atomic.Pointer[MatchHook]
 
 // SetMatchHook installs h as the process-wide match hook; nil removes
@@ -29,8 +29,11 @@ func SetMatchHook(h MatchHook) MatchHook {
 	return *prev
 }
 
-// fireHook invokes the installed hook, if any, with the query string.
-func fireHook(q string) {
+// Observe invokes the installed hook, if any, with the query string.
+// Spec.Match and StringIndex.Lookup call it, and so must any retrieval
+// that matches a query without them (an exact node's name-table
+// lookup), so a hook sees every query the matching kernels see.
+func Observe(q string) {
 	if h := matchHook.Load(); h != nil {
 		(*h)(q)
 	}

@@ -492,7 +492,7 @@ func (c *candSet) add(e int32) bool {
 
 // Lookup dispatches on the spec.
 func (ix *StringIndex) Lookup(spec Spec, q string) []int32 {
-	fireHook(q)
+	Observe(q)
 	switch spec.Op {
 	case OpEq:
 		return ix.LookupEq(q)

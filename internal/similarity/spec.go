@@ -98,7 +98,7 @@ func (sp Spec) String() string {
 
 // Match reports whether a and b match under the spec.
 func (sp Spec) Match(a, b string) bool {
-	fireHook(a)
+	Observe(a)
 	switch sp.Op {
 	case OpEq:
 		return a == b
