@@ -52,9 +52,11 @@ chaos:
 # marked tuple on any cell values, a POST /reload?delta=1 body must decode
 # and apply without panicking (and an accepted apply must match the
 # same delta applied to the text-parsed base), the KB text parser must
-# re-encode to a fixed point, and the flat signature index must
-# return exactly what the map-based reference index returns, in the
-# same order, a /clean body must stream to the same bytes and counts
+# re-encode to a fixed point, the flat signature index must return
+# exactly what the map-based reference index returns, in the same
+# order (entry order for ED lookups, which the reference answers by a
+# scan), EDWithin's bit-parallel kernel must agree with the plain
+# edit-distance DP, a /clean body must stream to the same bytes and counts
 # with the repair memo on, replayed from the memo, and off, and a DKBS
 # snapshot must load to an error or to a graph that freezes, verifies
 # and round-trips (the mmap path must not panic on it either).
@@ -72,6 +74,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzParseKB$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
+	go test -run '^$$' -fuzz '^FuzzEDWithin$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	go test -run '^$$' -fuzz '^FuzzCleanCSVStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/repair
 
 bench:

@@ -391,11 +391,12 @@ func TestParseRulesErrors(t *testing.T) {
 		"rule r {\nrule q {",  // nested
 		"}",                   // unmatched
 		"rule r {\n pos p col=A type=T\n pos q col=A type=T\n}", // dup pos
-		"rule r {\n bogus\n}",                                             // unknown directive
-		"rule r {\n node a col=A\n pos p col=B type=T\n}",                 // missing type
-		"rule r {\n node a col=A type=T sim=XX,1\n pos p col=B type=T\n}", // bad sim
-		"rule r {\n edge a b\n}",                                          // short edge
-		`rule r {` + "\n" + ` node a col="A type=T` + "\n}",               // unterminated quote
+		"rule r {\n bogus\n}",                                                // unknown directive
+		"rule r {\n node a col=A\n pos p col=B type=T\n}",                    // missing type
+		"rule r {\n node a col=A type=T sim=XX,1\n pos p col=B type=T\n}",    // bad sim
+		"rule r {\n node a col=A type=T sim=JAC,NaN\n pos p col=B type=T\n}", // NaN threshold
+		"rule r {\n edge a b\n}",                                             // short edge
+		`rule r {` + "\n" + ` node a col="A type=T` + "\n}",                  // unterminated quote
 	}
 	for _, c := range cases {
 		if _, err := rules.ParseRules(strings.NewReader(c)); err == nil {

@@ -25,8 +25,9 @@ func indexSpecs(maxK int) []Spec {
 // checkAgainstReference builds the flat index three ways (bulk, one Add
 // at a time, and bulk over the first half then Add for the rest) and
 // asserts that each returns exactly the reference's slice for every
-// query and spec, and the same payload set as a brute-force scan
-// (for token thresholds above zero).
+// query and spec (for ED specs, the entry-order scan with ED), and the
+// same payload set as a brute-force scan with Spec.Match (for token
+// thresholds above zero).
 func checkAgainstReference(t *testing.T, maxK int, strs []string, payloads []int32, queries []string) {
 	t.Helper()
 	ref := newRefIndex(maxK)
@@ -87,7 +88,8 @@ func sortedKeys(m map[int32]bool) []int32 {
 }
 
 // FuzzStringIndex checks the flat index against the map-based reference
-// it replaced: the same payloads in the same order for every lookup.
+// it replaced: the same payloads in the same order for every lookup,
+// which for ED lookups is entry order.
 // Entries and queries are newline-separated; payloads repeat, so one
 // payload sits under several strings and one string under several
 // payloads.

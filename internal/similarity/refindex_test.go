@@ -5,9 +5,11 @@ import "fmt"
 // refIndex is the map-based signature index that StringIndex's flat
 // layout replaced, kept as the reference implementation the flat index
 // must agree with exactly: the same payloads in the same order for
-// every lookup. It keeps the original's five structures (the exact,
-// segment and token maps plus the short and token-less lists) and its
-// probe order.
+// every lookup. It keeps the original's exact and token maps, its
+// token-less list and its token probe order. Edit-distance lookups
+// scan every entry in order and check it with the plain DP ED, so the
+// index's probes, its pattern kernel and its entry-order results are
+// all checked against an answer that uses none of them.
 type refIndex struct {
 	maxK int
 
@@ -15,16 +17,8 @@ type refIndex struct {
 	payloads []int32
 
 	exact  map[string][]int32 // value -> entry indexes
-	segs   map[segKey][]int32 // (len, segIdx, segment) -> entry indexes
-	short  []int32            // entries too short to segment, scanned with a length filter
 	tokens map[string][]int32 // token -> entry indexes
 	empty  []int32            // token-less entries (for Jaccard/cosine fallback)
-}
-
-type segKey struct {
-	strLen int
-	segIdx int
-	seg    string
 }
 
 func newRefIndex(maxK int) *refIndex {
@@ -34,7 +28,6 @@ func newRefIndex(maxK int) *refIndex {
 	return &refIndex{
 		maxK:   maxK,
 		exact:  make(map[string][]int32),
-		segs:   make(map[segKey][]int32),
 		tokens: make(map[string][]int32),
 	}
 }
@@ -45,14 +38,6 @@ func (ix *refIndex) Add(s string, payload int32) {
 	ix.payloads = append(ix.payloads, payload)
 
 	ix.exact[s] = append(ix.exact[s], entry)
-
-	if len(s) <= ix.maxK {
-		ix.short = append(ix.short, entry)
-	} else {
-		for i, seg := range segments(s, ix.maxK+1) {
-			ix.segs[segKey{len(s), i, seg}] = append(ix.segs[segKey{len(s), i, seg}], entry)
-		}
-	}
 
 	toks := Tokenize(s)
 	if len(toks) == 0 {
@@ -113,52 +98,13 @@ func (ix *refIndex) LookupED(q string, k int) []int32 {
 	if k > ix.maxK {
 		panic(fmt.Sprintf("similarity: LookupED threshold %d exceeds index maxK %d", k, ix.maxK))
 	}
-	if k == 0 {
-		return ix.LookupEq(q)
-	}
-	seen := make(map[int32]bool)
-	var cands []int32
-	add := func(entries []int32) {
-		for _, e := range entries {
-			if !seen[e] {
-				seen[e] = true
-				cands = append(cands, e)
-			}
+	var hits []int32
+	for e, s := range ix.strs {
+		if ED(s, q) <= k {
+			hits = append(hits, int32(e))
 		}
 	}
-	for _, e := range ix.short {
-		if abs(len(ix.strs[e])-len(q)) <= k && !seen[e] {
-			seen[e] = true
-			cands = append(cands, e)
-		}
-	}
-	n := ix.maxK + 1
-	for l := len(q) - k; l <= len(q)+k; l++ {
-		if l <= ix.maxK {
-			continue // covered by the short bucket
-		}
-		for i, se := range segmentStarts(l, n) {
-			start, slen := se[0], se[1]
-			lo := start - k
-			if lo < 0 {
-				lo = 0
-			}
-			hi := start + k
-			if hi > len(q)-slen {
-				hi = len(q) - slen
-			}
-			for st := lo; st <= hi; st++ {
-				add(ix.segs[segKey{l, i, q[st : st+slen]}])
-			}
-		}
-	}
-	var verified []int32
-	for _, e := range cands {
-		if EDWithin(ix.strs[e], q, k) {
-			verified = append(verified, e)
-		}
-	}
-	return ix.collect(verified)
+	return ix.collect(hits)
 }
 
 func (ix *refIndex) LookupJaccard(q string, tau float64) []int32 {

@@ -8,6 +8,7 @@
 package similarity
 
 import (
+	"math/bits"
 	"strings"
 	"unicode"
 )
@@ -58,9 +59,12 @@ func ED(a, b string) int {
 	return prev[lb]
 }
 
-// EDWithin reports whether ED(a, b) <= k, using a banded dynamic
-// program that costs O(k·min(|a|,|b|)) and exits early when the whole
-// band exceeds k.
+// EDWithin reports whether ED(a, b) <= k. After a length filter it
+// computes the distance with the bit-parallel kernel (Myers, J. ACM
+// 1999, in Hyyrö's global-distance form), which costs a handful of
+// word operations per byte of the longer string when the shorter one
+// has 1–64 bytes; only longer pairs fall back to a banded dynamic
+// program.
 func EDWithin(a, b string, k int) bool {
 	if k < 0 {
 		return false
@@ -79,9 +83,74 @@ func EDWithin(a, b string, k int) bool {
 		a, b = b, a
 		la, lb = lb, la
 	}
+	if lb == 0 {
+		return true // ED = la, within k by the length filter
+	}
+	if lb <= 64 {
+		var p edPattern
+		p.init(b)
+		return p.within(a, k)
+	}
+	return edBanded(a, b, k)
+}
+
+// edPattern is the bit-parallel kernel's table for a pattern of 1–64
+// bytes: bit i of peq[c] is set when byte i of the pattern is c. It
+// is 2 KiB, built once per pattern on the caller's stack.
+type edPattern struct {
+	peq [256]uint64
+	m   int
+}
+
+func (p *edPattern) init(pat string) {
+	for i := 0; i < len(pat); i++ {
+		p.peq[pat[i]] |= 1 << i
+	}
+	p.m = len(pat)
+}
+
+// within reports whether ED(pattern, t) <= k. The DP column over the
+// pattern lives in two bit vectors of vertical deltas, vp (+1) and vn
+// (−1); each byte of t advances it by one column in about 15 word
+// operations, and d tracks its last cell. Shifting a 1 into the
+// horizontal +1 vector makes row 0 read D[0][j] = j, which turns
+// Myers' search into a global distance. Cells never decrease along a
+// diagonal, so every fourth byte the kernel reads the cell of the
+// final cell's diagonal in the current column (two popcounts) and
+// stops once it exceeds k.
+func (p *edPattern) within(t string, k int) bool {
+	vp, vn := ^uint64(0), uint64(0)
+	last := uint(p.m - 1)
+	d := p.m
+	diag := p.m - len(t) // row of the final diagonal in column 0
+	for j := 0; j < len(t); j++ {
+		pm := p.peq[t[j]]
+		d0 := (((pm & vp) + vp) ^ vp) | pm | vn
+		hp := vn | ^(d0 | vp)
+		hn := vp & d0
+		d += int(hp>>last&1) - int(hn>>last&1) // branch-free: mismatches are data-dependent
+		hp = hp<<1 | 1
+		vn = hp & d0
+		vp = hn<<1 | ^(hp | d0)
+		if r := diag + j + 1; j&3 == 3 && r > 0 {
+			rows := ^uint64(0) >> (64 - uint(r))
+			if j+1+bits.OnesCount64(vp&rows)-bits.OnesCount64(vn&rows) > k {
+				return false
+			}
+		}
+	}
+	return d <= k
+}
+
+// edBanded reports whether ED(a, b) <= k for 1 <= k and
+// |a| >= |b| > 0 with a length difference of at most k, using a banded
+// dynamic program that costs O(k·|b|) and exits early when the whole
+// band exceeds k. It serves the pairs too long for the kernel.
+func edBanded(a, b string, k int) bool {
+	la, lb := len(a), len(b)
 	// Band of width 2k+1 around the diagonal. Bands up to k = 7 (every
 	// rule threshold is at most 3) live in stack arrays, so the check
-	// that verifies every index candidate does not allocate.
+	// does not allocate.
 	const inf = 1 << 29
 	width := 2*k + 1
 	var prevBuf, currBuf [15]int
@@ -214,11 +283,4 @@ func sqrtf(n int) float64 {
 		x = 0.5 * (x + float64(n)/x)
 	}
 	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,8 @@ package similarity
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -84,6 +86,28 @@ func TestEDWithinAgreesWithED(t *testing.T) {
 	}
 }
 
+// FuzzEDWithin holds EDWithin, the bit-parallel kernel for shorter
+// strings of 1–64 bytes and the banded DP past them, to the plain DP.
+func FuzzEDWithin(f *testing.F) {
+	long := strings.Repeat("Israel Institute of Technology, Haifa; ", 2)
+	f.Add("", "", uint8(0))
+	f.Add("", "ab", uint8(2))
+	f.Add("Chemistry", "Chemistry", uint8(1))
+	f.Add("Chemistry", "Chamstry", uint8(2))
+	f.Add("Z\xfcrich\x80", "\xffZurich", uint8(3))
+	f.Add(long[:63], long[1:64], uint8(2))
+	f.Add(long[:64], long[:63]+"X", uint8(1))
+	f.Add(long[:65], long[2:66], uint8(4))
+	f.Add(long[:64], long[:66], uint8(2))
+	f.Fuzz(func(t *testing.T, a, b string, k uint8) {
+		a, b = a[:min(len(a), 80)], b[:min(len(b), 80)]
+		kk := int(k % 5)
+		if got, want := EDWithin(a, b, kk), ED(a, b) <= kk; got != want {
+			t.Fatalf("EDWithin(%q, %q, %d) = %v, ED = %d", a, b, kk, got, ED(a, b))
+		}
+	})
+}
+
 func TestEDWithinNegativeK(t *testing.T) {
 	if EDWithin("a", "a", -1) {
 		t.Fatal("EDWithin with negative k must be false")
@@ -144,7 +168,7 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "ED", "ED,-1", "ED,x", "JAC,1.5", "FOO,1"} {
+	for _, bad := range []string{"", "ED", "ED,-1", "ED,x", "JAC,1.5", "FOO,1", "JAC,NaN", "COS,nan", "jaccard,NaN"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
 		}
@@ -231,7 +255,35 @@ func TestStringIndexEq(t *testing.T) {
 	}
 }
 
+// TestStringIndexEDMatchesBruteForce requires LookupED to return
+// exactly the entry-order scan of every entry within ED k of the query
+// (payloads here are entry indexes, so the scan is the payload list).
+// The oracle is the plain DP ED, not EDWithin, which shares the
+// index's pattern kernel. Two corpora: random strings over six letters
+// at maxK 2, and every string over {a,b} of length at most 9, as
+// entries and as queries, at every maxK up to 3 and every k ≤ maxK.
 func TestStringIndexEDMatchesBruteForce(t *testing.T) {
+	check := func(maxK int, corpus, queries []string, dist func(q, s int) int) {
+		t.Helper()
+		ix := NewStringIndex(maxK)
+		for i, s := range corpus {
+			ix.Add(s, int32(i))
+		}
+		for qi, q := range queries {
+			for k := 0; k <= maxK; k++ {
+				var want []int32
+				for i := range corpus {
+					if dist(qi, i) <= k {
+						want = append(want, int32(i))
+					}
+				}
+				if got := ix.LookupED(q, k); !slices.Equal(got, want) {
+					t.Fatalf("maxK %d: LookupED(%q,%d) = %v, entry-order scan %v", maxK, q, k, got, want)
+				}
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(42))
 	alpha := "abcdef"
 	randStr := func(n int) string {
@@ -241,33 +293,28 @@ func TestStringIndexEDMatchesBruteForce(t *testing.T) {
 		}
 		return string(b)
 	}
-	const maxK = 2
-	ix := NewStringIndex(maxK)
-	var corpus []string
+	var corpus, queries []string
 	for i := 0; i < 300; i++ {
-		s := randStr(rng.Intn(12))
-		corpus = append(corpus, s)
-		ix.Add(s, int32(i))
+		corpus = append(corpus, randStr(rng.Intn(12)))
 	}
 	for q := 0; q < 200; q++ {
-		query := randStr(rng.Intn(12))
-		for k := 0; k <= maxK; k++ {
-			want := make(map[int32]bool)
-			for i, s := range corpus {
-				if EDWithin(s, query, k) {
-					want[int32(i)] = true
-				}
-			}
-			got := ix.LookupED(query, k)
-			if len(got) != len(want) {
-				t.Fatalf("LookupED(%q,%d): got %d payloads, want %d", query, k, len(got), len(want))
-			}
-			for _, p := range got {
-				if !want[p] {
-					t.Fatalf("LookupED(%q,%d): unexpected payload %d (%q)", query, k, p, corpus[p])
-				}
-			}
+		queries = append(queries, randStr(rng.Intn(12)))
+	}
+	check(2, corpus, queries, func(q, s int) int { return ED(corpus[s], queries[q]) })
+
+	ab := []string{""}
+	for i := 0; len(ab[i]) < 9; i++ {
+		ab = append(ab, ab[i]+"a", ab[i]+"b")
+	}
+	// One DP per pair, shared by every (maxK, k).
+	eds := make([]int8, len(ab)*len(ab))
+	for q, qs := range ab {
+		for s, ss := range ab {
+			eds[q*len(ab)+s] = int8(ED(ss, qs))
 		}
+	}
+	for maxK := 0; maxK <= 3; maxK++ {
+		check(maxK, ab, ab, func(q, s int) int { return int(eds[q*len(ab)+s]) })
 	}
 }
 

@@ -64,13 +64,13 @@ func ParseSpec(s string) (Spec, error) {
 		return EDK(k), nil
 	case "JAC", "JACCARD":
 		tau, err := strconv.ParseFloat(arg, 64)
-		if err != nil || tau < 0 || tau > 1 {
+		if err != nil || !(tau >= 0 && tau <= 1) { // NaN fails both
 			return Spec{}, fmt.Errorf("similarity: bad Jaccard threshold %q", arg)
 		}
 		return JaccardAtLeast(tau), nil
 	case "COS", "COSINE":
 		tau, err := strconv.ParseFloat(arg, 64)
-		if err != nil || tau < 0 || tau > 1 {
+		if err != nil || !(tau >= 0 && tau <= 1) {
 			return Spec{}, fmt.Errorf("similarity: bad cosine threshold %q", arg)
 		}
 		return CosineAtLeast(tau), nil
