@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff ab perfbench-check snapshot-check delta-check metrics-check experiments examples e2e clean
+.PHONY: all build vet fmt-check test cover race fault chaos fuzz bench bench-smoke benchdiff ab abbench perfbench-check snapshot-check delta-check metrics-check experiments examples e2e clean
 
 all: build vet fmt-check test
 
@@ -99,6 +99,16 @@ WORKLOAD ?= clean-cold
 SEEDS ?= 1 2 3
 ab:
 	./scripts/ab.sh $(BASE) $(WORKLOAD) $(SEEDS)
+
+# Alternating `go test -bench` runs of BASE against the working tree:
+# each side's test binary for PKG runs BENCH RUNS times, which side
+# goes first flipping per round; prints each benchmark's ns/op medians
+# and quartiles, allocs/op and rounds won per side.
+PKG ?= .
+BENCH ?= ^Benchmark(FastRepairTuple|Ablation\w+)$$
+RUNS ?= 6
+abbench:
+	./scripts/abbench.sh $(BASE) $(PKG) '$(BENCH)' $(RUNS)
 
 # perfbench is a nested module, so `go build/vet/test ./...` never
 # compile it; it calls Catalog.CandidatesOn, Matcher.EvaluateOn and

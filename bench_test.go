@@ -142,8 +142,8 @@ func nobelEngine(b *testing.B, n int) (*dataset.Bundle, *dataset.Injected, *repa
 // BenchmarkBRepairTuple vs BenchmarkFastRepairTuple is the per-tuple
 // view of Figure 8's bRepair/fRepair gap: the basic algorithm scans
 // class extents, the fast one uses the signature indexes, rule
-// ordering, shared checks with dense IDs, pooled per-tuple state and
-// the cross-tuple candidate cache. BenchmarkFastRepairTuple's
+// ordering, evidence checks shared through the row's candidate lists,
+// pooled per-tuple state and the cross-tuple candidate cache. BenchmarkFastRepairTuple's
 // allocs/op is the number tracked across PRs in BENCH_repair.json
 // (see cmd/experiments -bench-repair).
 func BenchmarkBRepairTuple(b *testing.B) {

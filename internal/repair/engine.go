@@ -22,12 +22,13 @@ import (
 // (kb.Graph.NameIndex): the first lookup that reads one builds it, once
 // per graph, and every engine on that graph shares it.
 //
-// Every memoizable node/edge check is assigned a dense integer ID at
-// construction time, so the per-tuple hot path never hashes a string:
-// the memo is a flat tri-state array, the inverted rule indexes
-// (Figure 5) are slice-of-slice lookups, and repair-time invalidation
-// walks a precomputed column → check-ID list instead of scanning every
-// known check key. Per-tuple state is pooled, so steady-state repair
+// Every evidence node check is assigned a dense integer ID at
+// construction time, so the inverted rule indexes (Figure 5) are
+// slice-of-slice lookups. A check reads the row's candidate lists
+// (rules.RowCandidates), which every rule's evaluation shares: a node
+// another rule already checked costs one scan of the row's short list,
+// and a rewritten cell changes its list's key, so nothing needs
+// invalidating. Per-tuple state is pooled, so steady-state repair
 // allocates only for the result tuple and actual rule applications.
 type Engine struct {
 	Schema *relation.Schema
@@ -39,39 +40,27 @@ type Engine struct {
 	fast []*rules.Matcher // signature-index candidate retrieval
 	slow []*rules.Matcher // full-scan retrieval (Algorithm 1 cost model)
 
-	// numChecks is the number of distinct check IDs; dense IDs are in
-	// [0, numChecks).
-	numChecks int
-
-	// evIndex[id] lists the rules that use check id as *evidence* —
+	// evIndex[id] lists the rules that use evidence node check id —
 	// the inverted rule indexes of the paper's Figure 5, so a failed
-	// shared check prunes every rule that depends on it. Node and edge
-	// checks share the ID space (their string keys are disjoint by
-	// construction), so one index serves both.
+	// shared check prunes every rule that depends on it.
 	evIndex [][]int
 
-	// colInval[col] lists the check IDs that read schema column col,
-	// used to invalidate memoized checks when a repair rewrites the
-	// column. Only checks that can actually enter the memo (evidence
-	// nodes/edges, positive nodes, positive-incident edges) are listed.
-	colInval [][]int32
-
-	// Per-rule pre-resolved check lists.
-	evChecks   [][]check // evidence node + edge checks per rule
-	posID      []int32   // positive-node check ID per rule
-	posEdgeIDs [][]int32 // positive-incident edge check IDs per rule
+	// evIDs[i][k] is the check ID of rule i's evidence node k.
+	evIDs [][]int32
 
 	// Per-rule schema columns: the columns an application marks, and
 	// the column it repairs (the positive node's).
 	markCols [][]int
 	posCol   []int
 
-	// flatGroup is the single all-rules group used by the NoRuleOrder
-	// ablation, precomputed so the hot path never rebuilds it.
+	// flatGroup is the single all-rules group, in input order: the one
+	// group of the NoRuleOrder ablation, and the scan order of
+	// BasicRepair and RepairVersions. It is precomputed so the hot path
+	// never rebuilds it.
 	flatGroup [][]int
 
-	// pool recycles fastState values (alive + memo slices) across
-	// tuples so RepairTableParallel and CleanCSVStream run
+	// pool recycles fastState values (alive flags, candidate lists)
+	// across tuples so RepairTableParallel and CleanCSVStream run
 	// allocation-free in steady state.
 	pool sync.Pool
 
@@ -105,24 +94,6 @@ type Engine struct {
 	ens *ensembleState
 }
 
-// check is one memoizable value-level test, identified by its dense
-// ID. A node check names the rule's evidence node it tests; edge
-// checks carry no payload: they are only consulted when already
-// memoized (see fastStep).
-type check struct {
-	id     int32
-	ev     int
-	isEdge bool
-}
-
-// Tri-state memo values: a check is unknown until computed for the
-// tuple's current values.
-const (
-	memoUnknown int8 = iota
-	memoTrue
-	memoFalse
-)
-
 // Options disables individual optimizations of the fast repair
 // algorithm, for the ablation study of the three §IV-B improvements.
 // The zero value is the full Algorithm 2.
@@ -130,8 +101,9 @@ type Options struct {
 	// NoRuleOrder ignores the rule graph: rules are re-scanned in
 	// input order until a fixpoint, as in the basic algorithm.
 	NoRuleOrder bool
-	// NoSharedChecks disables the memoized node/edge checks and the
-	// inverted-list pruning of Figure 5.
+	// NoSharedChecks disables the evidence node prechecks, their
+	// inverted-list pruning (Figure 5) and the row's shared candidate
+	// lists: every rule evaluation retrieves its own candidates.
 	NoSharedChecks bool
 	// NoIndexes replaces signature-index candidate retrieval with
 	// full class-extent scans.
@@ -213,30 +185,23 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		return nil, fmt.Errorf("repair: empty rule set")
 	}
 	e := &Engine{
-		Schema:   schema,
-		Cat:      rules.NewCatalogStore(store),
-		Graph:    BuildRuleGraph(drs),
-		opts:     opts,
-		colInval: make([][]int32, schema.Arity()),
+		Schema: schema,
+		Cat:    rules.NewCatalogStore(store),
+		Graph:  BuildRuleGraph(drs),
+		opts:   opts,
 	}
 
-	// idOf interns a check key to a dense ID; two rules share an ID
-	// exactly when they would have shared the string key, which is the
-	// shared-computation identity of §IV-B. cols are the schema
-	// columns the check reads (registered once, on first assignment).
+	// idOf interns an evidence node key to a dense ID; two rules share
+	// an ID exactly when they pose the same node check, the
+	// shared-computation identity of §IV-B.
 	ids := make(map[string]int32)
-	idOf := func(key string, cols ...string) int32 {
+	idOf := func(key string) int32 {
 		if id, ok := ids[key]; ok {
 			return id
 		}
 		id := int32(len(e.evIndex))
 		ids[key] = id
 		e.evIndex = append(e.evIndex, nil)
-		for _, c := range cols {
-			if ci := schema.Col(c); ci >= 0 {
-				e.colInval[ci] = append(e.colInval[ci], id)
-			}
-		}
 		return id
 	}
 
@@ -250,41 +215,12 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		sm.Scan = true
 		e.slow = append(e.slow, &sm)
 
-		nodeByName := make(map[string]rules.Node)
-		for _, n := range dr.Evidence {
-			nodeByName[n.Name] = n
-		}
-		nodeByName[dr.Pos.Name] = dr.Pos
-		if dr.Neg != nil {
-			nodeByName[dr.Neg.Name] = *dr.Neg
-		}
-
-		var evs []check
+		evIDs := make([]int32, len(dr.Evidence))
 		for k, n := range dr.Evidence {
-			id := idOf(n.Key(), n.Col)
-			evs = append(evs, check{id: id, ev: k})
-			e.evIndex[id] = append(e.evIndex[id], i)
+			evIDs[k] = idOf(n.Key())
+			e.evIndex[evIDs[k]] = append(e.evIndex[evIDs[k]], i)
 		}
-		evSet := make(map[string]bool, len(dr.Evidence))
-		for _, n := range dr.Evidence {
-			evSet[n.Name] = true
-		}
-		var posEdgeIDs []int32
-		for _, ed := range dr.Edges {
-			from, to := nodeByName[ed.From], nodeByName[ed.To]
-			k := rules.EdgeKey(from, ed.Rel, to)
-			switch {
-			case evSet[ed.From] && evSet[ed.To]:
-				id := idOf(k, from.Col, to.Col)
-				evs = append(evs, check{id: id, isEdge: true})
-				e.evIndex[id] = append(e.evIndex[id], i)
-			case ed.From == dr.Pos.Name || ed.To == dr.Pos.Name:
-				posEdgeIDs = append(posEdgeIDs, idOf(k, from.Col, to.Col))
-			}
-		}
-		e.evChecks = append(e.evChecks, evs)
-		e.posID = append(e.posID, idOf(dr.Pos.Key(), dr.Pos.Col))
-		e.posEdgeIDs = append(e.posEdgeIDs, posEdgeIDs)
+		e.evIDs = append(e.evIDs, evIDs)
 
 		var marks []int
 		for _, c := range fm.MarkCols() {
@@ -293,7 +229,6 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		e.markCols = append(e.markCols, marks)
 		e.posCol = append(e.posCol, schema.MustCol(dr.Pos.Col))
 	}
-	e.numChecks = len(e.evIndex)
 
 	all := make([]int, len(drs))
 	for i := range all {
@@ -402,50 +337,39 @@ func (e *Engine) applicable(t *relation.Tuple, idx int, out rules.Outcome) bool 
 }
 
 // apply mutates t according to rule idx's outcome, choosing version
-// of a multi-version repair, and appends to changed the columns whose
-// values changed (the repaired column and any canonicalized evidence
-// columns). When alts is non-nil, the full candidate list of every
-// rewritten cell is recorded there — the paper scores a multi-version
-// repair as correct when *any* version matches the ground truth
-// (§V-A).
+// of a multi-version repair: it rewrites the repaired column and any
+// canonicalized evidence columns, and marks the rule's columns. When
+// alts is non-nil, the full candidate list of every rewritten cell is
+// recorded there — the paper scores a multi-version repair as correct
+// when *any* version matches the ground truth (§V-A).
 //
 // detectOnly is the circuit breaker's degraded mode: only the marks
 // are written — the cells the rule implicates — and every value write
-// (canonicalization and repair alike) is skipped. Appending nothing
-// to changed is load-bearing: fastStep's post-apply block re-asserts
-// the positive check as memoTrue, which would be wrong for a value
-// that was never rewritten, and is skipped only when nothing changed.
-func (e *Engine) apply(t *relation.Tuple, idx int, out rules.Outcome, version int, alts map[string][]string, detectOnly bool, changed []int) []int {
-	if detectOnly {
-		for _, c := range e.markCols[idx] {
-			t.Marked[c] = true
-		}
-		return changed
-	}
-	for c, v := range out.Canonical {
-		col := e.Schema.MustCol(c)
-		if !t.Marked[col] && t.Values[col] != v {
-			t.Values[col] = v
-			changed = append(changed, col)
-			if alts != nil {
-				alts[c] = []string{v}
+// (canonicalization and repair alike) is skipped.
+func (e *Engine) apply(t *relation.Tuple, idx int, out rules.Outcome, version int, alts map[string][]string, detectOnly bool) {
+	if !detectOnly {
+		for c, v := range out.Canonical {
+			col := e.Schema.MustCol(c)
+			if !t.Marked[col] && t.Values[col] != v {
+				t.Values[col] = v
+				if alts != nil {
+					alts[c] = []string{v}
+				}
 			}
 		}
-	}
-	if out.Kind == rules.Repair {
-		col := e.posCol[idx]
-		if t.Values[col] != out.Repairs[version] {
-			t.Values[col] = out.Repairs[version]
-			changed = append(changed, col)
-			if alts != nil {
-				alts[out.RepairCol] = append([]string(nil), out.Repairs...)
+		if out.Kind == rules.Repair {
+			col := e.posCol[idx]
+			if t.Values[col] != out.Repairs[version] {
+				t.Values[col] = out.Repairs[version]
+				if alts != nil {
+					alts[out.RepairCol] = append([]string(nil), out.Repairs...)
+				}
 			}
 		}
 	}
 	for _, c := range e.markCols[idx] {
 		t.Marked[c] = true
 	}
-	return changed
 }
 
 // BasicRepair is Algorithm 1: repeatedly scan the not-yet-applied
@@ -462,43 +386,46 @@ func (e *Engine) basicRepair(t *relation.Tuple, alts map[string][]string) *relat
 	g := e.Cat.Graph() // pin: the whole tuple repairs against one KB
 	cl := t.Clone()
 	used := make([]bool, len(e.slow))
-	applied := 0
-	for {
-		progress := false
-		for i, m := range e.slow {
-			if used[i] {
-				continue
-			}
-			out := m.VerdictOn(g, cl)
-			if !e.applicable(cl, i, out) {
-				continue
-			}
-			if applied++; applied > e.stepBudget {
-				// Degrade to keep-original-value rather than loop.
-				e.count(tupleBudgetExhausted)
-				return t.Clone()
-			}
-			e.apply(cl, i, out, 0, alts, false, nil)
-			used[i] = true // each rule is applied at most once (Alg. 1 line 8)
-			progress = true
-			break
-		}
-		if !progress {
+	for applied := 1; ; applied++ {
+		i, out := e.nextApplicable(g, cl, e.slow, e.flatGroup[0], used)
+		if i < 0 {
 			e.count(tupleOK)
 			return cl
 		}
+		if applied > e.stepBudget {
+			// Degrade to keep-original-value rather than loop.
+			e.count(tupleBudgetExhausted)
+			return t.Clone()
+		}
+		e.apply(cl, i, out, 0, alts, false)
+		used[i] = true // each rule is applied at most once (Alg. 1 line 8)
 	}
+}
+
+// nextApplicable is one scan of Algorithm 1: the first rule of order
+// that is not used and whose verdict on t, by its matcher in ms, is
+// applicable. It returns -1 when there is none: t is a fixpoint.
+func (e *Engine) nextApplicable(g *kb.Graph, t *relation.Tuple, ms []*rules.Matcher, order []int, used []bool) (int, rules.Outcome) {
+	for _, i := range order {
+		if used[i] {
+			continue
+		}
+		if out := ms[i].VerdictOn(g, t); e.applicable(t, i, out) {
+			return i, out
+		}
+	}
+	return -1, rules.Outcome{}
 }
 
 // FastRepair is Algorithm 2: rules are visited once in the
 // topological order of the rule graph (components re-scanned until
-// stable); value-level node and edge checks are memoized and shared
-// across rules through the inverted indexes; failed shared evidence
-// checks prune every dependent rule; candidate retrieval uses the
-// signature indexes. Like every fast single-tuple repair it runs
-// through repairInto: the memo may answer t, a configured breaker may
-// serve it detect-only, and a repair that panics returns t unchanged,
-// counted in Stats.Quarantined.
+// stable); evidence node checks read the row's candidate lists, which
+// every rule shares, and a failed check prunes every rule that poses
+// it (Figure 5's inverted lists); candidate retrieval uses the KB's
+// name table and the signature indexes. Like every fast single-tuple
+// repair it runs through repairInto: the memo may answer t, a
+// configured breaker may serve it detect-only, and a repair that
+// panics returns t unchanged, counted in Stats.Quarantined.
 func (e *Engine) FastRepair(t *relation.Tuple) *relation.Tuple {
 	out, _ := e.repairTuple(context.TODO(), t)
 	return out
@@ -668,7 +595,9 @@ func (e *Engine) runFastGroups(cl *relation.Tuple, st *fastState) bool {
 		groups = e.flatGroup
 	}
 	for _, group := range groups {
-		cyclic := len(group) > 1 && (e.Graph.HasCycle() || e.opts.NoRuleOrder)
+		// A group of several rules is a cyclic component, or the
+		// NoRuleOrder flat group.
+		cyclic := len(group) > 1
 		passes := 0
 		for {
 			progress := false
@@ -698,14 +627,12 @@ func (e *Engine) runFastGroups(cl *relation.Tuple, st *fastState) bool {
 }
 
 type fastState struct {
-	alive   []bool
-	memo    []int8              // check ID -> tri-state result for the current values
-	cands   rules.RowCandidates // the tuple's candidate lists, for every rule
-	changed []int               // columns the current application rewrote
-	alts    map[string][]string // optional multi-version recorder
-	steps   *[]Step             // optional explanation recorder
-	timer   *stageTimer         // non-nil only while this tuple is latency-sampled
-	g       *kb.Graph           // the KB pinned for this tuple's whole repair
+	alive []bool
+	cands rules.RowCandidates // the tuple's candidate lists, for every rule
+	alts  map[string][]string // optional multi-version recorder
+	steps *[]Step             // optional explanation recorder
+	timer *stageTimer         // non-nil only while this tuple is latency-sampled
+	g     *kb.Graph           // the KB pinned for this tuple's whole repair
 
 	stepsLeft int  // remaining rule applications before degrade
 	exceeded  bool // step budget exhausted for this tuple
@@ -732,16 +659,10 @@ type fastState struct {
 func (e *Engine) getStateOn(g *kb.Graph) *fastState {
 	st, _ := e.pool.Get().(*fastState)
 	if st == nil {
-		st = &fastState{
-			alive: make([]bool, len(e.fast)),
-			memo:  make([]int8, e.numChecks),
-		}
+		st = &fastState{alive: make([]bool, len(e.fast))}
 	}
 	for i := range st.alive {
 		st.alive[i] = true
-	}
-	for i := range st.memo {
-		st.memo[i] = memoUnknown
 	}
 	st.alts = nil
 	st.steps = nil
@@ -769,9 +690,10 @@ func (e *Engine) putState(st *fastState) {
 }
 
 // fastStep checks and possibly applies rule idx; it reports whether
-// the rule was applied. In cyclic groups pruning of sibling rules is
-// suppressed, because a failed evidence check may become true after
-// another rule in the same component repairs a value.
+// the rule was applied. In cyclic groups (re-scanned until stable) a
+// rule that fails or does not apply stays for the next pass, and no
+// sibling is pruned, because a failed evidence check may become true
+// after another rule in the same component rewrites a value.
 func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool) bool {
 	// Attribute any panic or budget exhaustion from here on to this
 	// rule; breakerObserve reads it out of the abandoned state.
@@ -794,50 +716,35 @@ func (e *Engine) fastStep(t *relation.Tuple, idx int, st *fastState, cyclic bool
 		m = e.slow[idx]
 	}
 
-	// Evidence prechecks, shared across rules (Alg. 2 lines 3-9).
+	// Evidence prechecks, shared across rules (Alg. 2 lines 3-9): each
+	// reads the row's candidate lists, so a node another rule already
+	// checked costs one scan of the row's short list.
 	if e.opts.NoSharedChecks {
 		// Ablation: no check is shared, so no evaluation reads the
 		// candidates another retrieved.
 		st.cands.Reset(st.g)
 		goto evaluate
 	}
-	for _, c := range e.evChecks[idx] {
-		res := st.memo[c.id]
-		if res == memoUnknown {
-			if c.isEdge {
-				// Edge checks are only consulted when already memoized:
-				// computing them eagerly duplicates the edge-driven
-				// evaluation's own work (measured by the ablation
-				// benchmarks), whereas a *failed* edge recorded by an
-				// earlier rule still prunes this one.
-				continue
-			}
-			var hold bool
-			if st.timer == nil {
-				hold = m.EvidenceCheck(&st.cands, t, c.ev)
-			} else {
-				t0 := time.Now()
-				hold = m.EvidenceCheck(&st.cands, t, c.ev)
-				st.timer.detect += time.Since(t0)
-			}
-			if hold {
-				res = memoTrue
-			} else {
-				res = memoFalse
-			}
-			st.memo[c.id] = res
+	for k, id := range e.evIDs[idx] {
+		var hold bool
+		if st.timer == nil {
+			hold = m.EvidenceCheck(&st.cands, t, k)
+		} else {
+			t0 := time.Now()
+			hold = m.EvidenceCheck(&st.cands, t, k)
+			st.timer.detect += time.Since(t0)
 		}
-		if res == memoFalse {
-			st.alive[idx] = false
-			if !cyclic {
-				// Prune every rule that needs this same check as
-				// evidence (Figure 5 inverted lists).
-				for _, d := range e.evIndex[c.id] {
-					st.alive[d] = false
-				}
-			}
-			return false
+		if hold {
+			continue
 		}
+		if !cyclic {
+			// Drop this rule and every rule that needs the same check
+			// as evidence (Figure 5 inverted lists).
+			for _, d := range e.evIndex[id] {
+				st.alive[d] = false
+			}
+		}
+		return false
 	}
 
 evaluate:
@@ -872,33 +779,9 @@ evaluate:
 	if out.Kind == rules.Repair {
 		oldValue = t.Values[e.posCol[idx]]
 	}
-	st.changed = e.apply(t, idx, out, 0, st.alts, st.detectOnly, st.changed[:0])
+	e.apply(t, idx, out, 0, st.alts, st.detectOnly)
 	e.recordStep(st, idx, out, oldValue)
 	st.alive[idx] = false
-
-	if len(st.changed) > 0 {
-		// A rewrite invalidates every memoized check that reads a
-		// changed column...
-		for _, c := range st.changed {
-			for _, id := range e.colInval[c] {
-				st.memo[id] = memoUnknown
-			}
-		}
-		// ...except that the rule's own matched structure is witnessed
-		// by the instances just found: its evidence checks still hold
-		// on the canonicalized values, and after a repair the new value
-		// satisfies the positive node and its incident edges (Alg. 2
-		// lines 14-16).
-		for _, c := range e.evChecks[idx] {
-			st.memo[c.id] = memoTrue
-		}
-		if out.Kind == rules.Repair {
-			st.memo[e.posID[idx]] = memoTrue
-			for _, id := range e.posEdgeIDs[idx] {
-				st.memo[id] = memoTrue
-			}
-		}
-	}
 
 	// Rules fully subsumed by the new marks can be dropped (the sound
 	// core of Alg. 2 lines 12-13).

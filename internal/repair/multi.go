@@ -32,34 +32,23 @@ func (e *Engine) RepairVersions(t *relation.Tuple) []*relation.Tuple {
 		s := work[0]
 		work = work[1:]
 		for {
-			progress := false
-			for i, m := range e.fast {
-				if s.used[i] {
-					continue
-				}
-				out := m.VerdictOn(g, s.t)
-				if !e.applicable(s.t, i, out) {
-					continue
-				}
-				if out.Kind == rules.Repair && len(out.Repairs) > 1 {
-					// Fork one branch per alternative version; the
-					// current state continues with version 0.
-					for v := 1; v < len(out.Repairs) && total < MaxVersions; v++ {
-						branch := state{t: s.t.Clone(), used: append([]bool(nil), s.used...)}
-						e.apply(branch.t, i, out, v, nil, false, nil)
-						branch.used[i] = true
-						work = append(work, branch)
-						total++
-					}
-				}
-				e.apply(s.t, i, out, 0, nil, false, nil)
-				s.used[i] = true
-				progress = true
+			i, out := e.nextApplicable(g, s.t, e.fast, e.flatGroup[0], s.used)
+			if i < 0 {
 				break
 			}
-			if !progress {
-				break
+			if out.Kind == rules.Repair && len(out.Repairs) > 1 {
+				// Fork one branch per alternative version; the current
+				// state continues with version 0.
+				for v := 1; v < len(out.Repairs) && total < MaxVersions; v++ {
+					branch := state{t: s.t.Clone(), used: append([]bool(nil), s.used...)}
+					e.apply(branch.t, i, out, v, nil, false)
+					branch.used[i] = true
+					work = append(work, branch)
+					total++
+				}
 			}
+			e.apply(s.t, i, out, 0, nil, false)
+			s.used[i] = true
 		}
 		finals = append(finals, s.t)
 	}

@@ -13,23 +13,12 @@ func (e *Engine) RepairWithOrder(t *relation.Tuple, order []int) *relation.Tuple
 	cl := t.Clone()
 	used := make([]bool, len(e.fast))
 	for {
-		progress := false
-		for _, i := range order {
-			if used[i] {
-				continue
-			}
-			out := e.fast[i].VerdictOn(g, cl)
-			if !e.applicable(cl, i, out) {
-				continue
-			}
-			e.apply(cl, i, out, 0, nil, false, nil)
-			used[i] = true
-			progress = true
-			break
-		}
-		if !progress {
+		i, out := e.nextApplicable(g, cl, e.fast, order, used)
+		if i < 0 {
 			return cl
 		}
+		e.apply(cl, i, out, 0, nil, false)
+		used[i] = true
 	}
 }
 

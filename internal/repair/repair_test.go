@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"detective/internal/consistency"
 	"detective/internal/dataset"
 	"detective/internal/kb"
 	"detective/internal/relation"
@@ -47,8 +48,10 @@ func TestRuleGraphPaperExample(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	g := repair.BuildRuleGraph(ex.Rules)
 	// Example 8: phi1 -> phi2 -> phi3 and phi4 independent.
-	if g.HasCycle() {
-		t.Fatal("paper rules must be acyclic")
+	for _, grp := range g.Groups {
+		if len(grp) != 1 {
+			t.Fatalf("Groups = %v: paper rules must be acyclic", g.Groups)
+		}
 	}
 	pos := make(map[int]int) // rule index -> position in order
 	for p, idx := range g.Order() {
@@ -80,9 +83,6 @@ func TestRuleGraphCycle(t *testing.T) {
 		}
 	}
 	g := repair.BuildRuleGraph([]*rules.DR{mk("a", "Y", "X"), mk("b", "X", "Y")})
-	if !g.HasCycle() {
-		t.Fatal("expected a cycle")
-	}
 	if len(g.Groups) != 1 || len(g.Groups[0]) != 2 {
 		t.Fatalf("Groups = %v, want one group of two", g.Groups)
 	}
@@ -132,7 +132,9 @@ func TestBasicAndFastAgree(t *testing.T) {
 // the memo-on read-through every fast repair shares) reach the same
 // marked tuple on every row of Nobel-1069 and UIS-1500 with both KBs
 // (10% noise, half typos), and of the 37 WebTables at Table III's
-// noise.
+// noise. On the same rows it pins the consistency guarantee of §III-C
+// for the shipped rule sets: under consistency.Check's default order
+// family, every row reaches one fixpoint.
 func TestBasicAndFastAgreeAtScale(t *testing.T) {
 	agree := func(t *testing.T, drs []*rules.DR, g *kb.Graph, inj *dataset.Injected) int {
 		t.Helper()
@@ -144,6 +146,9 @@ func TestBasicAndFastAgreeAtScale(t *testing.T) {
 			if b, f := e.BasicRepair(tu), e.FastRepair(tu); !b.EqualMarked(f) {
 				t.Errorf("row %d %v: basic %v != fast %v", i, tu.Values, b, f)
 			}
+		}
+		for _, v := range consistency.Check(e, inj.Dirty, 0) {
+			t.Errorf("inconsistent %v: %v", v, v.Fixpoints)
 		}
 		return inj.Dirty.Len()
 	}
@@ -176,6 +181,27 @@ func TestRepairDoesNotMutateInput(t *testing.T) {
 	e.FastRepair(ex.Dirty.Tuples[0])
 	if !ex.Dirty.Tuples[0].EqualMarked(orig) {
 		t.Fatal("repair mutated its input tuple")
+	}
+}
+
+// TestRepairWithOrderPartial pins that RepairWithOrder scans only the
+// rules its order names: an empty order leaves the tuple as it is, and
+// a one-rule order repairs as an engine holding that rule alone.
+func TestRepairWithOrderPartial(t *testing.T) {
+	ex, e := newEngine(t)
+	for ti, tu := range ex.Dirty.Tuples {
+		if got := e.RepairWithOrder(tu, nil); !got.EqualMarked(tu) {
+			t.Errorf("tuple %d, empty order: %v, want it unchanged", ti, got)
+		}
+		for k, dr := range ex.Rules {
+			one, err := repair.NewEngine([]*rules.DR{dr}, ex.KB, ex.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := e.RepairWithOrder(tu, []int{k}), one.BasicRepair(tu); !got.EqualMarked(want) {
+				t.Errorf("tuple %d, order [%d]: %v, want %v", ti, k, got, want)
+			}
+		}
 	}
 }
 

@@ -11,7 +11,12 @@ import (
 // RuleGraph is the dependency graph of §IV-B(1): an edge ϕ → ϕ'
 // whenever col(p) of ϕ appears among the evidence columns of ϕ',
 // i.e. applying ϕ may change or certify a value ϕ' relies on, so ϕ
-// must be checked first.
+// must be checked first. Applying ϕ also rewrites the fuzzy evidence
+// columns it canonicalizes, so there is an edge, too, when ϕ' reads
+// such a column through an evidence node of another type or
+// similarity. An identical node gets none: it passes or fails its
+// evidence check together with ϕ's, and such edges would make the
+// paper's and UIS's rule graphs cyclic.
 type RuleGraph struct {
 	Rules []*rules.DR
 	Adj   [][]int // Adj[i]: rules that must be checked after rule i
@@ -28,19 +33,30 @@ func BuildRuleGraph(rs []*rules.DR) *RuleGraph {
 	g := &RuleGraph{Rules: rs, Adj: make([][]int, len(rs))}
 	for i, ri := range rs {
 		for j, rj := range rs {
-			if i == j {
-				continue
-			}
-			for _, ev := range rj.EvidenceCols() {
-				if ev == ri.PosCol() {
-					g.Adj[i] = append(g.Adj[i], j)
-					break
-				}
+			if i != j && feeds(ri, rj) {
+				g.Adj[i] = append(g.Adj[i], j)
 			}
 		}
 	}
 	g.Groups = g.sccTopoOrder()
 	return g
+}
+
+// feeds reports whether applying ri may rewrite or certify a cell that
+// rj's evidence reads: ri's positive column, or a column ri
+// canonicalizes that rj reads through another node.
+func feeds(ri, rj *rules.DR) bool {
+	for _, ev := range rj.Evidence {
+		if ev.Col == ri.Pos.Col {
+			return true
+		}
+		for _, n := range ri.Evidence {
+			if n.Sim.Fuzzy() && n.Col == ev.Col && (n.Type != ev.Type || n.Sim != ev.Sim) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // sccTopoOrder returns the strongly connected components of the graph
@@ -112,17 +128,6 @@ func (g *RuleGraph) Order() []int {
 		out = append(out, grp...)
 	}
 	return out
-}
-
-// HasCycle reports whether any strongly connected component contains
-// more than one rule.
-func (g *RuleGraph) HasCycle() bool {
-	for _, grp := range g.Groups {
-		if len(grp) > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 func sortInts(a []int) {

@@ -28,7 +28,7 @@ type engineInstr struct {
 	tupleSeconds *telemetry.Histogram
 	// stage latencies within a sampled tuple: "detect" covers evidence
 	// prechecks and matcher evaluation, "repair" covers applying an
-	// outcome (mutation, memo invalidation, subsumption pruning).
+	// outcome (mutation, subsumption pruning).
 	detectSeconds *telemetry.Histogram
 	repairSeconds *telemetry.Histogram
 	// fixpointSteps is the number of rule applications a sampled tuple

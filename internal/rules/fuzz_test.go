@@ -10,6 +10,7 @@ import (
 	"detective/internal/relation"
 	"detective/internal/repair"
 	"detective/internal/rules"
+	"detective/internal/similarity"
 )
 
 // FuzzParseRules: every accepted rule text re-encodes to a fixed point.
@@ -103,12 +104,86 @@ func FuzzEvaluate(f *testing.F) {
 	})
 }
 
+// canonFixture builds two rules that read the Inst column through
+// different nodes: ri matches it within edit distance 2 and
+// canonicalizes it, rj needs it exact. On the row (Louis, Paster
+// Institute, Paris, France), rj fails until ri has rewritten Inst to
+// "Pasteur Institute".
+func canonFixture() (*kb.Graph, *relation.Schema, *rules.DR, *rules.DR) {
+	g := kb.New()
+	g.AddType("Louis", "person")
+	g.AddType("Pasteur Institute", "org")
+	g.AddType("Paris", "city")
+	g.AddType("France", "country")
+	g.AddTriple("Louis", "worksAt", "Pasteur Institute")
+	g.AddTriple("Pasteur Institute", "locatedIn", "Paris")
+	g.AddTriple("Pasteur Institute", "inCountry", "France")
+	schema := relation.NewSchema("R", "Name", "Inst", "City", "Country")
+	ri := &rules.DR{
+		Name: "ri",
+		Evidence: []rules.Node{
+			{Name: "e1", Col: "Name", Type: "person", Sim: similarity.Eq},
+			{Name: "e2", Col: "Inst", Type: "org", Sim: similarity.EDK(2)},
+		},
+		Pos: rules.Node{Name: "p", Col: "City", Type: "city", Sim: similarity.Eq},
+		Edges: []rules.Edge{
+			{From: "e1", Rel: "worksAt", To: "e2"},
+			{From: "e2", Rel: "locatedIn", To: "p"},
+		},
+	}
+	rj := &rules.DR{
+		Name:     "rj",
+		Evidence: []rules.Node{{Name: "e2", Col: "Inst", Type: "org", Sim: similarity.Eq}},
+		Pos:      rules.Node{Name: "p", Col: "Country", Type: "country", Sim: similarity.Eq},
+		Edges:    []rules.Edge{{From: "e2", Rel: "inCountry", To: "p"}},
+	}
+	return g, schema, ri, rj
+}
+
+// TestFastRepairThroughCanonicalizedColumn: fRepair reaches bRepair's
+// fixpoint when one rule reads a column another canonicalizes, in
+// either rule order, with and without the rule graph. The rule graph
+// must order ri before rj, and a re-scanned group must keep rj after
+// its evidence check fails.
+func TestFastRepairThroughCanonicalizedColumn(t *testing.T) {
+	g, schema, ri, rj := canonFixture()
+	row := relation.NewTuple("Louis", "Paster Institute", "Paris", "France")
+	want := relation.NewTuple("Louis", "Pasteur Institute", "Paris", "France")
+	for i := range want.Marked {
+		want.Marked[i] = true
+	}
+	for _, tc := range []struct {
+		name string
+		drs  []*rules.DR
+		opts repair.Options
+	}{
+		{"ri,rj", []*rules.DR{ri, rj}, repair.Options{}},
+		{"rj,ri", []*rules.DR{rj, ri}, repair.Options{}},
+		{"ri,rj/NoRuleOrder", []*rules.DR{ri, rj}, repair.Options{NoRuleOrder: true}},
+		{"rj,ri/NoRuleOrder", []*rules.DR{rj, ri}, repair.Options{NoRuleOrder: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := repair.NewEngineWithOptions(tc.drs, g, schema, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if basic := e.BasicRepair(row); !basic.EqualMarked(want) {
+				t.Fatalf("basic %v, want %v", basic, want)
+			}
+			if fast := e.FastRepair(row); !fast.EqualMarked(want) {
+				t.Errorf("fast %v, want %v (rule graph %v)", fast, want, e.Graph.Groups)
+			}
+		})
+	}
+}
+
 // FuzzBasicFast: on any cell values, bRepair (Algorithm 1) and fRepair
 // (Algorithm 2, through the memo-on read-through every fast repair
 // shares) reach the same marked tuple — the Church-Rosser property of
 // §IV-A that lets fRepair stand in for bRepair. The KB and rules are
-// fixed: the paper's running example (six columns) and the path-rule
-// fixture (the first three values).
+// fixed: the paper's running example (six columns), the path-rule
+// fixture (the first three values) and the canonicalized-column
+// fixture (the first four).
 func FuzzBasicFast(f *testing.F) {
 	ex := dataset.NewPaperExample()
 	for _, tu := range append(ex.Dirty.Tuples, ex.Truth.Tuples...) {
@@ -117,6 +192,7 @@ func FuzzBasicFast(f *testing.F) {
 	}
 	f.Add("Ann", "Springfield", "22222", "", "", "")
 	f.Add("Ann", "Springfield", "11112", "", "", "")
+	f.Add("Louis", "Paster Institute", "Paris", "France", "", "")
 
 	paper, err := repair.NewEngine(ex.Rules, ex.KB, ex.Schema)
 	if err != nil {
@@ -127,6 +203,11 @@ func FuzzBasicFast(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	cg, cschema, ri, rj := canonFixture()
+	canon, err := repair.NewEngine([]*rules.DR{ri, rj}, cg, cschema)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g string) {
 		for _, run := range []struct {
 			e   *repair.Engine
@@ -134,6 +215,7 @@ func FuzzBasicFast(f *testing.F) {
 		}{
 			{paper, relation.NewTuple(a, b, c, d, e, g)},
 			{path, relation.NewTuple(a, b, c)},
+			{canon, relation.NewTuple(a, b, c, d)},
 		} {
 			basic, fast := run.e.BasicRepair(run.row), run.e.FastRepair(run.row)
 			if !basic.EqualMarked(fast) {

@@ -1037,7 +1037,7 @@ func (s *workspace) nodeCandidates(row []kb.ID, p *pole, dst []kb.ID) []kb.ID {
 // at the value level on rc's graph: some KB instance of the node's type
 // matches its cell under its sim. The candidates stay in rc, t's
 // candidate lists, where the rule's evaluation finds them. It is the
-// unit the fast repair engine memoizes across rules (Figure 5 node
+// check the fast repair engine shares across rules (Figure 5 node
 // keys).
 func (m *Matcher) EvidenceCheck(rc *RowCandidates, t *relation.Tuple, i int) bool {
 	cls := m.resolve(rc.g)[m.ev.cls[i]]
@@ -1046,12 +1046,4 @@ func (m *Matcher) EvidenceCheck(rc *RowCandidates, t *relation.Tuple, i int) boo
 	}
 	col := m.evCols[i]
 	return len(rc.candidates(m.Cat, col, cls, m.Rule.Evidence[i].Sim, t.Values[col])) > 0
-}
-
-// EdgeKey is the shared-computation identity of an edge check — the
-// Figure 5 edge keys ("Name, worksAt, Institution"), refined with the
-// endpoint node keys so that two rules share a check only when it is
-// genuinely the same predicate over the same (col, type, sim) pairs.
-func EdgeKey(from Node, rel string, to Node) string {
-	return from.Key() + "\x01" + rel + "\x01" + to.Key()
 }
