@@ -57,9 +57,13 @@ chaos:
 # order (entry order for ED lookups, which the reference answers by a
 # scan), EDWithin's bit-parallel kernel must agree with the plain
 # edit-distance DP, a /clean body must stream to the same bytes and counts
-# with the repair memo on, replayed from the memo, and off, and a DKBS
+# with the repair memo on, replayed from the memo, and off, a DKBS
 # snapshot must load to an error or to a graph that freezes, verifies
-# and round-trips (the mmap path must not panic on it either).
+# and round-trips (the mmap path must not panic on it either), and the
+# in-repo CSV codec must agree with encoding/csv: the reader on fields,
+# parse errors and record lines, fed a few bytes per read and with
+# lines longer than its buffer, and the appender on the bytes csv.Writer
+# writes for a record with "+"-marked cells, which must read back.
 # FuzzCleanCSVStream and FuzzLoadSnapshot cap input minimization at 200
 # runs: minimizing a mutation of a 24 KB CSV or a 247 KB snapshot seed
 # would otherwise take the whole FUZZTIME.
@@ -76,6 +80,8 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	go test -run '^$$' -fuzz '^FuzzEDWithin$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	go test -run '^$$' -fuzz '^FuzzCleanCSVStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/repair
+	go test -run '^$$' -fuzz '^FuzzCSVReader$$' -fuzztime $(FUZZTIME) ./internal/relation
+	go test -run '^$$' -fuzz '^FuzzAppendCSV$$' -fuzztime $(FUZZTIME) ./internal/relation
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -434,7 +434,7 @@ func (e *Engine) FastRepair(t *relation.Tuple) *relation.Tuple {
 // repairTuple repairs t into a new tuple through repairInto.
 func (e *Engine) repairTuple(ctx context.Context, t *relation.Tuple) (*relation.Tuple, tupleOutcome) {
 	out := &relation.Tuple{Values: make([]string, len(t.Values)), Marked: make([]bool, len(t.Values))}
-	oc, _, _ := e.repairInto(ctx, out, t.Values, t.Marked, false)
+	oc, _, _ := e.repairInto(ctx, out, t.Values, t.Marked, false, nil)
 	return out, oc
 }
 
@@ -459,8 +459,15 @@ func (e *Engine) repairTuple(ctx context.Context, t *relation.Tuple) (*relation.
 //
 // It returns the outcome, counted once in the engine's counters, the
 // row confidence (1 without ens) and whether the memo served the row.
-// The memo may keep vals' strings (see putTuple).
-func (e *Engine) repairInto(ctx context.Context, tup *relation.Tuple, vals []string, marks []bool, ens bool) (tupleOutcome, float64, bool) {
+//
+// With own nil, vals' strings are the caller's to give: the memo, the
+// candidate cache and the proposers may keep them. A non-nil own (of
+// vals' length) says vals view a buffer the caller reuses after the
+// call, as the stream's do. The memo lookup reads them in place; a
+// miss then copies the row into one string, whose cells own receives,
+// before the breaker, the proposers, the repair or the memo insert
+// sees it, so nothing keeps a view. The recorder copies what it samples.
+func (e *Engine) repairInto(ctx context.Context, tup *relation.Tuple, vals []string, marks []bool, ens bool, own []string) (tupleOutcome, float64, bool) {
 	if rr := e.recorder; rr != nil {
 		rr.Record(vals)
 	}
@@ -484,6 +491,9 @@ func (e *Engine) repairInto(ctx context.Context, tup *relation.Tuple, vals []str
 				return oc, conf, true
 			}
 		}
+	}
+	if own != nil {
+		vals = relation.CloneRecord(own, vals)
 	}
 	var vote *ensembleVote
 	if ens && !degrade {

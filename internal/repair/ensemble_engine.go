@@ -310,6 +310,6 @@ func (v *ensembleVote) settle(tup *relation.Tuple, rec []string, oc tupleOutcome
 // whether the global memo served the row. The engine must have been
 // built with Options.Ensemble.Enabled.
 func (e *Engine) RepairRowEnsemble(ctx context.Context, dst *relation.Tuple, rec []string) (RowOutcome, float64, bool) {
-	oc, conf, hit := e.repairInto(ctx, dst, rec, nil, true)
+	oc, conf, hit := e.repairInto(ctx, dst, rec, nil, true, nil)
 	return RowOutcome(oc), conf, hit
 }

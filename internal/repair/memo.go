@@ -30,8 +30,9 @@
 // against the full stored key on every hit, so a 64-bit collision
 // degrades to a miss instead of a wrong answer. Entries keep the
 // caller's input strings as they are: table tuples are owned, and a
-// csv.Reader builds fresh cell strings for every record even with
-// ReuseRecord set.
+// stream's records, which view the CSV reader's buffer, are looked up
+// in place and copied into one string of their own only on a miss,
+// before anything can keep them (repairInto).
 //
 // A row is memoized on its second miss, not its first: a doorkeeper
 // in front of insertion (after TinyLFU's; Einziger, Friedman and
@@ -566,9 +567,11 @@ const (
 // have the schema's arity) through repairInto, the read-through every
 // fast single-tuple repair shares (memo, breaker, recorder, panic
 // quarantine and keep-original-value). It reports the outcome and
-// whether the memo served the row. rec's strings may be retained by
-// the memo, so they must not alias a reused read buffer.
+// whether the memo served the row. The memo and the candidate cache
+// may keep rec's strings, so they must not view a buffer the caller
+// reuses, as relation.CSVReader's fields do; copy such a record first
+// (relation.CloneRecord).
 func (e *Engine) RepairRow(dst *relation.Tuple, rec []string) (RowOutcome, bool) {
-	oc, _, hit := e.repairInto(context.TODO(), dst, rec, nil, false)
+	oc, _, hit := e.repairInto(context.TODO(), dst, rec, nil, false, nil)
 	return RowOutcome(oc), hit
 }

@@ -3,6 +3,8 @@ package repair
 import (
 	"sync"
 	"sync/atomic"
+
+	"detective/internal/relation"
 )
 
 // RowRecorder keeps a sampled ring buffer of recent input rows from
@@ -36,20 +38,15 @@ func NewRowRecorder(capacity, sampleEvery int) *RowRecorder {
 	return &RowRecorder{every: int64(sampleEvery), rows: make([][]string, capacity)}
 }
 
-// Record possibly samples rec into the ring. rec may alias a reused
-// read buffer; sampled rows are cloned before retention.
+// Record possibly samples rec into the ring. rec may view a reused
+// read buffer: a sampled row is copied, strings and all, before the
+// ring keeps it.
 func (r *RowRecorder) Record(rec []string) {
 	if r.n.Add(1)%r.every != 0 {
 		return
 	}
 	r.mu.Lock()
-	slot := r.rows[r.next]
-	if cap(slot) < len(rec) {
-		slot = make([]string, len(rec))
-	}
-	slot = slot[:len(rec)]
-	copy(slot, rec)
-	r.rows[r.next] = slot
+	r.rows[r.next] = relation.CloneRecord(r.rows[r.next], rec)
 	r.next++
 	if r.next == len(r.rows) {
 		r.next = 0

@@ -1,26 +1,19 @@
 package repair
 
 import (
-	"bufio"
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
-	"unsafe"
+	"sync"
 
 	"detective/internal/relation"
 )
 
-// flushEvery is how many cleaned rows the streaming cleaner buffers
-// before forcing the csv.Writer through to the sink. Keeping it small
-// bounds both memory and the staleness of partial output: whatever was
-// cleaned before a mid-stream failure has already been flushed.
-const flushEvery = 64
-
-// streamBufSize is the csv.Writer's buffer: large enough to hold
-// flushEvery rows, so only the periodic flush writes to the sink
-// (csv.NewWriter adopts a *bufio.Writer of at least 4 KiB as its own).
+// streamBufSize is how much cleaned CSV a stream gathers before it
+// writes to the sink: every write but the last is at least this large,
+// and what was cleaned before a mid-stream failure is written before
+// the failure is returned.
 const streamBufSize = 16 << 10
 
 // StreamResult is the per-call accounting of one streaming clean.
@@ -107,50 +100,74 @@ func (e *Engine) cleanCSVStream(ctx context.Context, r io.Reader, w io.Writer, m
 		}
 	}
 
-	cw := csv.NewWriter(bufio.NewWriterSize(w, streamBufSize))
-	outHeader := header
+	out := sinkPool.Get().(*streamSink)
+	defer out.release()
+	out.w = w
 	if ens {
-		outHeader = append(append([]string(nil), header...), "confidence")
+		header = append(header, "confidence")
 	}
-	if err := cw.Write(outHeader); err != nil {
-		return res, err
-	}
-	// Steady-state cleaning reuses the reader's record slice, and each
-	// record is consumed before the next read. The cell strings are
-	// fresh per record (encoding/csv reuses only the slice), so the
-	// memo may keep them.
-	cr.ReuseRecord = true
-	return e.cleanRows(ctx, cr, cw, len(header), marked, ens)
+	out.buf = relation.AppendCSV(out.buf, header, nil)
+	return e.cleanRows(ctx, cr, out, e.Schema.Arity(), marked, ens)
 }
 
-// formatConf renders a row confidence for the CSV confidence column.
-func formatConf(conf float64) string { return strconv.FormatFloat(conf, 'f', 3, 64) }
+// streamSink gathers a stream's output in one pooled buffer and writes
+// it to w when it passes streamBufSize, at the end, and on a failure.
+type streamSink struct {
+	w   io.Writer
+	buf []byte
+}
 
-// cleanRows is the streaming loop: one record, one tuple, and the
-// engine's pooled repair state are reused, so the only per-row
-// allocations left are the decoded record, the rewritten cell values
-// and, on a memo miss, the memo entry.
-func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, arity int, marked, ens bool) (StreamResult, error) {
+var sinkPool = sync.Pool{New: func() any {
+	return &streamSink{buf: make([]byte, 0, 2*streamBufSize)}
+}}
+
+// flush writes what the sink holds to w.
+func (s *streamSink) flush() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	_, err := s.w.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
+}
+
+// release returns the sink to the pool, unless an outsized row grew
+// its buffer past twice its usual capacity.
+func (s *streamSink) release() {
+	if cap(s.buf) > 4*streamBufSize {
+		return
+	}
+	s.w, s.buf = nil, s.buf[:0]
+	sinkPool.Put(s)
+}
+
+// cleanRows is the streaming loop. A record's fields view the
+// reader's buffer; one tuple, the engine's pooled repair state and
+// the sink's buffer are reused, so a row the memo serves allocates
+// nothing, and a miss copies the row once (repairInto) before
+// anything can keep it.
+func (e *Engine) cleanRows(ctx context.Context, cr *relation.CSVReader, out *streamSink, arity int, marked, ens bool) (StreamResult, error) {
 	var res StreamResult
-	// partial wraps a mid-stream failure: everything written so far is
-	// pushed through to the sink first, so the error's Done count is
-	// also the number of rows the consumer actually received.
+	// partial wraps a mid-stream failure: everything cleaned so far is
+	// written to the sink first, so the error's Done count is also the
+	// number of rows the consumer was sent.
 	partial := func(err error) (StreamResult, error) {
-		cw.Flush()
+		_ = out.flush() // the failure being reported comes first
 		return res, &PartialError{Done: res.Rows, Err: err}
 	}
-	outArity := arity
 	if ens {
-		outArity++ // trailing confidence column
 		res.MinConfidence = 1
 	}
-	out := make([]string, outArity)
-	var cells []byte // the row's marked cells, viewed by out
 	tup := &relation.Tuple{
 		Values: make([]string, arity),
 		Marked: make([]bool, arity),
 	}
-	for lineno := 2; ; lineno++ {
+	own := make([]string, arity) // a missed row's copy
+	var marks []bool
+	if marked {
+		marks = tup.Marked
+	}
+	for {
 		if err := ctx.Err(); err != nil {
 			return partial(err)
 		}
@@ -162,19 +179,9 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 			return partial(fmt.Errorf("repair: reading CSV: %w", err))
 		}
 		if len(rec) != arity {
-			return partial(fmt.Errorf("repair: CSV line %d has %d fields, want %d", lineno, len(rec), arity))
+			return partial(fmt.Errorf("repair: CSV line %d has %d fields, want %d", cr.Line(), len(rec), arity))
 		}
-		oc, conf, hit := e.repairInto(ctx, tup, rec, nil, ens)
-		if ens {
-			res.ConfidenceSum += conf
-			if conf < res.MinConfidence {
-				res.MinConfidence = conf
-			}
-			if conf < e.ens.threshold {
-				res.BelowThreshold++
-			}
-			out[arity] = formatConf(conf)
-		}
+		oc, conf, hit := e.repairInto(ctx, tup, rec, nil, ens, own)
 		switch oc {
 		case tupleQuarantined:
 			res.Quarantined++
@@ -185,37 +192,25 @@ func (e *Engine) cleanRows(ctx context.Context, cr *csv.Reader, cw *csv.Writer, 
 			res.Deduped++
 			e.instr.streamDeduped.Inc()
 		}
-		cells = formatRow(out[:arity], cells[:0], tup, marked)
-		if err := cw.Write(out); err != nil {
-			return partial(err)
+		out.buf = relation.AppendCSV(out.buf, tup.Values, marks)
+		if ens {
+			res.ConfidenceSum += conf
+			if conf < res.MinConfidence {
+				res.MinConfidence = conf
+			}
+			if conf < e.ens.threshold {
+				res.BelowThreshold++
+			}
+			// The confidence, three decimals, as a last column.
+			out.buf = strconv.AppendFloat(append(out.buf[:len(out.buf)-1], ','), conf, 'f', 3, 64)
+			out.buf = append(out.buf, '\n')
 		}
 		res.Rows++
-		if res.Rows%flushEvery == 0 {
-			cw.Flush()
-			if err := cw.Error(); err != nil {
+		if len(out.buf) >= streamBufSize {
+			if err := out.flush(); err != nil {
 				return partial(err)
 			}
 		}
 	}
-	cw.Flush()
-	return res, cw.Error()
-}
-
-// formatRow renders a repaired tuple into dst, applying the "+" mark
-// suffix when marked is set. A marked cell is appended to buf and dst
-// holds a view of it, so a row costs no allocation once buf has grown
-// to fit; it returns the extended buf. The views are valid until buf
-// is next reused, which is long enough for csv.Writer.Write: it copies
-// every field before it returns.
-func formatRow(dst []string, buf []byte, tup *relation.Tuple, marked bool) []byte {
-	for i, v := range tup.Values {
-		if !marked || !tup.Marked[i] {
-			dst[i] = v
-			continue
-		}
-		start := len(buf)
-		buf = append(append(buf, v...), '+')
-		dst[i] = unsafe.String(&buf[start], len(buf)-start)
-	}
-	return buf
+	return res, out.flush()
 }

@@ -355,6 +355,92 @@ func TestCleanCSVStreamDedup(t *testing.T) {
 	})
 }
 
+// TestCleanCSVStreamKeepsNoViews: a stream's fields view the CSV
+// reader's buffer, which later rows overwrite. Early rows that one
+// stream admits to the memo (their second sighting) and that the rest
+// of that stream then overwrites in the buffer must still be served
+// from the memo, byte for byte, to a later request; and every row the
+// canary recorder sampled must be a row that was sent.
+func TestCleanCSVStreamKeepsNoViews(t *testing.T) {
+	b := dataset.NewNobel(1, 500)
+	dirty := b.Inject(dataset.Noise{Rate: 0.10, TypoFrac: 0.5, Seed: 1}).Dirty
+	early := &relation.Table{Schema: b.Schema, Tuples: dirty.Tuples[:40]}
+	late := &relation.Table{Schema: b.Schema, Tuples: dirty.Tuples[40:]}
+	twice := &relation.Table{Schema: b.Schema, Tuples: append(append(append([]*relation.Tuple(nil), early.Tuples...), early.Tuples...), late.Tuples...)}
+	first := tableCSV(t, twice)
+	if len(first) < 16<<10 {
+		t.Fatalf("the first stream's %d bytes would not overwrite the read buffer", len(first))
+	}
+
+	rec := repair.NewRowRecorder(2*dirty.Len(), 1)
+	e, err := repair.NewEngineWithOptions(b.Rules, b.Yago, b.Schema, repair.Options{Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CleanCSVStreamContext(context.Background(), strings.NewReader(first), io.Discard, true); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := cleanStream(t, streamCase{"early", b.Rules, b.Yago, b.Schema, tableCSV(t, early)}, repair.Options{MemoDisabled: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	res, err := e.CleanCSVStreamContext(context.Background(), strings.NewReader(tableCSV(t, early)), &got, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deduped != early.Len() {
+		t.Errorf("the memo served %d of the %d early rows", res.Deduped, early.Len())
+	}
+	requireSameOutput(t, "early rows from the memo", got.String(), want)
+
+	sent := map[string]bool{}
+	for _, tu := range dirty.Tuples {
+		sent[strings.Join(tu.Values, "\x00")] = true
+	}
+	snap := rec.Snapshot()
+	if len(snap) != twice.Len()+early.Len() {
+		t.Fatalf("the recorder holds %d rows, want %d", len(snap), twice.Len()+early.Len())
+	}
+	for _, row := range snap {
+		if !sent[strings.Join(row, "\x00")] {
+			t.Fatalf("the recorder holds %q, which was never sent", row)
+		}
+	}
+}
+
+// TestCSVFieldCountErrorLine: a record with the wrong number of fields
+// is reported at the line it starts on, counting blank lines and the
+// lines of multi-line quoted fields, by both the stream and
+// relation.ReadCSV.
+func TestCSVFieldCountErrorLine(t *testing.T) {
+	ex := dataset.NewPaperExample()
+	header := strings.Join(ex.Schema.Attrs, ",") + "\n"
+	row := "Avram Hershko,1937-12-31,Hungary,Chemistry 2004,Technion,Haifa\n"
+	for _, tc := range []struct {
+		name, body string
+		line       int
+	}{
+		{"after a row", row + "only,three,fields\n", 3},
+		{"after two blank lines", row + "\n\r\nonly,three,fields\n", 5},
+		{"after a two-line quoted field", "\"Avram\nHershko\",1937-12-31,Hungary,Chemistry 2004,Technion,Haifa\nonly,three,fields\n", 4},
+		{"itself spanning two lines", row + "\"only\nthree\",fields\n" + row, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := fmt.Sprintf("CSV line %d has", tc.line)
+			_, e := streamEngine(t)
+			_, err := e.CleanCSVStream(strings.NewReader(header+tc.body), io.Discard, false)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("stream: err = %v, want %q", err, want)
+			}
+			_, err = relation.ReadCSV("R", strings.NewReader(header+tc.body))
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ReadCSV: err = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 // TestCleanCSVStreamPartialOnBadRecord checks a mid-stream input failure:
 // every row before the bad record is cleaned, flushed and counted
 // exactly as a clean stream of those rows alone would write it, and

@@ -150,11 +150,16 @@ func TestFaultServerLoadShed(t *testing.T) {
 // TestFaultServerStreamsBeforeEOF proves /clean does not materialize
 // the input: cleaned rows arrive at the client while the request body
 // is still open — impossible if the server buffered the whole table.
+// The body holds 1,000 rows, several times the stream's 16 KiB output
+// buffer; after the last one the writer keeps the body open until the
+// client has read the first output line, for at most 5 s, and fails
+// the test if that wait runs out.
 func TestFaultServerStreamsBeforeEOF(t *testing.T) {
 	ts, _ := newFaultServer(t, server.Config{})
 
-	const rows = 200 // > the stream's flush interval
+	const rows = 1000
 	pr, pw := io.Pipe()
+	firstLine := make(chan struct{})
 	writeErr := make(chan error, 1)
 	go func() {
 		defer pw.Close()
@@ -169,10 +174,12 @@ func TestFaultServerStreamsBeforeEOF(t *testing.T) {
 				return
 			}
 		}
-		// Keep the body open until the main goroutine has proven it
-		// already received output.
-		writeErr <- nil
-		time.Sleep(100 * time.Millisecond)
+		select {
+		case <-firstLine:
+			writeErr <- nil
+		case <-time.After(5 * time.Second):
+			writeErr <- fmt.Errorf("no output line reached the client within 5 s of the body's last row")
+		}
 	}()
 
 	req, err := http.NewRequest("POST", ts.URL+"/clean", pr)
@@ -197,6 +204,7 @@ func TestFaultServerStreamsBeforeEOF(t *testing.T) {
 	if !strings.HasPrefix(header, "Name,") {
 		t.Fatalf("first streamed line = %q", header)
 	}
+	close(firstLine)
 	if err := <-writeErr; err != nil {
 		t.Fatalf("writing request body: %v", err)
 	}
