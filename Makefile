@@ -59,7 +59,9 @@ chaos:
 # edit-distance DP, a /clean body must stream to the same bytes and counts
 # with the repair memo on, replayed from the memo, and off, a DKBS
 # snapshot must load to an error or to a graph that freezes, verifies
-# and round-trips (the mmap path must not panic on it either), and the
+# and round-trips (the mmap path must not panic on it either), HasType,
+# TypesOf and InstancesOf must equal a map-based transitive closure over
+# a random taxonomy, parsed, decoded, mmap'd and delta-applied, and the
 # in-repo CSV codec must agree with encoding/csv: the reader on fields,
 # parse errors and record lines, fed a few bytes per read and with
 # lines longer than its buffer, and the appender on the bytes csv.Writer
@@ -77,6 +79,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadDelta$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzParseKB$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/kb
+	go test -run '^$$' -fuzz '^FuzzTypeClosure$$' -fuzztime $(FUZZTIME) ./internal/kb
 	go test -run '^$$' -fuzz '^FuzzStringIndex$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	go test -run '^$$' -fuzz '^FuzzEDWithin$$' -fuzztime $(FUZZTIME) ./internal/similarity
 	go test -run '^$$' -fuzz '^FuzzCleanCSVStream$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 200x ./internal/repair

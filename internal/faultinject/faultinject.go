@@ -62,6 +62,9 @@ type Writer struct {
 	calls int
 }
 
+// Calls returns the number of Write calls that went through.
+func (w *Writer) Calls() int { return w.calls }
+
 func (w *Writer) Write(p []byte) (int, error) {
 	if w.calls >= w.FailAfter {
 		if w.Err != nil {

@@ -8,11 +8,11 @@ package kb
 // either graph's ID assignment — and ApplyDelta builds the next
 // generation from the live graph in the flat layout a loaded snapshot
 // has. Indexes the delta leaves alone (name storage, the type/taxonomy
-// span tables, the frozen closures) are shared with the base outright;
-// an index it touches is copied whole into a fresh arena that holds
-// only live entries, with the touched lists merged. In-flight requests
-// keep the generation they pinned; the generation bump invalidates
-// memo and candidate caches exactly like a full swap.
+// span tables, the frozen class closures) are shared with the base
+// outright; an index it touches is copied whole into a fresh arena
+// that holds only live entries, with the touched lists merged.
+// In-flight requests keep the generation they pinned; the generation
+// bump invalidates memo and candidate caches exactly like a full swap.
 //
 // File format (all integers little-endian, "uv" = unsigned varint):
 //
@@ -670,12 +670,13 @@ var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 // read-only layout a loaded snapshot has; g itself — possibly pinned
 // by in-flight requests — is never mutated. An index the delta leaves
 // alone is shared whole with g: the name storage when a snapshot-form
-// base gains no node, the type and taxonomy tables and their frozen
-// closures when no type or subclass assertion changes. An index the
-// delta touches is copied whole — the base's arrays may be read-only
-// mmap'd pages — list by list into a fresh arena, each touched list
-// merged in canonical order, so chained deltas leave no dead entries
-// behind. The result has a strictly larger generation.
+// base gains no node, the type and taxonomy tables when no type or
+// subclass assertion changes, and the frozen class closures when no
+// subclass edge changes. An index the delta touches is copied whole —
+// the base's arrays may be read-only mmap'd pages — list by list into
+// a fresh arena, each touched list merged in canonical order, so
+// chained deltas leave no dead entries behind. The result has a
+// strictly larger generation.
 //
 // The base must match d.BaseFP (and triple count); a delta built
 // against different content returns ErrDeltaBaseMismatch. Nodes whose
@@ -876,14 +877,13 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if len(tyDel)+len(tyAdd)+len(sbDel)+len(sbAdd) == 0 && !g.closureDirty && g.instClosure.offs != nil {
-		// ensureClosures always rebuilds into fresh arrays, so the
-		// frozen base's closures are safe to share read-only. New nodes
-		// lie past their offsets and read as untyped — exactly the
-		// semantics of an untyped node.
-		ng.instClosure, ng.typeClosure = g.instClosure, g.typeClosure
-	} else {
-		ng.closureDirty = true
+	if len(sbDel)+len(sbAdd) == 0 && g.closed {
+		// The class closures read only the taxonomy, and Freeze always
+		// builds into fresh arrays, so the frozen base's are safe to
+		// share read-only. New nodes lie past their offsets, and with no
+		// subclass edge added none has a superclass: each is its own
+		// closure, exactly as a fresh Freeze would make it.
+		ng.supers, ng.closed = g.supers, true
 	}
 
 	preds := make(map[ID]struct{}, len(g.preds)+1)

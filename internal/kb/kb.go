@@ -13,6 +13,7 @@ package kb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,16 +103,25 @@ type Graph struct {
 	tripleCount int
 	gen         int64 // content mutations; see Generation
 
-	closureDirty bool
-	instClosure  idSpans // class -> all instances (incl. via subclasses)
-	typeClosure  idSpans // instance -> all classes (incl. superclasses)
-	literalClass ID      // interned "literal" pseudo-class
+	literalClass ID // interned "literal" pseudo-class
+
+	// Built by Freeze: supers holds, for every class with a direct
+	// superclass, its superclass closure; heapTypes is a heap-built
+	// graph's direct-type map laid out as spans, so HasType reads no
+	// map. closed reports that both match the assertions; mutators that
+	// change types or the taxonomy clear it.
+	closed    bool
+	supers    idSpans
+	heapTypes idSpans
 
 	// nameIdx holds the class name indexes built so far (see
-	// NameIndex); idxMu serializes their builds. Mutators that change
-	// class membership drop them.
+	// NameIndex); idxMu serializes their builds. extents holds the class
+	// extents read so far (see InstancesOf); extMu serializes their
+	// builds. Mutators that change class membership drop both.
 	idxMu   sync.RWMutex
 	nameIdx map[ID]*similarity.StringIndex
+	extMu   sync.RWMutex
+	extents map[ID][]ID
 
 	fp atomic.Pointer[fpMemo] // cached content fingerprint; see delta.go
 }
@@ -157,7 +167,7 @@ func (g *Graph) intern(name string, kind Kind) ID {
 	if id, ok := g.byName[name]; ok {
 		if g.kinds[id] == KindUnknown && kind != KindUnknown {
 			g.kinds[id] = kind
-			g.nameIdx = nil // the literal class may have grown
+			g.nameIdx, g.extents = nil, nil // the literal class may have grown
 		}
 		return id
 	}
@@ -167,7 +177,7 @@ func (g *Graph) intern(name string, kind Kind) ID {
 	g.out.addNode()
 	g.in.addNode()
 	g.byName[name] = id
-	g.nameIdx = nil
+	g.nameIdx, g.extents = nil, nil
 	g.gen++
 	return id
 }
@@ -297,7 +307,7 @@ func (g *Graph) AddTypeID(inst, cls ID) {
 	}
 	g.types[inst] = append(g.types[inst], cls)
 	g.instOf[cls] = append(g.instOf[cls], inst)
-	g.closureDirty, g.nameIdx = true, nil
+	g.closed, g.nameIdx, g.extents = false, nil, nil
 	g.gen++
 }
 
@@ -316,7 +326,7 @@ func (g *Graph) AddSubclassID(sub, super ID) {
 	}
 	g.superOf[sub] = append(g.superOf[sub], super)
 	g.subOf[super] = append(g.subOf[super], sub)
-	g.closureDirty, g.nameIdx = true, nil
+	g.closed, g.nameIdx, g.extents = false, nil, nil
 	g.gen++
 }
 
@@ -413,9 +423,26 @@ func (g *Graph) forEachSubclassed(fn func(sub ID, supers []ID)) {
 	}
 }
 
-// Freeze forces recomputation of the lazy closures. Calling it after
-// bulk loading makes subsequent reads safe for concurrent use.
-func (g *Graph) Freeze() { g.ensureClosures() }
+// Freeze builds what reads derive from the type and taxonomy
+// assertions: one ascending superclass closure per class that has a
+// superclass (a class without one is its own closure), and, on a
+// heap-built graph, a flat copy of the direct-type map. On a snapshot
+// graph that is one walk per such class, not one per node. The walk is
+// cycle-safe: a taxonomy with a cycle gives every class on it the same
+// closure. Calling Freeze after bulk loading makes subsequent reads
+// safe for concurrent use; class extents (InstancesOf) and name
+// indexes (NameIndex) are built later, on first read, under the
+// graph's locks.
+func (g *Graph) Freeze() {
+	if g.closed {
+		return
+	}
+	g.supers = g.superClosures()
+	if g.byName != nil {
+		g.heapTypes = g.flatHeapTypes()
+	}
+	g.closed = true
+}
 
 // idSpans is a set of ascending ID lists in compressed-row form: node
 // i's list is ids[offs[i]:offs[i+1]]. Nodes at or past len(offs)-1,
@@ -437,77 +464,143 @@ func (s *idSpans) view(id ID) []ID {
 	return s.ids[lo:hi:hi]
 }
 
-// ensureClosures builds both type closures in one pass over the nodes
-// in ID order, into flat pointer-free arrays.
-func (g *Graph) ensureClosures() {
-	if !g.closureDirty && g.instClosure.offs != nil {
-		return
+// superClosures returns, for every node up to the last one with a
+// direct superclass, the node itself and all its superclasses,
+// transitively, ascending; a node without a superclass gets an empty
+// list. Each closure is gathered by a walk that skips classes already
+// in it, so a cycle ends the walk.
+func (g *Graph) superClosures() idSpans {
+	last := Invalid
+	g.forEachSubclassed(func(sub ID, _ []ID) { last = max(last, sub) })
+	if last == Invalid {
+		return idSpans{}
 	}
-	n := len(g.kinds)
-	types := idSpans{offs: make([]uint32, n+1)}
-	// inst[c+1] counts the instances of class c, then becomes the
-	// offsets of the class -> instances lists.
-	inst := idSpans{offs: make([]uint32, n+1)}
-	// seen[c] == i+1 marks class c as already in node i's closure.
-	seen := make([]int32, n)
+	s := idSpans{offs: make([]uint32, last+2)}
 	var stack []ID
-	for i := 0; i < n; i++ {
-		start := len(types.ids)
-		stack = append(stack[:0], g.directTypes(ID(i))...)
-		for len(stack) > 0 {
-			c := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[c] == int32(i)+1 {
-				continue
+	for c := ID(0); c <= last; c++ {
+		start := len(s.ids)
+		if sup := g.directSupers(c); len(sup) > 0 {
+			s.ids = append(s.ids, c)
+			stack = append(stack[:0], sup...)
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if slices.Contains(s.ids[start:], x) {
+					continue
+				}
+				s.ids = append(s.ids, x)
+				stack = append(stack, g.directSupers(x)...)
 			}
-			seen[c] = int32(i) + 1
-			types.ids = append(types.ids, c)
-			inst.offs[c+1]++
-			stack = append(stack, g.directSupers(c)...)
+			slices.Sort(s.ids[start:])
 		}
-		sortIDs(types.ids[start:])
-		types.offs[i+1] = uint32(len(types.ids))
+		s.offs[c+1] = uint32(len(s.ids))
 	}
-	for c := 1; c <= n; c++ {
-		inst.offs[c] += inst.offs[c-1]
-	}
-	// Fill each class's list using its start offset as a cursor.
-	// Instances arrive in ascending ID order, so every list is sorted;
-	// afterwards offs[c] has advanced to offs[c+1], and shifting the
-	// offsets up by one restores them.
-	inst.ids = make([]ID, len(types.ids))
-	for i := 0; i < n; i++ {
-		for _, c := range types.view(ID(i)) {
-			inst.ids[inst.offs[c]] = ID(i)
-			inst.offs[c]++
-		}
-	}
-	copy(inst.offs[1:], inst.offs[:n])
-	inst.offs[0] = 0
-	g.typeClosure, g.instClosure = types, inst
-	g.closureDirty = false
+	return s
 }
 
-// sortIDs sorts a short ID list in place (insertion sort: a closure
-// holds a handful of classes).
-func sortIDs(s []ID) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// flatHeapTypes lays out a heap-built graph's direct-type map as spans
+// over every node.
+func (g *Graph) flatHeapTypes() idSpans {
+	t := idSpans{offs: make([]uint32, len(g.kinds)+1)}
+	n := 0
+	for inst, classes := range g.types {
+		t.offs[inst+1] = uint32(len(classes))
+		n += len(classes)
+	}
+	for i := 1; i < len(t.offs); i++ {
+		t.offs[i] += t.offs[i-1]
+	}
+	t.ids = make([]ID, n)
+	for inst, classes := range g.types {
+		copy(t.ids[t.offs[inst]:], classes)
+	}
+	return t
+}
+
+// isa reports whether class c is sup or one of its subclasses,
+// transitively: whether sup is in c's closure.
+func (g *Graph) isa(c, sup ID) bool {
+	cl := g.supers.view(c)
+	if cl == nil {
+		return c == sup
+	}
+	for _, x := range cl {
+		if x >= sup {
+			return x == sup
 		}
 	}
+	return false
+}
+
+// flatTypes returns inst's direct classes from the flat tables of a
+// frozen graph.
+func (g *Graph) flatTypes(inst ID) []ID {
+	if g.byName != nil {
+		return g.heapTypes.view(inst)
+	}
+	return g.typesIdx.view(inst)
 }
 
 // InstancesOf returns every instance whose type closure contains cls,
-// i.e. direct members plus members of all (transitive) subclasses.
-// For the reserved "literal" class it returns every literal node.
-// The returned slice is shared; callers must not mutate it.
+// i.e. direct members plus members of all (transitive) subclasses, in
+// ascending ID order. For the reserved "literal" class it returns every
+// literal node. A class's extent is built the first time it is read
+// and kept with the graph; concurrent first reads build it once, under
+// the graph's lock, and a mutation that changes class membership drops
+// the built extents. The returned slice is shared; callers must not
+// mutate it.
 func (g *Graph) InstancesOf(cls ID) []ID {
-	if cls == g.literalClass {
-		return g.literals()
+	if cls < 0 || int(cls) >= len(g.kinds) {
+		return nil
 	}
-	g.ensureClosures()
-	return g.instClosure.view(cls)
+	g.extMu.RLock()
+	ext, ok := g.extents[cls]
+	g.extMu.RUnlock()
+	if ok {
+		return ext
+	}
+	g.extMu.Lock()
+	defer g.extMu.Unlock()
+	if ext, ok := g.extents[cls]; ok {
+		return ext
+	}
+	if cls == g.literalClass {
+		ext = g.literals()
+	} else {
+		ext = g.extent(cls)
+	}
+	if g.extents == nil {
+		g.extents = make(map[ID][]ID)
+	}
+	g.extents[cls] = ext
+	return ext
+}
+
+// extent gathers the direct instances of cls and of every class whose
+// closure holds it, ascending and once each. An instance must also
+// pass HasType, which reads the direct-type table: a snapshot's
+// instance table is its inverse only when the snapshot was written by
+// this package, and the loader does not check it.
+func (g *Graph) extent(cls ID) []ID {
+	if !g.closed {
+		g.Freeze()
+	}
+	var ext []ID
+	add := func(c ID) {
+		for _, x := range g.directInstances(c) {
+			if g.HasType(x, cls) {
+				ext = append(ext, x)
+			}
+		}
+	}
+	add(cls)
+	for c := ID(0); int(c) < len(g.supers.offs)-1; c++ {
+		if c != cls && g.isa(c, cls) {
+			add(c)
+		}
+	}
+	slices.Sort(ext)
+	return slices.Compact(ext)
 }
 
 // NameIndexMaxED is the largest edit-distance threshold a name index
@@ -569,31 +662,44 @@ func (g *Graph) literals() []ID {
 	return out
 }
 
-// HasType reports whether inst is a (transitive) member of cls. Any
-// literal node is a member of the reserved "literal" class.
+// HasType reports whether inst is a (transitive) member of cls: one
+// of inst's direct classes has cls in its closure. Any literal node is
+// a member of the reserved "literal" class.
 func (g *Graph) HasType(inst, cls ID) bool {
 	if cls == g.literalClass {
 		return g.kinds[inst] == KindLiteral
 	}
-	g.ensureClosures()
-	for _, c := range g.typeClosure.view(inst) {
-		if c >= cls {
-			return c == cls
+	if !g.closed {
+		g.Freeze()
+	}
+	for _, d := range g.flatTypes(inst) {
+		if g.isa(d, cls) {
+			return true
 		}
 	}
 	return false
 }
 
 // TypesOf returns every class inst belongs to, including superclasses
-// through the taxonomy, in ascending ID order. Literals yield only the
-// reserved "literal" class.
+// through the taxonomy, in ascending ID order: the union of its direct
+// classes' closures. Literals yield only the reserved "literal" class.
 func (g *Graph) TypesOf(inst ID) []ID {
 	if g.kinds[inst] == KindLiteral {
 		return []ID{g.literalClass}
 	}
-	g.ensureClosures()
-	v := g.typeClosure.view(inst)
-	return append(make([]ID, 0, len(v)), v...)
+	if !g.closed {
+		g.Freeze()
+	}
+	var out []ID
+	for _, d := range g.flatTypes(inst) {
+		if cl := g.supers.view(d); cl != nil {
+			out = append(out, cl...)
+		} else {
+			out = append(out, d)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Subclasses returns the direct subclasses of cls (shared slice).

@@ -1068,7 +1068,6 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	g.tripleCount = c.tripleCount
 	g.gen = c.gen
 	g.literalClass = c.literalClass
-	g.closureDirty = true
 	return nil
 }
 

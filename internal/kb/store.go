@@ -21,8 +21,8 @@ import (
 // (Graph.NameIndex), so restamping a graph's generation keeps them.
 //
 // Graphs handed to NewStore or Swap must be fully loaded; the store
-// freezes them (forcing the lazy closures) before publishing, so every
-// graph observable through Graph() is safe for concurrent reads.
+// freezes them (building the class closures) before publishing, so
+// every graph observable through Graph() is safe for concurrent reads.
 type Store struct {
 	cur       atomic.Pointer[Graph]
 	swaps     atomic.Int64

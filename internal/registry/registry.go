@@ -5,18 +5,26 @@
 // configured; only the hot ones are resident. Residency is an LRU
 // bounded by Config.MaxResident: a request for a non-resident tenant
 // admits it (loading its KB — an mmap'd DKBS v2 snapshot makes this
-// nearly free — parsing its rules once, building its server), and an
-// admission over the cap evicts the least-recently-used idle tenant.
+// nearly free — building its server), and an admission over the cap
+// evicts the least-recently-used idle tenant. A tenant's rules are
+// parsed and compiled (repair.RuleSet) once, at its first admission,
+// and live with the tenant like its configuration: every server the
+// tenant gets binds the one compiled set, which holds no KB.
 //
 // Eviction is safe under in-flight requests twice over: a tenant with
 // pinned requests (Tenant's release not yet called) is never chosen
 // as a victim, and requests hold their own reference to the tenant's
 // Server, whose engine pins a KB generation per tuple — an eviction
 // or readmission between two of a request's tuples can never tear the
-// graph out from under it. Evicting drops the registry's reference to
-// the Server and its graph; the memory is reclaimed by GC (mmap'd
-// snapshot pages are clean file-backed memory the kernel reclaims on
-// its own). Readmission rebuilds a fresh server from disk.
+// graph out from under it. Evicting frees the tenant's server: the
+// registry drops its reference, and the server's scrape-time metric
+// series stop reading its catalog and store and report their last
+// values (server.Server.Retire), so nothing the process keeps reaches
+// the engine, its caches, the store or the graph with its closures and
+// name indexes. GC reclaims them once the last request holding the
+// server finishes (mmap'd snapshot pages are clean file-backed memory
+// the kernel reclaims on its own). Readmission rebuilds a fresh server
+// from disk.
 //
 // The registry implements server.TenantResolver and
 // server.TenantAdmin, so server.NewTenantMux/NewTenantAdminMux are
@@ -175,13 +183,13 @@ type Options struct {
 type tenant struct {
 	cfg TenantConfig
 
-	// Parsed once at first admission and retained across evictions:
-	// rules and schema are small, and re-validating them on every
-	// readmission would waste the LRU's point.
-	once   sync.Once
-	rules  []*rules.DR
-	schema *relation.Schema
-	initE  error
+	// Parsed and compiled once at first admission and retained across
+	// evictions: a compiled rule set is small and holds no KB, and
+	// re-validating it on every readmission would waste the LRU's
+	// point.
+	once  sync.Once
+	rules *repair.RuleSet
+	initE error
 
 	// loadMu serializes cold admissions of this one tenant so a
 	// thundering herd on a cold tenant loads its KB exactly once.
@@ -300,10 +308,11 @@ func (r *Registry) newTenant(tc TenantConfig) *tenant {
 // ApplyConfig reconciles the fleet against a re-read configuration
 // file — the SIGHUP path in registry mode, which previously re-read
 // only tenant KB files and silently ignored tenants.json edits.
-// Unchanged tenants keep their structs, residency and parsed rules;
+// Unchanged tenants keep their structs, residency and compiled rules;
 // tenants with edited configs are rebuilt cold on their next
 // admission; removed tenants are dropped (in-flight requests finish
-// on the server they already hold); added tenants become admittable.
+// on the server they already hold, which is retired as an evicted one
+// is); added tenants become admittable.
 // The whole config is validated before anything is touched, so a bad
 // file changes nothing.
 func (r *Registry) ApplyConfig(cfg Config) error {
@@ -349,9 +358,12 @@ func (r *Registry) ApplyConfig(cfg Config) error {
 		}
 		names = append(names, tc.Name)
 	}
-	for name := range r.tenants {
+	for name, old := range r.tenants {
 		if next[name] == nil {
 			removed = append(removed, name)
+		}
+		if next[name] != old && old.srv != nil {
+			old.srv.Retire()
 		}
 	}
 	sort.Strings(names)
@@ -510,6 +522,7 @@ func (r *Registry) evictOverCapLocked(justAdmitted *tenant) []string {
 				slog.Int("cap", r.maxRes))
 			break
 		}
+		victim.srv.Retire()
 		victim.srv = nil // engine, caches and graph go with it (GC / kernel)
 		victim.evictions.Inc()
 		victims = append(victims, victim.cfg.Name)
@@ -536,13 +549,12 @@ func (r *Registry) buildServer(t *tenant) (*server.Server, time.Duration, error)
 			return
 		}
 		defer f.Close()
-		rs, err := rules.ParseRules(f)
+		drs, err := rules.ParseRules(f)
 		if err != nil {
 			t.initE = fmt.Errorf("parsing rules %s: %w", t.cfg.Rules, err)
 			return
 		}
-		t.rules = rs
-		t.schema = relation.NewSchema(t.cfg.Relation, t.cfg.Schema...)
+		t.rules, t.initE = repair.CompileRules(drs, relation.NewSchema(t.cfg.Relation, t.cfg.Schema...))
 	})
 	if t.initE != nil {
 		return nil, 0, t.initE
@@ -575,7 +587,7 @@ func (r *Registry) buildServer(t *tenant) (*server.Server, time.Duration, error)
 		}
 		cfg.Ensemble = ens
 	}
-	srv, err := server.NewWithStore(t.rules, st, t.schema, cfg)
+	srv, err := server.NewWithRules(t.rules, st, cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -590,7 +602,7 @@ func tenantEnsemble(t *tenant, st *kb.Store) (repair.EnsembleOptions, error) {
 	var ref *relation.Table
 	if t.cfg.EnsembleRef != "" {
 		var err error
-		ref, err = adapters.LoadReference(t.schema, t.cfg.EnsembleRef)
+		ref, err = adapters.LoadReference(t.rules.Schema, t.cfg.EnsembleRef)
 		if err != nil {
 			return repair.EnsembleOptions{}, fmt.Errorf("ensemble reference %s: %w", t.cfg.EnsembleRef, err)
 		}
@@ -598,7 +610,7 @@ func tenantEnsemble(t *tenant, st *kb.Store) (repair.EnsembleOptions, error) {
 	return repair.EnsembleOptions{
 		Enabled:   true,
 		Threshold: t.cfg.EnsembleThreshold,
-		Proposers: adapters.BuildProposers(t.schema, ensemble.PatternFromRules(t.rules), st, ref),
+		Proposers: adapters.BuildProposers(t.rules.Schema, ensemble.PatternFromRules(t.rules.Rules()), st, ref),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,13 +12,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"detective/internal/dataset"
+	"detective/internal/kb"
 	"detective/internal/registry"
+	"detective/internal/repair"
 	"detective/internal/rules"
 	"detective/internal/server"
 	"detective/internal/telemetry"
@@ -647,5 +651,109 @@ func TestApplyConfig(t *testing.T) {
 	}
 	if got := len(r.TenantNames()); got != 3 {
 		t.Fatalf("fleet size after rejected config = %d, want 3", got)
+	}
+}
+
+// TestTenantsSharingRulesStayApart serves two tenants whose snapshots
+// carry the same generation with different IDs for the rules' classes
+// and relations (B is A with Avram Hershko renamed Ada Yonath, parsed
+// in reverse line order), from one rules file through one residency
+// slot, admitting them alternately. Each must repair the row only its
+// own KB can repair and leave the other's alone, as an engine built on
+// that KB alone does; two engines on one compiled rule set must too.
+// A symbol resolution or candidate cache shared across engines and
+// keyed by generation would hand one tenant the other's IDs.
+func TestTenantsSharingRulesStayApart(t *testing.T) {
+	_, textPath, rulesPath := writeFixtures(t)
+	textA, err := os.ReadFile(textPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(strings.ReplaceAll(string(textA), "<Avram Hershko>", "<Ada Yonath>")), "\n")
+	slices.Reverse(lines)
+	textB := strings.Join(lines, "\n") + "\n"
+
+	dir := t.TempDir()
+	graphs := map[string]*kb.Graph{}
+	cfg := registry.Config{
+		MaxResident: 1,
+		Defaults:    registry.TenantConfig{Rules: rulesPath, Schema: paperSchema, Relation: "Nobel"},
+	}
+	for name, text := range map[string]string{"a": string(textA), "b": textB} {
+		g, err := kb.Parse(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".dkbs")
+		var snap bytes.Buffer
+		if err := g.WriteSnapshotV2(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if graphs[name], err = kb.LoadSnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Tenants = append(cfg.Tenants, registry.TenantConfig{Name: name, Snapshot: path})
+	}
+	ga, gb := graphs["a"], graphs["b"]
+	if ga.Generation() != gb.Generation() {
+		t.Fatalf("generations %d and %d differ; the test needs them equal", ga.Generation(), gb.Generation())
+	}
+	if ga.Lookup("city") == gb.Lookup("city") && ga.Lookup("worksAt") == gb.Lookup("worksAt") {
+		t.Fatal("the two KBs give the rules' symbols the same IDs; the test needs them to differ")
+	}
+
+	ex := dataset.NewPaperExample()
+	header := strings.Join(paperSchema, ",") + "\n"
+	rowA := strings.TrimPrefix(dirtyCSV, header)
+	rows := map[string]string{"a": rowA, "b": strings.Replace(rowA, "Avram Hershko", "Ada Yonath", 1)}
+	body := header + rows["a"] + rows["b"]
+	want := map[string]string{}
+	rs, err := repair.CompileRules(ex.Rules, ex.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range graphs {
+		e, err := repair.NewEngine(ex.Rules, g, ex.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := e.CleanCSVStream(strings.NewReader(body), &out, true); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = out.String()
+		own, other := rows[name], rows[map[string]string{"a": "b", "b": "a"}[name]]
+		if strings.Contains(want[name], own) || !strings.Contains(want[name], other) {
+			t.Fatalf("KB %s should repair only its own row:\n%s", name, want[name])
+		}
+		var shared bytes.Buffer
+		if _, err := repair.NewEngineRules(rs, kb.NewStore(g), repair.Options{}).CleanCSVStream(strings.NewReader(body), &shared, true); err != nil {
+			t.Fatal(err)
+		}
+		if shared.String() != want[name] {
+			t.Fatalf("KB %s, engine on a shared compiled rule set:\n%s\nwant:\n%s", name, shared.String(), want[name])
+		}
+	}
+
+	r := newRegistry(t, cfg)
+	for round := 0; round < 3; round++ {
+		for _, name := range []string{"a", "b"} {
+			srv, release, err := r.Tenant(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/clean?marked=1", strings.NewReader(body)))
+			release()
+			if got := rec.Body.String(); got != want[name] {
+				t.Fatalf("round %d, tenant %s:\n%s\nwant:\n%s", round, name, got, want[name])
+			}
+		}
+	}
+	if st := r.Stats(); st.Tenants[0].Admissions != 3 || st.Tenants[1].Admissions != 3 {
+		t.Fatalf("admissions %d and %d, want 3 each (cold every time)", st.Tenants[0].Admissions, st.Tenants[1].Admissions)
 	}
 }

@@ -18,46 +18,27 @@ import (
 // Engine applies a set of consistent detective rules to tuples of one
 // schema against one KB. Build it once and reuse it across tuples;
 // it is safe for concurrent use after construction as long as the KB
-// has been frozen. The per-class signature indexes belong to the graph
-// (kb.Graph.NameIndex): the first lookup that reads one builds it, once
-// per graph, and every engine on that graph shares it.
+// has been frozen. The rules come compiled (RuleSet), shared by every
+// engine built from the same set; the engine binds them to its own
+// catalog and symbol resolutions. The per-class signature indexes
+// belong to the graph (kb.Graph.NameIndex): the first lookup that
+// reads one builds it, once per graph, and every engine on that graph
+// shares it.
 //
-// Every evidence node check is assigned a dense integer ID at
-// construction time, so the inverted rule indexes (Figure 5) are
-// slice-of-slice lookups. A check reads the row's candidate lists
-// (rules.RowCandidates), which every rule's evaluation shares: a node
-// another rule already checked costs one scan of the row's short list,
-// and a rewritten cell changes its list's key, so nothing needs
-// invalidating. Per-tuple state is pooled, so steady-state repair
-// allocates only for the result tuple and actual rule applications.
+// A check reads the row's candidate lists (rules.RowCandidates), which
+// every rule's evaluation shares: a node another rule already checked
+// costs one scan of the row's short list, and a rewritten cell changes
+// its list's key, so nothing needs invalidating. Per-tuple state is
+// pooled, so steady-state repair allocates only for the result tuple
+// and actual rule applications.
 type Engine struct {
-	Schema *relation.Schema
-	Cat    *rules.Catalog
-	Graph  *RuleGraph
+	*RuleSet
+	Cat *rules.Catalog
 
 	opts Options
 
 	fast []*rules.Matcher // signature-index candidate retrieval
 	slow []*rules.Matcher // full-scan retrieval (Algorithm 1 cost model)
-
-	// evIndex[id] lists the rules that use evidence node check id —
-	// the inverted rule indexes of the paper's Figure 5, so a failed
-	// shared check prunes every rule that depends on it.
-	evIndex [][]int
-
-	// evIDs[i][k] is the check ID of rule i's evidence node k.
-	evIDs [][]int32
-
-	// Per-rule schema columns: the columns an application marks, and
-	// the column it repairs (the positive node's).
-	markCols [][]int
-	posCol   []int
-
-	// flatGroup is the single all-rules group, in input order: the one
-	// group of the NoRuleOrder ablation, and the scan order of
-	// BasicRepair and RepairVersions. It is precomputed so the hot path
-	// never rebuilds it.
-	flatGroup [][]int
 
 	// pool recycles fastState values (alive flags, candidate lists)
 	// across tuples so RepairTableParallel and CleanCSVStream run
@@ -93,6 +74,96 @@ type Engine struct {
 	// (see ensemble_engine.go); nil unless Options.Ensemble.Enabled.
 	ens *ensembleState
 }
+
+// RuleSet is a rule set compiled for one schema: every rule validated
+// and prepared (rules.Compile), the rule graph, the evidence check IDs
+// with their inverted lists, and each rule's mark and positive columns.
+// It is immutable and holds no catalog, store, graph or engine, so
+// engines on any KB can share one (NewEngineRules), and keeping it
+// keeps no KB alive.
+type RuleSet struct {
+	Schema *relation.Schema
+	Graph  *RuleGraph
+
+	compiled []*rules.Compiled
+
+	// evIndex[id] lists the rules that use evidence node check id —
+	// the inverted rule indexes of the paper's Figure 5, so a failed
+	// shared check prunes every rule that depends on it.
+	evIndex [][]int
+
+	// evIDs[i][k] is the check ID of rule i's evidence node k. Every
+	// evidence node check has a dense integer ID, so the inverted lists
+	// are slice-of-slice lookups.
+	evIDs [][]int32
+
+	// Per-rule schema columns: the columns an application marks, and
+	// the column it repairs (the positive node's).
+	markCols [][]int
+	posCol   []int
+
+	// flatGroup is the single all-rules group, in input order: the one
+	// group of the NoRuleOrder ablation, and the scan order of
+	// BasicRepair and RepairVersions. It is precomputed so the hot path
+	// never rebuilds it.
+	flatGroup [][]int
+}
+
+// CompileRules validates drs against schema and compiles them: matcher
+// plans, the rule graph and the inverted indexes. The rule set is
+// assumed consistent (verify with the consistency package).
+func CompileRules(drs []*rules.DR, schema *relation.Schema) (*RuleSet, error) {
+	if len(drs) == 0 {
+		return nil, fmt.Errorf("repair: empty rule set")
+	}
+	rs := &RuleSet{Schema: schema, Graph: BuildRuleGraph(drs)}
+
+	// idOf interns an evidence node key to a dense ID; two rules share
+	// an ID exactly when they pose the same node check, the
+	// shared-computation identity of §IV-B.
+	ids := make(map[string]int32)
+	idOf := func(key string) int32 {
+		if id, ok := ids[key]; ok {
+			return id
+		}
+		id := int32(len(rs.evIndex))
+		ids[key] = id
+		rs.evIndex = append(rs.evIndex, nil)
+		return id
+	}
+
+	for i, dr := range drs {
+		c, err := rules.Compile(dr, schema)
+		if err != nil {
+			return nil, err
+		}
+		rs.compiled = append(rs.compiled, c)
+
+		evIDs := make([]int32, len(dr.Evidence))
+		for k, n := range dr.Evidence {
+			evIDs[k] = idOf(n.Key())
+			rs.evIndex[evIDs[k]] = append(rs.evIndex[evIDs[k]], i)
+		}
+		rs.evIDs = append(rs.evIDs, evIDs)
+
+		var marks []int
+		for _, col := range c.MarkCols() {
+			marks = append(marks, schema.MustCol(col))
+		}
+		rs.markCols = append(rs.markCols, marks)
+		rs.posCol = append(rs.posCol, schema.MustCol(dr.Pos.Col))
+	}
+
+	all := make([]int, len(drs))
+	for i := range all {
+		all[i] = i
+	}
+	rs.flatGroup = [][]int{all}
+	return rs, nil
+}
+
+// Rules returns the rule set, in construction order.
+func (rs *RuleSet) Rules() []*rules.DR { return rs.Graph.Rules }
 
 // Options disables individual optimizations of the fast repair
 // algorithm, for the ablation study of the three §IV-B improvements.
@@ -179,70 +250,41 @@ func NewEngineWithOptions(drs []*rules.DR, g *kb.Graph, schema *relation.Schema,
 // NewEngineStore builds the engine over a swappable KB handle: every
 // tuple repair pins the store's current graph once at entry and runs
 // entirely on it, so kb.Store.Swap can replace the KB mid-stream
-// without mixing two graphs within one tuple.
+// without mixing two graphs within one tuple. It compiles drs
+// (CompileRules) and binds them (NewEngineRules).
 func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, opts Options) (*Engine, error) {
-	if len(drs) == 0 {
-		return nil, fmt.Errorf("repair: empty rule set")
+	rs, err := CompileRules(drs, schema)
+	if err != nil {
+		return nil, err
 	}
+	return NewEngineRules(rs, store, opts), nil
+}
+
+// NewEngineRules builds the engine for a compiled rule set over a
+// swappable KB handle, as NewEngineStore does, without compiling the
+// rules again.
+func NewEngineRules(rs *RuleSet, store *kb.Store, opts Options) *Engine {
 	e := &Engine{
-		Schema: schema,
-		Cat:    rules.NewCatalogStore(store),
-		Graph:  BuildRuleGraph(drs),
-		opts:   opts,
+		RuleSet: rs,
+		Cat:     rules.NewCatalogStore(store),
+		opts:    opts,
 	}
-
-	// idOf interns an evidence node key to a dense ID; two rules share
-	// an ID exactly when they pose the same node check, the
-	// shared-computation identity of §IV-B.
-	ids := make(map[string]int32)
-	idOf := func(key string) int32 {
-		if id, ok := ids[key]; ok {
-			return id
-		}
-		id := int32(len(e.evIndex))
-		ids[key] = id
-		e.evIndex = append(e.evIndex, nil)
-		return id
-	}
-
-	for i, dr := range drs {
-		fm, err := rules.NewMatcher(dr, e.Cat, schema)
-		if err != nil {
-			return nil, err
-		}
+	for _, c := range rs.compiled {
+		fm := c.Bind(e.Cat)
 		e.fast = append(e.fast, fm)
-		sm := *fm // the same prepared rule; only candidate retrieval differs
+		sm := *fm // the same binding; only candidate retrieval differs
 		sm.Scan = true
 		e.slow = append(e.slow, &sm)
-
-		evIDs := make([]int32, len(dr.Evidence))
-		for k, n := range dr.Evidence {
-			evIDs[k] = idOf(n.Key())
-			e.evIndex[evIDs[k]] = append(e.evIndex[evIDs[k]], i)
-		}
-		e.evIDs = append(e.evIDs, evIDs)
-
-		var marks []int
-		for _, c := range fm.MarkCols() {
-			marks = append(marks, schema.MustCol(c))
-		}
-		e.markCols = append(e.markCols, marks)
-		e.posCol = append(e.posCol, schema.MustCol(dr.Pos.Col))
 	}
 
-	all := make([]int, len(drs))
-	for i := range all {
-		all[i] = i
-	}
-	e.flatGroup = [][]int{all}
-
+	n := len(rs.compiled)
 	e.stepBudget = opts.StepBudget
 	if e.stepBudget <= 0 {
 		// Each rule applies at most once per tuple (§III termination),
-		// so any terminating run fits in len(drs) applications; the
+		// so any terminating run fits in one application per rule; the
 		// default leaves ample headroom for future multi-application
 		// schedules while still catching genuine runaways.
-		e.stepBudget = 16*len(drs) + 64
+		e.stepBudget = 16*n + 64
 	}
 	reg := telemetry.Default()
 	if opts.PrivateTelemetry {
@@ -254,7 +296,7 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		if budget == 0 {
 			budget = DefaultMemoBytes
 		}
-		e.memo = newRepairMemo(schema, budget)
+		e.memo = newRepairMemo(rs.Schema, budget)
 		e.instr.registerMemo(e.memo)
 	}
 	if opts.Breaker.Enabled {
@@ -262,7 +304,7 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 		e.breaker = &breaker{}
 		e.breaker.init(bo)
 		if bo.PerRule {
-			e.ruleBreakers = make([]breaker, len(drs))
+			e.ruleBreakers = make([]breaker, n)
 			for i := range e.ruleBreakers {
 				e.ruleBreakers[i].init(bo)
 			}
@@ -273,11 +315,8 @@ func NewEngineStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, o
 	if opts.Ensemble.Enabled {
 		e.ens = newEnsembleState(opts.Ensemble, reg)
 	}
-	return e, nil
+	return e
 }
-
-// Rules returns the engine's rule set, in construction order.
-func (e *Engine) Rules() []*rules.DR { return e.Graph.Rules }
 
 // Store returns the engine's swappable KB handle. Swapping a new
 // graph into it (kb.Store.Swap) takes effect on the next tuple each

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"detective/internal/dataset"
 	"detective/internal/faultinject"
+	"detective/internal/relation"
 	"detective/internal/repair"
 )
 
@@ -325,18 +327,48 @@ func TestFaultStreamChaoticReader(t *testing.T) {
 	}
 }
 
+// TestFaultStreamFailingWriter fails the sink on its first, a middle
+// and its last write. Every failure, the last write's included, must
+// come back as a *PartialError whose Done equals Rows and counts
+// exactly the rows the consumer received: a failed write delivers
+// none of its rows.
 func TestFaultStreamFailingWriter(t *testing.T) {
 	ex := dataset.NewPaperExample()
 	e, err := repair.NewEngine(ex.Rules, ex.KB, ex.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in bytes.Buffer
-	if err := ex.Dirty.WriteCSV(&in); err != nil {
-		t.Fatal(err)
-	}
-	w := &faultinject.Writer{FailAfter: 0}
-	if _, err := e.CleanCSVStreamContext(context.Background(), &in, w, false); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
+	for _, rows := range []int{8, 400} { // the paper's rows, repeated
+		big := &relation.Table{Schema: ex.Dirty.Schema}
+		for big.Len() < rows {
+			big.Tuples = append(big.Tuples, ex.Dirty.Tuples...)
+		}
+		var in bytes.Buffer
+		if err := big.WriteCSV(&in); err != nil {
+			t.Fatal(err)
+		}
+		counter := &faultinject.Writer{FailAfter: math.MaxInt}
+		if _, err := e.CleanCSVStreamContext(context.Background(), bytes.NewReader(in.Bytes()), counter, false); err != nil {
+			t.Fatal(err)
+		}
+		writes := counter.Calls()
+		if rows > 8 && writes < 3 {
+			t.Fatalf("%d rows went out in %d writes, want at least 3", big.Len(), writes)
+		}
+		for _, fail := range []int{0, writes / 2, writes - 1} {
+			var got bytes.Buffer
+			w := &faultinject.Writer{W: &got, FailAfter: fail}
+			res, err := e.CleanCSVStreamContext(context.Background(), bytes.NewReader(in.Bytes()), w, false)
+			var pe *repair.PartialError
+			if !errors.As(err, &pe) || !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("%d rows, write %d of %d fails: err = %v, want *PartialError wrapping ErrInjected",
+					big.Len(), fail+1, writes, err)
+			}
+			delivered := max(bytes.Count(got.Bytes(), []byte("\n"))-1, 0) // less the header
+			if pe.Done != res.Rows || res.Rows != delivered {
+				t.Errorf("%d rows, write %d of %d fails: Done = %d, Rows = %d, consumer received %d rows",
+					big.Len(), fail+1, writes, pe.Done, res.Rows, delivered)
+			}
+		}
 	}
 }

@@ -19,7 +19,8 @@ const streamBufSize = 16 << 10
 // StreamResult is the per-call accounting of one streaming clean.
 type StreamResult struct {
 	// Rows is the number of rows written to the sink (cleaned,
-	// quarantined and degraded rows alike).
+	// quarantined and degraded rows alike): the rows of a write that
+	// failed are not counted.
 	Rows int
 	// Quarantined counts rows whose repair panicked and were emitted
 	// unchanged.
@@ -59,11 +60,13 @@ func (e *Engine) CleanCSVStream(r io.Reader, w io.Writer, marked bool) (int, err
 
 // CleanCSVStreamContext is CleanCSVStream with cancellation, panic
 // quarantine, and per-call accounting. Between rows it checks ctx and
-// stops promptly when the context is done. Any mid-stream failure —
-// cancellation, a CSV parse error, a read error, a sink write error —
-// returns a *PartialError whose Done field equals Rows: every row
-// cleaned before the failure has already been flushed to w. Header
-// validation errors are returned plain (nothing was written). A row
+// stops promptly when the context is done. Any failure after the
+// header — cancellation, a CSV parse error, a read error, a sink write
+// error, the last write's included — returns a *PartialError whose
+// Done field equals Rows, the rows whose bytes reached w: what was
+// cleaned before the failure is written first, and a write that fails
+// delivers none of its rows. Header validation errors are returned
+// plain (nothing was written). A row
 // whose repair panics or exhausts the step budget is emitted
 // unchanged and tallied, not treated as a failure.
 func (e *Engine) CleanCSVStreamContext(ctx context.Context, r io.Reader, w io.Writer, marked bool) (StreamResult, error) {
@@ -112,6 +115,7 @@ func (e *Engine) cleanCSVStream(ctx context.Context, r io.Reader, w io.Writer, m
 
 // streamSink gathers a stream's output in one pooled buffer and writes
 // it to w when it passes streamBufSize, at the end, and on a failure.
+// A failed write empties the buffer too: its rows are not retried.
 type streamSink struct {
 	w   io.Writer
 	buf []byte
@@ -148,11 +152,22 @@ func (s *streamSink) release() {
 // anything can keep it.
 func (e *Engine) cleanRows(ctx context.Context, cr *relation.CSVReader, out *streamSink, arity int, marked, ens bool) (StreamResult, error) {
 	var res StreamResult
+	// Rows counts only rows whose bytes reached the sink; pending are
+	// the rows in the sink's buffer. A write that fails delivers none.
+	pending := 0
+	flush := func() error {
+		err := out.flush()
+		if err == nil {
+			res.Rows += pending
+		}
+		pending = 0
+		return err
+	}
 	// partial wraps a mid-stream failure: everything cleaned so far is
 	// written to the sink first, so the error's Done count is also the
 	// number of rows the consumer was sent.
 	partial := func(err error) (StreamResult, error) {
-		_ = out.flush() // the failure being reported comes first
+		_ = flush() // the failure being reported comes first
 		return res, &PartialError{Done: res.Rows, Err: err}
 	}
 	if ens {
@@ -205,12 +220,15 @@ func (e *Engine) cleanRows(ctx context.Context, cr *relation.CSVReader, out *str
 			out.buf = strconv.AppendFloat(append(out.buf[:len(out.buf)-1], ','), conf, 'f', 3, 64)
 			out.buf = append(out.buf, '\n')
 		}
-		res.Rows++
+		pending++
 		if len(out.buf) >= streamBufSize {
-			if err := out.flush(); err != nil {
+			if err := flush(); err != nil {
 				return partial(err)
 			}
 		}
 	}
-	return res, out.flush()
+	if err := flush(); err != nil {
+		return partial(err)
+	}
+	return res, nil
 }

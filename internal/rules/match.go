@@ -526,23 +526,16 @@ type Outcome struct {
 	Canonical map[string]string
 }
 
-// Matcher evaluates one detective rule against tuples of one schema
-// using one KB.
-type Matcher struct {
+// Compiled is one detective rule prepared for one schema: validated,
+// with its plans, poles and symbol table. It holds no catalog, store or
+// graph, so every engine that evaluates the rule binds the one value
+// (Bind), whatever KB it reads.
+type Compiled struct {
 	Rule   *DR
-	Cat    *Catalog
 	Schema *relation.Schema
 
-	// Scan disables the signature indexes for candidate retrieval,
-	// reproducing the basic repair algorithm's per-node cost model.
-	Scan bool
-
-	// syms are the type and relation names the plans and poles use, and
-	// res holds them resolved on the generation evaluated last. It
-	// holds IDs only, so no retired graph stays reachable through it;
-	// copies of the Matcher share it.
+	// syms are the type and relation names the plans and poles use.
 	syms symbols
-	res  *atomic.Pointer[resolution]
 
 	ev  plan // evidence nodes and the edges among them
 	pos plan // evidence ∪ path ∪ {pos}; the pole's slot is len(Evidence)
@@ -558,9 +551,9 @@ type Matcher struct {
 	posCol   int // schema index of Pos.Col
 }
 
-// NewMatcher validates the rule against the schema and prepares the
-// node sets used during evaluation.
-func NewMatcher(rule *DR, cat *Catalog, schema *relation.Schema) (*Matcher, error) {
+// Compile validates the rule against the schema and prepares the node
+// sets used during evaluation.
+func Compile(rule *DR, schema *relation.Schema) (*Compiled, error) {
 	if err := rule.Validate(schema); err != nil {
 		return nil, err
 	}
@@ -574,27 +567,60 @@ func NewMatcher(rule *DR, cat *Catalog, schema *relation.Schema) (*Matcher, erro
 				rule.Name, n.Name, n.Sim.K, MaxEDThreshold)
 		}
 	}
-	m := &Matcher{Rule: rule, Cat: cat, Schema: schema, res: new(atomic.Pointer[resolution])}
-	sy := &m.syms
-	m.ev = newPlan(schema, rule.Evidence, rule.evidenceEdges(), sy)
+	c := &Compiled{Rule: rule, Schema: schema}
+	sy := &c.syms
+	c.ev = newPlan(schema, rule.Evidence, rule.evidenceEdges(), sy)
 	pg := rule.positiveGraph()
-	m.pos = newPlan(schema, pg.Nodes, pg.Edges, sy)
-	m.posFromEv = newPole(rule.Pos, rule.posEdges(), &m.pos, rule.Evidence, sy)
+	c.pos = newPlan(schema, pg.Nodes, pg.Edges, sy)
+	c.posFromEv = newPole(rule.Pos, rule.posEdges(), &c.pos, rule.Evidence, sy)
 	if ng, ok := rule.negativeGraph(); ok {
-		m.neg = newPlan(schema, ng.Nodes, ng.Edges, sy)
-		m.negFromEv = newPole(*rule.Neg, rule.negEdges(), &m.neg, rule.Evidence, sy)
-		m.posFromNeg = newPole(rule.Pos, rule.posEdges(), &m.pos, ng.Nodes, sy)
+		c.neg = newPlan(schema, ng.Nodes, ng.Edges, sy)
+		c.negFromEv = newPole(*rule.Neg, rule.negEdges(), &c.neg, rule.Evidence, sy)
+		c.posFromNeg = newPole(rule.Pos, rule.posEdges(), &c.pos, ng.Nodes, sy)
 	}
 	for _, n := range rule.Evidence {
-		m.evCols = append(m.evCols, schema.MustCol(n.Col))
+		c.evCols = append(c.evCols, schema.MustCol(n.Col))
 	}
-	m.markCols = append(rule.EvidenceCols(), rule.Pos.Col)
-	m.posCol = schema.MustCol(rule.Pos.Col)
-	return m, nil
+	c.markCols = append(rule.EvidenceCols(), rule.Pos.Col)
+	c.posCol = schema.MustCol(rule.Pos.Col)
+	return c, nil
 }
 
 // MarkCols returns the columns a successful application marks.
-func (m *Matcher) MarkCols() []string { return m.markCols }
+func (c *Compiled) MarkCols() []string { return c.markCols }
+
+// Bind returns a matcher evaluating c on cat's KB, with a symbol
+// resolution of its own: two catalogs' graphs can carry the same
+// generation with different IDs.
+func (c *Compiled) Bind(cat *Catalog) *Matcher {
+	return &Matcher{Compiled: c, Cat: cat, res: new(atomic.Pointer[resolution])}
+}
+
+// Matcher evaluates one compiled detective rule against tuples of its
+// schema using one KB.
+type Matcher struct {
+	*Compiled
+	Cat *Catalog
+
+	// Scan disables the signature indexes for candidate retrieval,
+	// reproducing the basic repair algorithm's per-node cost model.
+	Scan bool
+
+	// res holds the rule's symbols resolved on the generation evaluated
+	// last. It holds IDs only, so no retired graph stays reachable
+	// through it; copies of the Matcher share it.
+	res *atomic.Pointer[resolution]
+}
+
+// NewMatcher validates the rule against the schema and binds it to
+// cat: Compile, then Bind.
+func NewMatcher(rule *DR, cat *Catalog, schema *relation.Schema) (*Matcher, error) {
+	c, err := Compile(rule, schema)
+	if err != nil {
+		return nil, err
+	}
+	return c.Bind(cat), nil
+}
 
 // resolution is a matcher's symbols resolved on one graph generation.
 type resolution struct {

@@ -168,11 +168,12 @@ func (s *Server) stageLocked(g *kb.Graph, loadTime time.Duration) (int64, *Canar
 	return gen, rep, nil
 }
 
-// scratchEngine builds a throwaway replay engine on g: no memo (every
-// replayed row must actually repair), no latency sampling, and a
-// private telemetry registry so the serving metrics are unaffected.
-func (s *Server) scratchEngine(g *kb.Graph) (*repair.Engine, error) {
-	return repair.NewEngineStore(s.rules, kb.NewStore(g), s.schema, repair.Options{
+// scratchEngine builds a throwaway replay engine on g, bound to the
+// serving engine's compiled rules: no memo (every replayed row must
+// actually repair), no latency sampling, and a private telemetry
+// registry so the serving metrics are unaffected.
+func (s *Server) scratchEngine(g *kb.Graph) *repair.Engine {
+	return repair.NewEngineRules(s.engine.RuleSet, kb.NewStore(g), repair.Options{
 		MemoDisabled:         true,
 		TelemetrySampleEvery: -1,
 		PrivateTelemetry:     true,
@@ -203,14 +204,8 @@ func (s *Server) shadowReplay(g *kb.Graph, rep *CanaryReport) error {
 		return nil
 	}
 
-	live, err := s.scratchEngine(s.store.Graph())
-	if err != nil {
-		return fmt.Errorf("building live replay engine: %v", err)
-	}
-	cand, err := s.scratchEngine(g)
-	if err != nil {
-		return fmt.Errorf("building candidate replay engine: %v", err)
-	}
+	live := s.scratchEngine(s.store.Graph())
+	cand := s.scratchEngine(g)
 	liveOut := &relation.Tuple{Values: make([]string, arity), Marked: make([]bool, arity)}
 	candOut := &relation.Tuple{Values: make([]string, arity), Marked: make([]bool, arity)}
 	var liveBad, candBad, diverged int

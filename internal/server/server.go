@@ -233,6 +233,8 @@ type Server struct {
 	canaryRejectedTotal *telemetry.Counter // candidates rejected pre-promote
 	canaryRollbackTotal *telemetry.Counter // watchdog-initiated rollbacks
 	rollbackTotal       *telemetry.Counter // all rollbacks (manual + auto)
+
+	series *kbSeries // scrape-time generation and cache series; see Retire
 }
 
 // New builds the server with default Config. It builds no signature
@@ -252,6 +254,18 @@ func NewWithConfig(drs []*rules.DR, g *kb.Graph, schema *relation.Schema, cfg Co
 // can later publish a replacement graph through StageReloadKB or the
 // store itself while requests keep streaming.
 func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg Config) (*Server, error) {
+	rs, err := repair.CompileRules(drs, schema)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithRules(rs, store, cfg)
+}
+
+// NewWithRules is NewWithStore for a compiled rule set, which the
+// server's engine and the canary's scratch engines all bind: a caller
+// that builds servers for one rule set again and again (the registry's
+// readmissions) compiles it once.
+func NewWithRules(rs *repair.RuleSet, store *kb.Store, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	mode, err := verify.ParseMode(cfg.VerifyMode)
 	if err != nil {
@@ -264,21 +278,18 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 	if cfg.RetainGenerations > 0 {
 		store.SetRetain(cfg.RetainGenerations)
 	}
-	e, err := repair.NewEngineStore(drs, store, schema, repair.Options{
+	e := repair.NewEngineRules(rs, store, repair.Options{
 		MemoBytes:    cfg.MemoBytes,
 		MemoDisabled: cfg.MemoDisabled,
 		Breaker:      cfg.Breaker,
 		Recorder:     recorder,
 		Ensemble:     cfg.Ensemble,
 	})
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		engine:     e,
 		store:      store,
-		rules:      drs,
-		schema:     schema,
+		rules:      rs.Rules(),
+		schema:     rs.Schema,
 		mux:        http.NewServeMux(),
 		cfg:        cfg,
 		log:        cfg.Logger,
@@ -313,10 +324,7 @@ func NewWithStore(drs []*rules.DR, store *kb.Store, schema *relation.Schema, cfg
 		"Automatic rollbacks initiated by the post-promote canary watchdog.", labels...)
 	s.rollbackTotal = reg.Counter("detective_kb_rollback_total",
 		"Rollbacks to a retained knowledge-base generation (manual and automatic).", labels...)
-	reg.GaugeFunc("detective_kb_generation",
-		"Generation of the currently served knowledge-base graph.",
-		func() float64 { return float64(store.Generation()) }, labels...)
-	registerCacheMetrics(reg, e.Cat, labels)
+	s.series = registerKBSeries(reg, e.Cat, labels)
 
 	httpm := telemetry.NewHTTPMetrics(reg, "detective")
 	httpm.SetLogger(s.log)
@@ -388,31 +396,82 @@ func (s *Server) applySuspicion(g *kb.Graph, vr *verify.Report) {
 	s.engine.SetEnsembleSuspicion(ensemble.NewSuspicion(names, s.cfg.Ensemble.SuspicionPenalty))
 }
 
-// registerCacheMetrics exports the catalog's two caching layers as
-// scrape-time series: the cross-tuple candidate cache in front
-// (rules.Catalog.CacheStats) and the current graph's signature indexes
-// behind it (rules.Catalog.IndexStats). Func collectors replace on
-// re-registration, so the newest server's catalog wins the series.
-func registerCacheMetrics(reg *telemetry.Registry, cat *rules.Catalog, labels []telemetry.Label) {
-	reg.CounterFunc("detective_catalog_cache_hits_total",
-		"Candidate-cache lookups answered from the cache.",
-		func() float64 { h, _, _ := cat.CacheStats(); return float64(h) }, labels...)
-	reg.CounterFunc("detective_catalog_cache_misses_total",
-		"Candidate-cache lookups that fell through to the signature indexes.",
-		func() float64 { _, m, _ := cat.CacheStats(); return float64(m) }, labels...)
-	reg.GaugeFunc("detective_catalog_cache_size",
-		"Candidate lists currently cached.",
-		func() float64 { _, _, n := cat.CacheStats(); return float64(n) }, labels...)
-	reg.CounterFunc("detective_similarity_index_hits_total",
-		"Signature-index lookups that found at least one candidate.",
-		func() float64 { h, _, _ := cat.IndexStats(); return float64(h) }, labels...)
-	reg.CounterFunc("detective_similarity_index_misses_total",
-		"Signature-index lookups that found no candidate.",
-		func() float64 { _, m, _ := cat.IndexStats(); return float64(m) }, labels...)
-	reg.GaugeFunc("detective_similarity_index_size",
-		"Instance names in the current graph's built signature indexes.",
-		func() float64 { _, _, n := cat.IndexStats(); return float64(n) }, labels...)
+// kbSeries backs a server's scrape-time series over its catalog and
+// store: the served generation, the cross-tuple candidate cache in
+// front (rules.Catalog.CacheStats) and the current graph's signature
+// indexes behind it (rules.Catalog.IndexStats). The metrics registry
+// outlives the server, so once the server is retired the series report
+// their last values and hold neither catalog nor store, nor through
+// them the graph. Func collectors replace on re-registration, so the
+// newest server's series win the names.
+type kbSeries struct {
+	mu    sync.Mutex
+	cat   *rules.Catalog // nil once retired
+	reads []func(*rules.Catalog) float64
+	last  []float64
 }
+
+func registerKBSeries(reg *telemetry.Registry, cat *rules.Catalog, labels []telemetry.Label) *kbSeries {
+	ks := &kbSeries{cat: cat}
+	add := func(register func(string, string, func() float64, ...telemetry.Label), name, help string, read func(*rules.Catalog) float64) {
+		i := len(ks.reads)
+		ks.reads = append(ks.reads, read)
+		ks.last = append(ks.last, 0)
+		register(name, help, func() float64 { return ks.value(i) }, labels...)
+	}
+	add(reg.GaugeFunc, "detective_kb_generation",
+		"Generation of the currently served knowledge-base graph.",
+		func(c *rules.Catalog) float64 { return float64(c.Store().Generation()) })
+	add(reg.CounterFunc, "detective_catalog_cache_hits_total",
+		"Candidate-cache lookups answered from the cache.",
+		func(c *rules.Catalog) float64 { h, _, _ := c.CacheStats(); return float64(h) })
+	add(reg.CounterFunc, "detective_catalog_cache_misses_total",
+		"Candidate-cache lookups that fell through to the signature indexes.",
+		func(c *rules.Catalog) float64 { _, m, _ := c.CacheStats(); return float64(m) })
+	add(reg.GaugeFunc, "detective_catalog_cache_size",
+		"Candidate lists currently cached.",
+		func(c *rules.Catalog) float64 { _, _, n := c.CacheStats(); return float64(n) })
+	add(reg.CounterFunc, "detective_similarity_index_hits_total",
+		"Signature-index lookups that found at least one candidate.",
+		func(c *rules.Catalog) float64 { h, _, _ := c.IndexStats(); return float64(h) })
+	add(reg.CounterFunc, "detective_similarity_index_misses_total",
+		"Signature-index lookups that found no candidate.",
+		func(c *rules.Catalog) float64 { _, m, _ := c.IndexStats(); return float64(m) })
+	add(reg.GaugeFunc, "detective_similarity_index_size",
+		"Instance names in the current graph's built signature indexes.",
+		func(c *rules.Catalog) float64 { _, _, n := c.IndexStats(); return float64(n) })
+	return ks
+}
+
+// value reads series i: live, or its last value once retired.
+func (ks *kbSeries) value(i int) float64 {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if ks.cat != nil {
+		ks.last[i] = ks.reads[i](ks.cat)
+	}
+	return ks.last[i]
+}
+
+// retire records every series' last value and drops the catalog.
+func (ks *kbSeries) retire() {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	if ks.cat == nil {
+		return
+	}
+	for i, read := range ks.reads {
+		ks.last[i] = read(ks.cat)
+	}
+	ks.cat = nil
+}
+
+// Retire freezes the server's generation, candidate-cache and
+// signature-index series at their current values, so the metrics
+// registry no longer keeps the server's catalog, store and graph
+// reachable. The registry calls it when it evicts or drops a tenant;
+// requests that already hold the server still complete on it.
+func (s *Server) Retire() { s.series.retire() }
 
 // ServeHTTP implements http.Handler. The writer wrapper converts the
 // mux's built-in plain-text 404/405 responses (unknown routes, wrong
