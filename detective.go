@@ -92,7 +92,8 @@ func Cosine(tau float64) Sim { return similarity.CosineAtLeast(tau) }
 // ParseSim parses "=", "ED,2", "JAC,0.8" or "COS,0.7".
 func ParseSim(s string) (Sim, error) { return similarity.ParseSpec(s) }
 
-// NewKB returns an empty knowledge graph.
+// NewKB returns an empty knowledge graph. It accepts Add* calls until
+// its first read (or KB.Freeze) freezes it.
 func NewKB() *KB { return kb.New() }
 
 // ParseKB reads a KB in the line-oriented triple format:
@@ -130,13 +131,13 @@ func NewKBStore(g *KB) *KBStore { return kb.NewStore(g) }
 // KBDelta is the parsed form of a DKBD incremental delta file: the
 // canonical, name-keyed difference between two KB contents. Deltas are
 // produced by DiffKB (or `kbtool diff`) and applied by KB.ApplyDelta,
-// which builds the next generation in snapshot layout, sharing every
+// which builds the next generation in the frozen layout, sharing every
 // index the delta leaves alone with the base; KBStore.Swap publishes it.
 type KBDelta = kb.Delta
 
 // DiffKB computes the canonical delta that transforms old's content
 // into new's. Output is deterministic: equal contents diff to equal
-// bytes regardless of either graph's storage form or ID assignment.
+// bytes regardless of either graph's source or ID assignment.
 func DiffKB(old, new *KB) *KBDelta { return kb.Diff(old, new) }
 
 // ReadKBDelta parses a DKBD delta file, verifying magic, framing and

@@ -15,9 +15,10 @@ import (
 )
 
 // TestApplyDeltaMatchesFreshLoad is the "delta apply ≡ repack"
-// equivalence: a chain of random deltas applied to Nobel-1069's KB in
-// each base form (text-parsed, decoded snapshot, mmap'd snapshot) must
-// at every step read exactly like the target content parsed fresh —
+// equivalence: Nobel-1069's KB in each base form (text-parsed, decoded
+// snapshot, mmap'd snapshot) must read exactly like its text parsed
+// fresh, and a chain of random deltas applied to it must at every step
+// read exactly like the target content parsed fresh —
 // same canonical text and fingerprint, and the same answer by name
 // from every read accessor rule matching uses. Nodes the target no
 // longer references stay interned in the applied graph as orphans; they
@@ -59,7 +60,7 @@ func TestApplyDeltaMatchesFreshLoad(t *testing.T) {
 	} {
 		t.Run(form.name, func(t *testing.T) {
 			g := form.load(t, texts[0])
-			g.Freeze()
+			sameByName(t, "base", g, targets[0])
 			for step := 1; step < len(texts); step++ {
 				d := kb.Diff(targets[step-1], targets[step])
 				next, err := g.ApplyDelta(d)

@@ -6,7 +6,7 @@ package kb
 // between two graph contents — triples, type assertions and subclass
 // edges added or removed, keyed by node *name* so it is independent of
 // either graph's ID assignment — and ApplyDelta builds the next
-// generation from the live graph in the flat layout a loaded snapshot
+// generation from the live graph in the one layout every frozen graph
 // has. Indexes the delta leaves alone (name storage, the type/taxonomy
 // span tables, the frozen class closures) are shared with the base
 // outright; an index it touches is copied whole into a fresh arena
@@ -54,7 +54,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -123,14 +122,6 @@ func (d *Delta) String() string {
 // ---------------------------------------------------------------------------
 // Content fingerprint
 
-// fpMemo caches a computed fingerprint for one generation. The pointer
-// swap is atomic so concurrent readers of a frozen graph may race to
-// compute and publish it safely.
-type fpMemo struct {
-	gen int64
-	fp  uint64
-}
-
 // Mixing constants for the per-assertion fingerprint terms (splitmix64
 // finalizer over tag-chained inputs). Stable: part of the DKBD format.
 const (
@@ -169,16 +160,19 @@ func litBit(k Kind) uint64 {
 // Fingerprint returns the graph's content fingerprint: a commutative
 // sum of one mixed term per triple (with the object's literal-ness),
 // per type assertion and per subclass edge, over name hashes. Graphs
-// of equal canonical text content always agree regardless of storage
-// form, ID assignment or construction order; orphan nodes contribute
-// nothing. The result is cached per generation; computing it costs one
-// pass over the graph.
+// of equal canonical text content always agree regardless of source,
+// ID assignment or construction order; orphan nodes contribute
+// nothing. Reading it freezes the graph, whose content then never
+// changes, so the first call's pass over the graph is kept for good;
+// concurrent first calls may each compute it and publish the same
+// value.
 func (g *Graph) Fingerprint() uint64 {
-	if m := g.fp.Load(); m != nil && m.gen == g.gen {
-		return m.fp
+	g.read()
+	if fp := g.fp.Load(); fp != nil {
+		return *fp
 	}
 	f := g.computeFingerprint()
-	g.fp.Store(&fpMemo{gen: g.gen, fp: f})
+	g.fp.Store(&f)
 	return f
 }
 
@@ -220,8 +214,8 @@ func containsID(s []ID, v ID) bool {
 }
 
 // Diff computes the canonical delta that transforms old's content into
-// new's. The comparison is by node name, so the two graphs may use any
-// storage form and any ID assignment. The output is deterministic:
+// new's. The comparison is by node name, so the two graphs may come
+// from any source and use any ID assignment. The output is deterministic:
 // diffing the same two contents always yields identical bytes.
 func Diff(old, new *Graph) *Delta {
 	d := &Delta{
@@ -283,7 +277,7 @@ func Diff(old, new *Graph) *Delta {
 	new.forEachTyped(func(inst ID, classes []ID) {
 		oi := n2o[inst]
 		for _, c := range classes {
-			if oc := n2o[c]; oi == Invalid || oc == Invalid || !containsID(old.directTypes(oi), oc) {
+			if oc := n2o[c]; oi == Invalid || oc == Invalid || !containsID(old.DirectTypes(oi), oc) {
 				d.TypeAdd = append(d.TypeAdd, [2]int32{localNew(inst), localNew(c)})
 			}
 		}
@@ -291,7 +285,7 @@ func Diff(old, new *Graph) *Delta {
 	old.forEachTyped(func(inst ID, classes []ID) {
 		ni := o2n[inst]
 		for _, c := range classes {
-			if nc := o2n[c]; ni == Invalid || nc == Invalid || !containsID(new.directTypes(ni), nc) {
+			if nc := o2n[c]; ni == Invalid || nc == Invalid || !containsID(new.DirectTypes(ni), nc) {
 				d.TypeDel = append(d.TypeDel, [2]int32{localOld(inst), localOld(c)})
 			}
 		}
@@ -299,7 +293,7 @@ func Diff(old, new *Graph) *Delta {
 	new.forEachSubclassed(func(sub ID, supers []ID) {
 		os := n2o[sub]
 		for _, sup := range supers {
-			if osup := n2o[sup]; os == Invalid || osup == Invalid || !containsID(old.directSupers(os), osup) {
+			if osup := n2o[sup]; os == Invalid || osup == Invalid || !containsID(old.Superclasses(os), osup) {
 				d.SubAdd = append(d.SubAdd, [2]int32{localNew(sub), localNew(sup)})
 			}
 		}
@@ -307,7 +301,7 @@ func Diff(old, new *Graph) *Delta {
 	old.forEachSubclassed(func(sub ID, supers []ID) {
 		ns := o2n[sub]
 		for _, sup := range supers {
-			if nsup := o2n[sup]; ns == Invalid || nsup == Invalid || !containsID(new.directSupers(ns), nsup) {
+			if nsup := o2n[sup]; ns == Invalid || nsup == Invalid || !containsID(new.Superclasses(ns), nsup) {
 				d.SubDel = append(d.SubDel, [2]int32{localOld(sub), localOld(sup)})
 			}
 		}
@@ -326,9 +320,9 @@ func Diff(old, new *Graph) *Delta {
 }
 
 // canonicalize sorts the name table lexicographically, remaps every op
-// and sorts the op lists — insertion order (which follows map
-// iteration in the mutable storage form) stops mattering, making Diff
-// output deterministic.
+// and sorts the op lists — insertion order (which follows the two
+// graphs' ID assignments) stops mattering, making Diff output
+// deterministic.
 func (d *Delta) canonicalize() {
 	order := make([]int32, len(d.Names))
 	for i := range order {
@@ -667,16 +661,16 @@ func ReadDelta(r io.Reader) (*Delta, error) {
 var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 
 // ApplyDelta builds a new graph with d's edits applied, in the flat,
-// read-only layout a loaded snapshot has; g itself — possibly pinned
-// by in-flight requests — is never mutated. An index the delta leaves
-// alone is shared whole with g: the name storage when a snapshot-form
-// base gains no node, the type and taxonomy tables when no type or
-// subclass assertion changes, and the frozen class closures when no
-// subclass edge changes. An index the delta touches is copied whole —
-// the base's arrays may be read-only mmap'd pages — list by list into
-// a fresh arena, each touched list merged in canonical order, so
-// chained deltas leave no dead entries behind. The result has a
-// strictly larger generation.
+// read-only layout every frozen graph has; g itself — possibly pinned
+// by in-flight requests — is never mutated (reading it freezes it). An
+// index the delta leaves alone is shared whole with g: the name
+// storage when no node is added, the type and taxonomy tables when no
+// type or subclass assertion changes, and the frozen class closures
+// when no subclass edge changes. An index the delta touches is copied
+// whole — the base's arrays may be read-only mmap'd pages — list by
+// list into a fresh arena, each touched list merged in canonical
+// order, so chained deltas leave no dead entries behind. The result
+// has a strictly larger generation.
 //
 // The base must match d.BaseFP (and triple count); a delta built
 // against different content returns ErrDeltaBaseMismatch. Nodes whose
@@ -686,6 +680,13 @@ var ErrDeltaBaseMismatch = errors.New("kb: delta base mismatch")
 func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 	if len(d.Kinds) != len(d.Names) {
 		return nil, fmt.Errorf("kb: malformed delta: %d kinds for %d names", len(d.Kinds), len(d.Names))
+	}
+	// Diff writes each name once, sorted; a name listed twice would
+	// become two nodes of one name, which Lookup cannot tell apart.
+	for i := 1; i < len(d.Names); i++ {
+		if d.Names[i] <= d.Names[i-1] {
+			return nil, fmt.Errorf("kb: malformed delta: names not strictly ascending (%q after %q)", d.Names[i], d.Names[i-1])
+		}
 	}
 	if d.BaseTriples != g.NumTriples() {
 		return nil, fmt.Errorf("%w: delta expects a base with %d triples, live graph has %d",
@@ -762,19 +763,19 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		}
 		return out, nil
 	}
-	tyDel, err := resolve2(d.TypeDel, true, g.directTypes, "type assertion")
+	tyDel, err := resolve2(d.TypeDel, true, g.DirectTypes, "type assertion")
 	if err != nil {
 		return nil, err
 	}
-	tyAdd, err := resolve2(d.TypeAdd, false, g.directTypes, "type assertion")
+	tyAdd, err := resolve2(d.TypeAdd, false, g.DirectTypes, "type assertion")
 	if err != nil {
 		return nil, err
 	}
-	sbDel, err := resolve2(d.SubDel, true, g.directSupers, "subclass edge")
+	sbDel, err := resolve2(d.SubDel, true, g.Superclasses, "subclass edge")
 	if err != nil {
 		return nil, err
 	}
-	sbAdd, err := resolve2(d.SubAdd, false, g.directSupers, "subclass edge")
+	sbAdd, err := resolve2(d.SubAdd, false, g.Superclasses, "subclass edge")
 	if err != nil {
 		return nil, err
 	}
@@ -800,13 +801,17 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		mapped:       g.mapped,
 	}
 
-	// Names: a snapshot-form base's storage is shared whole when no node
-	// is added; otherwise (and always for a text-parsed base, which has
-	// none to share) every name is laid out flat.
-	if len(newNames) == 0 && g.byName == nil {
+	// Names: the base's storage is shared whole when no node is added;
+	// otherwise every name is laid out afresh.
+	if len(newNames) == 0 {
 		ng.nameBlob, ng.nameOffs, ng.nameTab = g.nameBlob, g.nameOffs, g.nameTab
 	} else {
-		ng.nameBlob, ng.nameOffs, ng.nameTab = flatNames(g, newNames)
+		ng.nameBlob, ng.nameOffs, ng.nameTab = flatNames(nTotal, func(id ID) string {
+			if int(id) < n0 {
+				return g.Name(id)
+			}
+			return newNames[int(id)-n0]
+		})
 	}
 	if len(newNames) == 0 && len(kindFixes) == 0 {
 		ng.kinds = g.kinds
@@ -842,13 +847,6 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		return nil, err
 	}
 
-	// Type and taxonomy tables: a snapshot-form base's are read as they
-	// are, a text-parsed base's are laid out from its maps first.
-	types, instOf, superOf, subOf := g.typesIdx, g.instOfIdx, g.superOfIdx, g.subOfIdx
-	if g.byName != nil {
-		types, instOf = idListsOf(n0, g.forEachTyped)
-		superOf, subOf = idListsOf(n0, g.forEachSubclassed)
-	}
 	fwd := func(ops [][2]ID) []patch[ID, ID] {
 		ps := make([]patch[ID, ID], len(ops))
 		for i, o := range ops {
@@ -868,16 +866,16 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		base     idListIndex
 		del, add []patch[ID, ID]
 	}{
-		{&ng.typesIdx, types, fwd(tyDel), fwd(tyAdd)},
-		{&ng.instOfIdx, instOf, inv(tyDel), inv(tyAdd)},
-		{&ng.superOfIdx, superOf, fwd(sbDel), fwd(sbAdd)},
-		{&ng.subOfIdx, subOf, inv(sbDel), inv(sbAdd)},
+		{&ng.typesIdx, g.typesIdx, fwd(tyDel), fwd(tyAdd)},
+		{&ng.instOfIdx, g.instOfIdx, inv(tyDel), inv(tyAdd)},
+		{&ng.superOfIdx, g.superOfIdx, fwd(sbDel), fwd(sbAdd)},
+		{&ng.subOfIdx, g.subOfIdx, inv(sbDel), inv(sbAdd)},
 	} {
 		if t.dst.spans, t.dst.ids, err = patchSpans(t.base.spans, t.base.ids, nTotal, t.del, t.add, cmp.Compare[ID]); err != nil {
 			return nil, err
 		}
 	}
-	if len(sbDel)+len(sbAdd) == 0 && g.closed {
+	if len(sbDel)+len(sbAdd) == 0 {
 		// The class closures read only the taxonomy, and Freeze always
 		// builds into fresh arrays, so the frozen base's are safe to
 		// share read-only. New nodes lie past their offsets, and with no
@@ -926,44 +924,9 @@ func (g *Graph) ApplyDelta(d *Delta) (*Graph, error) {
 		if fp != d.NewFP {
 			return nil, fmt.Errorf("kb: delta apply fingerprint mismatch: applied content %016x, delta promises %016x", fp, d.NewFP)
 		}
-		ng.fp.Store(&fpMemo{gen: ng.gen, fp: fp})
+		ng.fp.Store(&fp)
 	}
 	return ng, nil
-}
-
-// flatNames lays out g's names followed by added as one blob, with
-// offsets and a lookup table over all of them.
-func flatNames(g *Graph, added []string) (string, []uint32, nameTable) {
-	n0, n := g.NumNodes(), g.NumNodes()+len(added)
-	name := func(i int) string {
-		if i < n0 {
-			return g.Name(ID(i))
-		}
-		return added[i-n0]
-	}
-	size := 0
-	for i := 0; i < n; i++ {
-		size += len(name(i))
-	}
-	var sb strings.Builder
-	sb.Grow(size)
-	offs := make([]uint32, n+1)
-	tab := newNameTable(n)
-	for i := 0; i < n; i++ {
-		offs[i] = uint32(sb.Len())
-		sb.WriteString(name(i))
-		tab.insert(name(i), ID(i))
-	}
-	offs[n] = uint32(sb.Len())
-	return sb.String(), offs, tab
-}
-
-// idListsOf lays out an ID -> []ID association and its inverse as
-// span tables.
-func idListsOf(numNodes int, forEach func(func(ID, []ID))) (fwd, inv idListIndex) {
-	fwd.spans, fwd.ids, _ = canonIDList(numNodes, forEach)
-	inv.spans, inv.ids, _ = invertIDList(numNodes, fwd.spans, fwd.ids)
-	return fwd, inv
 }
 
 func rejectDup3(ops [][3]ID, what string) error {

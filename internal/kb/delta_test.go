@@ -15,7 +15,7 @@ import (
 )
 
 // paperGraphV2 writes g as a v2 snapshot and loads it back mmap'd, so
-// tests exercise the snapshot (read-only) storage form.
+// tests exercise a graph whose arenas are file pages.
 func asV2(t *testing.T, g *Graph) *Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.dkbs")
@@ -117,10 +117,10 @@ func TestFingerprintStorageFormInvariance(t *testing.T) {
 
 func TestFingerprintDistinguishesContent(t *testing.T) {
 	a := paperGraph()
-	b := paperGraph()
-	if a.Fingerprint() != b.Fingerprint() {
+	if a.Fingerprint() != paperGraph().Fingerprint() {
 		t.Fatal("identical graphs disagree on fingerprint")
 	}
+	b := paperGraph()
 	b.AddTriple("Avram Hershko", "livesIn", "Haifa")
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("fingerprint unchanged by an added triple")
@@ -157,7 +157,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 				t.Fatalf("ApplyDelta: %v", err)
 			}
 			if !got.ReadOnly() {
-				t.Error("applied graph should be snapshot-form (read-only)")
+				t.Error("applied graph should be read-only")
 			}
 			if got.Generation() <= old.Generation() {
 				t.Errorf("generation did not advance: %d -> %d", old.Generation(), got.Generation())
@@ -209,11 +209,10 @@ func TestDiffDeterministicAndSerializationRoundTrip(t *testing.T) {
 	d1 := Diff(old, new_)
 	d2 := Diff(asV2(t, paperGraph()), asV2(t, newerPaperGraph()))
 	b1, b2 := deltaBytes(t, d1), deltaBytes(t, d2)
-	// BaseNodes may legitimately differ across storage forms of equal
-	// content? No: node count is interning count, identical for equal
-	// content built fresh. Bytes must match exactly.
+	// Node count is interning count, identical for equal content built
+	// fresh, so built and mapped graphs diff to exactly the same bytes.
 	if !bytes.Equal(b1, b2) {
-		t.Error("Diff over different storage forms of the same content produced different bytes")
+		t.Error("Diff over built and mapped graphs of the same content produced different bytes")
 	}
 	rd, err := ReadDelta(bytes.NewReader(b1))
 	if err != nil {
@@ -490,6 +489,15 @@ func TestApplyDeltaRejectsInconsistentOps(t *testing.T) {
 	d.TripleAdd = [][3]int32{{0, 2, 1}, {0, 2, 1}}
 	if _, err := g.ApplyDelta(d); err == nil {
 		t.Error("duplicate op accepted")
+	}
+
+	// A name listed twice would become two nodes of one name.
+	d = mk()
+	d.Names = []string{"Avram Hershko", "newplace", "newplace", "visited"}
+	d.Kinds = []Kind{KindInstance, KindInstance, KindInstance, KindUnknown}
+	d.TripleAdd = [][3]int32{{0, 3, 1}, {0, 3, 2}}
+	if _, err := g.ApplyDelta(d); err == nil || !strings.Contains(err.Error(), "names not strictly ascending") {
+		t.Errorf("name listed twice: got %v, want a malformed-names error", err)
 	}
 }
 

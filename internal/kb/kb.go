@@ -4,11 +4,14 @@
 // relationships (instance→instance edges) and properties
 // (instance→literal edges), plus a subClassOf taxonomy.
 //
-// All node names are interned to dense int32 IDs so that the indexes
-// used by rule matching (type index, subject–predicate index,
-// predicate–object index) are cheap maps over small keys. The store is
-// append-only: triples can be added at any time, and derived closures
-// (transitive class membership) are recomputed lazily.
+// All node names are interned to dense int32 IDs. A graph is built by
+// New or Parse and the Add* calls, then frozen: Freeze, or the first
+// read of a name, a type or the taxonomy, lays its names and its type
+// and taxonomy assertions out in the flat, pointer-free arrays a DKBS
+// snapshot stores, and from then on the graph is read-only, like one
+// loaded from a snapshot or built by ApplyDelta. Every reader has one
+// body over that layout. A served KB changes only by a new graph (a
+// reload or a delta) published through a Store.
 package kb
 
 import (
@@ -65,29 +68,31 @@ type Edge struct {
 
 // Graph is an in-memory RDF graph with the indexes rule matching
 // needs. It is not safe for concurrent mutation; concurrent reads are
-// safe once loading has finished and Freeze has been called (or after
-// any read has forced the lazy closures).
+// safe once it is frozen (Freeze, or any read of a name, a type or the
+// taxonomy, which freezes it).
 //
-// A graph has one of two storage forms. Mutable graphs (built by New
-// or Parse) keep names and assertions in Go maps and accept Add*
-// calls. Snapshot-backed graphs (loaded from a DKBS v2 file, possibly
-// mmap'd in place, or built by ApplyDelta) keep the same data in
-// pointer-free arenas — nameBlob/nameOffs/nameTab for the name table,
-// idListIndex span tables for the type and taxonomy assertions — and
-// are read-only: every mutator panics. All read accessors pick the
-// live form, so the two storages are indistinguishable to callers.
+// Every frozen graph has one layout, whether it was built by New or
+// Parse, loaded from a DKBS v2 snapshot (possibly mmap'd in place) or
+// made by ApplyDelta: pointer-free arenas, nameBlob/nameOffs/nameTab
+// for the name table and idListIndex span tables for the type and
+// taxonomy assertions, read by one body per accessor. A frozen graph
+// is read-only: every mutator panics. Only a built graph that has not
+// been read yet accepts Add* calls; it keeps its names and assertions
+// in Go maps until Freeze lays them out.
 type Graph struct {
-	names  []string
-	byName map[string]ID
-	kinds  []Kind
-
+	// Build state of a graph made by New or Parse, dropped by Freeze:
+	// the names in ID order, the name -> ID map, and the direct classes
+	// and superclasses asserted so far. byName != nil iff the graph
+	// still accepts mutation.
+	names   []string
+	byName  map[string]ID
 	types   map[ID][]ID // instance -> direct classes
 	superOf map[ID][]ID // class -> direct superclasses
-	subOf   map[ID][]ID // class -> direct subclasses
-	instOf  map[ID][]ID // class -> direct instances
 
-	// Snapshot-backed forms of the name table and assertion maps
-	// (see snapshot2.go). Valid iff byName == nil.
+	kinds []Kind
+
+	// The frozen layout of the name table and the assertions (see
+	// snapshot2.go).
 	nameBlob                                  string    // concatenated name bytes
 	nameOffs                                  []uint32  // node i's name = nameBlob[nameOffs[i]:nameOffs[i+1]]
 	nameTab                                   nameTable // open-addressing name -> ID index
@@ -105,25 +110,22 @@ type Graph struct {
 
 	literalClass ID // interned "literal" pseudo-class
 
-	// Built by Freeze: supers holds, for every class with a direct
-	// superclass, its superclass closure; heapTypes is a heap-built
-	// graph's direct-type map laid out as spans, so HasType reads no
-	// map. closed reports that both match the assertions; mutators that
-	// change types or the taxonomy clear it.
-	closed    bool
-	supers    idSpans
-	heapTypes idSpans
+	// closed reports that the graph is frozen: laid out, and supers
+	// holds, for every class with a direct superclass, its superclass
+	// closure.
+	closed bool
+	supers idSpans
 
 	// nameIdx holds the class name indexes built so far (see
 	// NameIndex); idxMu serializes their builds. extents holds the class
 	// extents read so far (see InstancesOf); extMu serializes their
-	// builds. Mutators that change class membership drop both.
+	// builds.
 	idxMu   sync.RWMutex
 	nameIdx map[ID]*similarity.StringIndex
 	extMu   sync.RWMutex
 	extents map[ID][]ID
 
-	fp atomic.Pointer[fpMemo] // cached content fingerprint; see delta.go
+	fp atomic.Pointer[uint64] // cached content fingerprint; see delta.go
 }
 
 // LiteralClass is the reserved type name that matches any literal
@@ -136,8 +138,6 @@ func New() *Graph {
 		byName:  make(map[string]ID),
 		types:   make(map[ID][]ID),
 		superOf: make(map[ID][]ID),
-		subOf:   make(map[ID][]ID),
-		instOf:  make(map[ID][]ID),
 		sp:      newPairTable(0, 0),
 		po:      newPairTable(0, 0),
 		preds:   make(map[ID]struct{}),
@@ -146,19 +146,29 @@ func New() *Graph {
 	return g
 }
 
-// mustMutable panics when the graph is snapshot-backed: its arenas may
-// be mmap'd read-only file pages, so in-place mutation is both a
-// correctness and a memory-safety error. Rebuild via Encode + Parse to
-// get a mutable copy.
+// mustMutable panics when the graph is frozen: its readers may hold
+// views of its arenas, which may be mmap'd read-only file pages, so
+// in-place mutation is both a correctness and a memory-safety error.
+// Rebuild via Encode + Parse to get a mutable copy.
 func (g *Graph) mustMutable() {
 	if g.byName == nil {
-		panic("kb: graph is read-only (loaded from a DKBS v2 snapshot); re-parse its text encoding to mutate")
+		panic("kb: graph is read-only (frozen by a read, or loaded from a snapshot); re-parse its text encoding to mutate")
 	}
 }
 
-// ReadOnly reports whether the graph is snapshot-backed and therefore
-// rejects mutation.
+// ReadOnly reports whether the graph is frozen and therefore rejects
+// mutation: a built graph once it has been read, and every graph
+// loaded from a snapshot or made by ApplyDelta.
 func (g *Graph) ReadOnly() bool { return g.byName == nil }
+
+// read freezes g on its first read. Every reader of names, types or
+// the taxonomy calls it, so a built graph is laid out before any of
+// them is answered.
+func (g *Graph) read() {
+	if !g.closed {
+		g.Freeze()
+	}
+}
 
 // intern returns the ID for name, creating it with the given kind if
 // absent. If the node exists with KindUnknown, the kind is upgraded.
@@ -167,7 +177,6 @@ func (g *Graph) intern(name string, kind Kind) ID {
 	if id, ok := g.byName[name]; ok {
 		if g.kinds[id] == KindUnknown && kind != KindUnknown {
 			g.kinds[id] = kind
-			g.nameIdx, g.extents = nil, nil // the literal class may have grown
 		}
 		return id
 	}
@@ -177,7 +186,6 @@ func (g *Graph) intern(name string, kind Kind) ID {
 	g.out.addNode()
 	g.in.addNode()
 	g.byName[name] = id
-	g.nameIdx, g.extents = nil, nil
 	g.gen++
 	return id
 }
@@ -201,20 +209,13 @@ func (g *Graph) InternPred(name string) ID {
 // Lookup returns the ID of name, or Invalid if the graph has never
 // seen it.
 func (g *Graph) Lookup(name string) ID {
-	if g.byName != nil {
-		if id, ok := g.byName[name]; ok {
-			return id
-		}
-		return Invalid
-	}
+	g.read()
 	return g.nameTab.lookup(g.nameBlob, g.nameOffs, name)
 }
 
 // Name returns the string form of id. It panics on Invalid.
 func (g *Graph) Name(id ID) string {
-	if g.names != nil {
-		return g.names[id]
-	}
+	g.read()
 	return g.nameBlob[g.nameOffs[id]:g.nameOffs[id+1]]
 }
 
@@ -255,11 +256,11 @@ func (g *Graph) Predicates() []ID {
 // labels.
 func (g *Graph) NumPredicates() int { return len(g.preds) }
 
-// Generation counts content mutations (triples, type and subclass
-// assertions, new interned nodes). It identifies the graph's content
-// for derived-structure invalidation: once loading is done and Freeze
-// has been called, the generation is stable, so caches keyed on it
-// never go stale under the concurrent-read contract.
+// Generation counts the content mutations that built the graph
+// (triples, type and subclass assertions, new interned nodes), and a
+// Store restamps it above every generation it has published. It is
+// what generation-keyed caches tell two served graphs apart by: a
+// frozen graph's content never changes, so its entries never go stale.
 func (g *Graph) Generation() int64 { return g.gen }
 
 // AddTriple records the triple (s, p, o) with o an instance. Both
@@ -306,8 +307,6 @@ func (g *Graph) AddTypeID(inst, cls ID) {
 		}
 	}
 	g.types[inst] = append(g.types[inst], cls)
-	g.instOf[cls] = append(g.instOf[cls], inst)
-	g.closed, g.nameIdx, g.extents = false, nil, nil
 	g.gen++
 }
 
@@ -325,8 +324,6 @@ func (g *Graph) AddSubclassID(sub, super ID) {
 		}
 	}
 	g.superOf[sub] = append(g.superOf[sub], super)
-	g.subOf[super] = append(g.subOf[super], sub)
-	g.closed, g.nameIdx, g.extents = false, nil, nil
 	g.gen++
 }
 
@@ -358,95 +355,52 @@ func (g *Graph) In(o ID) []Edge { return g.in.view(o) }
 
 // DirectTypes returns the directly asserted classes of inst (shared
 // slice).
-func (g *Graph) DirectTypes(inst ID) []ID { return g.directTypes(inst) }
-
-// The direct* accessors bridge the two storage forms: Go maps on
-// mutable graphs, span-table views on snapshot-backed ones.
-
-func (g *Graph) directTypes(inst ID) []ID {
-	if g.byName != nil {
-		return g.types[inst]
-	}
+func (g *Graph) DirectTypes(inst ID) []ID {
+	g.read()
 	return g.typesIdx.view(inst)
 }
 
-func (g *Graph) directInstances(cls ID) []ID {
-	if g.byName != nil {
-		return g.instOf[cls]
-	}
-	return g.instOfIdx.view(cls)
-}
-
-func (g *Graph) directSupers(cls ID) []ID {
-	if g.byName != nil {
-		return g.superOf[cls]
-	}
-	return g.superOfIdx.view(cls)
-}
-
-func (g *Graph) directSubs(cls ID) []ID {
-	if g.byName != nil {
-		return g.subOf[cls]
-	}
-	return g.subOfIdx.view(cls)
-}
-
 // forEachTyped calls fn once per instance with at least one directly
-// asserted class, in unspecified order.
+// asserted class, in ID order.
 func (g *Graph) forEachTyped(fn func(inst ID, classes []ID)) {
-	if g.byName != nil {
-		for inst, classes := range g.types {
-			fn(inst, classes)
-		}
-		return
-	}
-	for i := range g.typesIdx.spans {
-		if vs := g.typesIdx.view(ID(i)); len(vs) > 0 {
-			fn(ID(i), vs)
-		}
-	}
+	g.read()
+	g.typesIdx.forEach(fn)
 }
 
 // forEachSubclassed calls fn once per class with at least one direct
-// superclass, in unspecified order.
+// superclass, in ID order.
 func (g *Graph) forEachSubclassed(fn func(sub ID, supers []ID)) {
-	if g.byName != nil {
-		for sub, supers := range g.superOf {
-			fn(sub, supers)
-		}
-		return
-	}
-	for i := range g.superOfIdx.spans {
-		if vs := g.superOfIdx.view(ID(i)); len(vs) > 0 {
-			fn(ID(i), vs)
-		}
-	}
+	g.read()
+	g.superOfIdx.forEach(fn)
 }
 
-// Freeze builds what reads derive from the type and taxonomy
-// assertions: one ascending superclass closure per class that has a
-// superclass (a class without one is its own closure), and, on a
-// heap-built graph, a flat copy of the direct-type map. On a snapshot
-// graph that is one walk per such class, not one per node. The walk is
-// cycle-safe: a taxonomy with a cycle gives every class on it the same
-// closure. Calling Freeze after bulk loading makes subsequent reads
-// safe for concurrent use; class extents (InstancesOf) and name
-// indexes (NameIndex) are built later, on first read, under the
-// graph's locks.
+// Freeze makes the graph read-only and safe for concurrent reads. A
+// built graph is laid out exactly as a loaded snapshot is — names
+// through flatNames, the type and taxonomy assertions through idListsOf
+// — and its build maps dropped, so every mutator panics from then on.
+// Every graph then gets one ascending superclass closure per class that
+// has a superclass (a class without one is its own closure), gathered
+// by a cycle-safe walk: a taxonomy with a cycle gives every class on it
+// the same closure. Class extents (InstancesOf) and name indexes
+// (NameIndex) are built later, on first read, under the graph's locks.
 func (g *Graph) Freeze() {
 	if g.closed {
 		return
 	}
-	g.supers = g.superClosures()
 	if g.byName != nil {
-		g.heapTypes = g.flatHeapTypes()
+		n := len(g.kinds)
+		g.nameBlob, g.nameOffs, g.nameTab = flatNames(n, func(id ID) string { return g.names[id] })
+		g.typesIdx, g.instOfIdx = idListsOf(n, g.types)
+		g.superOfIdx, g.subOfIdx = idListsOf(n, g.superOf)
+		g.names, g.byName, g.types, g.superOf = nil, nil, nil, nil
 	}
+	g.supers = g.superClosures()
 	g.closed = true
 }
 
 // idSpans is a set of ascending ID lists in compressed-row form: node
-// i's list is ids[offs[i]:offs[i+1]]. Nodes at or past len(offs)-1,
-// added after the lists were built, have empty lists.
+// i's list is ids[offs[i]:offs[i+1]]. Nodes at or past len(offs)-1
+// have empty lists.
 type idSpans struct {
 	offs []uint32
 	ids  []ID
@@ -471,7 +425,7 @@ func (s *idSpans) view(id ID) []ID {
 // in it, so a cycle ends the walk.
 func (g *Graph) superClosures() idSpans {
 	last := Invalid
-	g.forEachSubclassed(func(sub ID, _ []ID) { last = max(last, sub) })
+	g.superOfIdx.forEach(func(sub ID, _ []ID) { last = sub })
 	if last == Invalid {
 		return idSpans{}
 	}
@@ -479,7 +433,7 @@ func (g *Graph) superClosures() idSpans {
 	var stack []ID
 	for c := ID(0); c <= last; c++ {
 		start := len(s.ids)
-		if sup := g.directSupers(c); len(sup) > 0 {
+		if sup := g.superOfIdx.view(c); len(sup) > 0 {
 			s.ids = append(s.ids, c)
 			stack = append(stack[:0], sup...)
 			for len(stack) > 0 {
@@ -489,32 +443,13 @@ func (g *Graph) superClosures() idSpans {
 					continue
 				}
 				s.ids = append(s.ids, x)
-				stack = append(stack, g.directSupers(x)...)
+				stack = append(stack, g.superOfIdx.view(x)...)
 			}
 			slices.Sort(s.ids[start:])
 		}
 		s.offs[c+1] = uint32(len(s.ids))
 	}
 	return s
-}
-
-// flatHeapTypes lays out a heap-built graph's direct-type map as spans
-// over every node.
-func (g *Graph) flatHeapTypes() idSpans {
-	t := idSpans{offs: make([]uint32, len(g.kinds)+1)}
-	n := 0
-	for inst, classes := range g.types {
-		t.offs[inst+1] = uint32(len(classes))
-		n += len(classes)
-	}
-	for i := 1; i < len(t.offs); i++ {
-		t.offs[i] += t.offs[i-1]
-	}
-	t.ids = make([]ID, n)
-	for inst, classes := range g.types {
-		copy(t.ids[t.offs[inst]:], classes)
-	}
-	return t
 }
 
 // isa reports whether class c is sup or one of its subclasses,
@@ -532,27 +467,18 @@ func (g *Graph) isa(c, sup ID) bool {
 	return false
 }
 
-// flatTypes returns inst's direct classes from the flat tables of a
-// frozen graph.
-func (g *Graph) flatTypes(inst ID) []ID {
-	if g.byName != nil {
-		return g.heapTypes.view(inst)
-	}
-	return g.typesIdx.view(inst)
-}
-
 // InstancesOf returns every instance whose type closure contains cls,
 // i.e. direct members plus members of all (transitive) subclasses, in
 // ascending ID order. For the reserved "literal" class it returns every
 // literal node. A class's extent is built the first time it is read
 // and kept with the graph; concurrent first reads build it once, under
-// the graph's lock, and a mutation that changes class membership drops
-// the built extents. The returned slice is shared; callers must not
+// the graph's lock. The returned slice is shared; callers must not
 // mutate it.
 func (g *Graph) InstancesOf(cls ID) []ID {
 	if cls < 0 || int(cls) >= len(g.kinds) {
 		return nil
 	}
+	g.read()
 	g.extMu.RLock()
 	ext, ok := g.extents[cls]
 	g.extMu.RUnlock()
@@ -582,12 +508,9 @@ func (g *Graph) InstancesOf(cls ID) []ID {
 // instance table is its inverse only when the snapshot was written by
 // this package, and the loader does not check it.
 func (g *Graph) extent(cls ID) []ID {
-	if !g.closed {
-		g.Freeze()
-	}
 	var ext []ID
 	add := func(c ID) {
-		for _, x := range g.directInstances(c) {
+		for _, x := range g.instOfIdx.view(c) {
 			if g.HasType(x, cls) {
 				ext = append(ext, x)
 			}
@@ -611,8 +534,8 @@ const NameIndexMaxED = 3
 // instances (InstancesOf), each entry's payload its node ID, and
 // builds it the first time it is read. Every reader of the graph
 // shares one index per class: concurrent first reads build it once,
-// under the graph's lock. A mutation that changes class membership
-// drops the built indexes, and the next read builds afresh.
+// under the graph's lock. A frozen graph's classes never change, so a
+// built index is kept for the graph's lifetime.
 func (g *Graph) NameIndex(cls ID) *similarity.StringIndex {
 	g.idxMu.RLock()
 	ix := g.nameIdx[cls]
@@ -669,10 +592,8 @@ func (g *Graph) HasType(inst, cls ID) bool {
 	if cls == g.literalClass {
 		return g.kinds[inst] == KindLiteral
 	}
-	if !g.closed {
-		g.Freeze()
-	}
-	for _, d := range g.flatTypes(inst) {
+	g.read()
+	for _, d := range g.typesIdx.view(inst) {
 		if g.isa(d, cls) {
 			return true
 		}
@@ -687,11 +608,9 @@ func (g *Graph) TypesOf(inst ID) []ID {
 	if g.kinds[inst] == KindLiteral {
 		return []ID{g.literalClass}
 	}
-	if !g.closed {
-		g.Freeze()
-	}
+	g.read()
 	var out []ID
-	for _, d := range g.flatTypes(inst) {
+	for _, d := range g.typesIdx.view(inst) {
 		if cl := g.supers.view(d); cl != nil {
 			out = append(out, cl...)
 		} else {
@@ -703,17 +622,23 @@ func (g *Graph) TypesOf(inst ID) []ID {
 }
 
 // Subclasses returns the direct subclasses of cls (shared slice).
-func (g *Graph) Subclasses(cls ID) []ID { return g.directSubs(cls) }
+func (g *Graph) Subclasses(cls ID) []ID {
+	g.read()
+	return g.subOfIdx.view(cls)
+}
 
 // Superclasses returns the direct superclasses of cls (shared slice).
-func (g *Graph) Superclasses(cls ID) []ID { return g.directSupers(cls) }
+func (g *Graph) Superclasses(cls ID) []ID {
+	g.read()
+	return g.superOfIdx.view(cls)
+}
 
 // TaxonomyDepth returns the length of the longest superclass chain
 // starting at cls (0 for a root class). It is used only for KB
 // statistics and must be called on an acyclic taxonomy.
 func (g *Graph) TaxonomyDepth(cls ID) int {
 	best := 0
-	for _, s := range g.directSupers(cls) {
+	for _, s := range g.Superclasses(cls) {
 		if d := g.TaxonomyDepth(s) + 1; d > best {
 			best = d
 		}

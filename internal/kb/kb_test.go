@@ -112,15 +112,45 @@ func TestTaxonomyClosure(t *testing.T) {
 	}
 }
 
-func TestClosureInvalidatedOnMutation(t *testing.T) {
-	g := New()
-	g.AddType("a", "c1")
-	if n := len(g.InstancesOf(g.Lookup("c1"))); n != 1 {
-		t.Fatalf("before mutation: %d", n)
+// TestBuiltGraphReadOnlyOnceRead: a built graph's first read freezes
+// it, and from then on every mutator panics, as on a loaded snapshot.
+func TestBuiltGraphReadOnlyOnceRead(t *testing.T) {
+	g := paperGraph()
+	if g.ReadOnly() {
+		t.Fatal("a built graph is read-only before any read")
 	}
-	g.AddType("b", "c1")
-	if n := len(g.InstancesOf(g.Lookup("c1"))); n != 2 {
-		t.Fatalf("after mutation: %d, want 2 (closure must be invalidated)", n)
+	if g.Lookup("Haifa") == Invalid {
+		t.Fatal("Lookup(Haifa) missed")
+	}
+	if !g.ReadOnly() {
+		t.Fatal("a built graph is not read-only after its first Lookup")
+	}
+	haifa, city := g.Lookup("Haifa"), g.Lookup("city")
+	for name, fn := range map[string]func(){
+		"Intern":            func() { g.Intern("a") },
+		"InternLiteral":     func() { g.InternLiteral("a") },
+		"InternClass":       func() { g.InternClass("a") },
+		"InternPred":        func() { g.InternPred("a") },
+		"AddTriple":         func() { g.AddTriple("a", "b", "c") },
+		"AddPropertyTriple": func() { g.AddPropertyTriple("a", "b", "c") },
+		"AddTripleID":       func() { g.AddTripleID(haifa, haifa, city) },
+		"AddType":           func() { g.AddType("a", "b") },
+		"AddTypeID":         func() { g.AddTypeID(haifa, city) },
+		"AddSubclass":       func() { g.AddSubclass("a", "b") },
+		"AddSubclassID":     func() { g.AddSubclassID(city, city) },
+		"ParseInto":         func() { g.ParseInto(strings.NewReader("<a> <b> <c> .\n")) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "read-only") {
+					t.Errorf("%s on a read graph: recovered %q, want the read-only panic", name, msg)
+				}
+			}()
+			fn()
+		})
+	}
+	if g.NumTriples() != 8 || g.Lookup("a") != Invalid {
+		t.Error("a mutator changed a read-only graph before panicking")
 	}
 }
 
@@ -319,13 +349,18 @@ func TestParseSkipsCommentsAndBlank(t *testing.T) {
 }
 
 func TestQuickInternRoundTrip(t *testing.T) {
-	g := New()
-	f := func(name string) bool {
-		if strings.ContainsAny(name, "<>\"\n") || name == "" {
-			return true // not representable in the text format; irrelevant here
+	f := func(names []string) bool {
+		g := New()
+		ids := make([]ID, len(names))
+		for i, name := range names {
+			ids[i] = g.Intern(name)
 		}
-		id := g.Intern(name)
-		return g.Name(id) == name && g.Lookup(name) == id
+		for i, name := range names {
+			if g.Name(ids[i]) != name || g.Lookup(name) != ids[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,13 +1,14 @@
 package kb
 
-// nameTable is the snapshot-backed replacement for the byName map: a
-// pointer-free open-addressing index from node name to ID whose slot
-// array is stored verbatim in DKBS v2 snapshots, so an mmap'd graph
-// resolves Lookup straight out of file pages without ever
-// materializing a Go map. Names themselves are not duplicated — a
-// slot holds only the 64-bit name hash and the node ID, and a probe
-// that matches the hash confirms against the name bytes via the
-// nameOffs table.
+import "strings"
+
+// nameTable is a frozen graph's name index: a pointer-free
+// open-addressing index from node name to ID whose slot array is
+// stored verbatim in DKBS v2 snapshots, so an mmap'd graph resolves
+// Lookup straight out of file pages without ever materializing a Go
+// map. Names themselves are not duplicated — a slot holds only the
+// 64-bit name hash and the node ID, and a probe that matches the hash
+// confirms against the name bytes via the nameOffs table.
 //
 // Layout invariants mirror pairTable: power-of-two slot count,
 // Fibonacci hashing, linear probing, load factor at or below 3/4.
@@ -52,9 +53,9 @@ func (t *nameTable) slot(h uint64) int {
 }
 
 // insert adds (name, id). The caller guarantees the name is not
-// present and the table was sized for the final population (the
-// snapshot writer inserts each interned name exactly once, in ID
-// order, which also makes slot placement deterministic).
+// present and the table was sized for the final population (flatNames
+// inserts each name exactly once, in ID order, which also makes slot
+// placement deterministic).
 func (t *nameTable) insert(name string, id ID) {
 	h := nameHash(name)
 	mask := len(t.slots) - 1
@@ -88,9 +89,31 @@ func (t *nameTable) lookup(blob string, offs []uint32, name string) ID {
 	}
 }
 
-// idListIndex is the snapshot-backed form of an ID -> []ID assertion
-// map (types, instOf, superOf, subOf): a dense span table indexed by
-// key into one shared ID arena, both pointer-free and therefore
+// flatNames lays out n names, name(0) to name(n-1), as one blob with
+// offsets and a lookup table over all of them: the name storage of
+// every frozen graph, and the three name sections of a DKBS snapshot.
+func flatNames(n int, name func(ID) string) (string, []uint32, nameTable) {
+	size := 0
+	for i := 0; i < n; i++ {
+		size += len(name(ID(i)))
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	offs := make([]uint32, n+1)
+	tab := newNameTable(n)
+	for i := 0; i < n; i++ {
+		nm := name(ID(i))
+		offs[i] = uint32(sb.Len())
+		sb.WriteString(nm)
+		tab.insert(nm, ID(i))
+	}
+	offs[n] = uint32(sb.Len())
+	return sb.String(), offs, tab
+}
+
+// idListIndex is the frozen form of an ID -> []ID assertion map
+// (types, instOf, superOf, subOf): a dense span table indexed by key
+// into one shared ID arena, both pointer-free and therefore
 // mmap-eligible. Keys out of range or without entries view nil,
 // matching a map miss.
 type idListIndex struct {
@@ -107,4 +130,25 @@ func (x *idListIndex) view(key ID) []ID {
 		return nil
 	}
 	return x.ids[s.off : s.off+s.n : s.off+s.n]
+}
+
+// forEach calls fn once per key with a non-empty list, in key order.
+func (x *idListIndex) forEach(fn func(ID, []ID)) {
+	for i := range x.spans {
+		if vs := x.view(ID(i)); len(vs) > 0 {
+			fn(ID(i), vs)
+		}
+	}
+}
+
+// idListsOf lays out a built graph's ID -> []ID assertion map and its
+// inverse as span tables, as the snapshot writer lays out the pair.
+func idListsOf(numNodes int, m map[ID][]ID) (fwd, inv idListIndex) {
+	fwd.spans, fwd.ids, _ = canonIDList(numNodes, func(fn func(ID, []ID)) {
+		for k, vs := range m {
+			fn(k, vs)
+		}
+	})
+	inv.spans, inv.ids, _ = invertIDList(numNodes, fwd.spans, fwd.ids)
+	return fwd, inv
 }

@@ -1,12 +1,12 @@
 package kb
 
-// DKBS snapshots: the persisted form of a built Graph, in the
-// mmap-ready version 2 layout, which makes loading nearly free by
-// laying the indexes out in the file exactly as the Graph reads them
-// in memory. Every index the hot path touches — the span-arena edge
-// indexes, the sp/po pair tables, the name blob, a pointer-free name
-// hash table replacing the byName map, and span-table forms of the four
-// type/taxonomy assertion maps — is stored as a raw little-endian
+// DKBS snapshots: the persisted form of a Graph, in the mmap-ready
+// version 2 layout, which makes loading nearly free by laying the
+// indexes out in the file exactly as a frozen Graph reads them in
+// memory. Every index the hot path touches — the span-arena edge
+// indexes, the sp/po pair tables, the name blob, the pointer-free name
+// hash table, and the span tables of the four type/taxonomy assertion
+// maps — is stored as a raw little-endian
 // array, page-aligned, so a loader can mmap the file read-only and
 // use the sections in place: "load" is one mmap plus demand page-in,
 // and the pages are shared across every process serving the same
@@ -40,8 +40,9 @@ package kb
 // it must decode (counts, preds) and bounds-checks every span table
 // against its arena, so a corrupt file fails the load or panics on a
 // bounds check rather than reading wild memory — but it does not CRC
-// the big arenas or range-check the node IDs in them (touching every
-// page would defeat the ~0ms load). The decode path does both.
+// the big arenas, range-check the node IDs in them or probe the name
+// table (touching every page would defeat the ~0ms load). The decode
+// path does all three.
 // Deploy pipelines should run `kbtool verify` (which uses the fully
 // checksummed decode path) before promoting a snapshot.
 
@@ -52,6 +53,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"unsafe"
@@ -106,7 +108,7 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// mapping pins the mmap'd bytes a snapshot-backed graph reads from.
+// mapping pins the mmap'd bytes a mapped graph reads from.
 // Mappings are deliberately never unmapped: name strings and arena
 // views handed out by the graph (repair results, memo entries, cached
 // candidates) may outlive the Graph itself. A retired graph's pages
@@ -214,20 +216,7 @@ func (g *Graph) WriteSnapshotV2(w io.Writer) error {
 
 	// Name storage: blob + offsets + the open-addressing name table,
 	// inserted in ID order so slot placement is deterministic.
-	nameOffs := make([]uint32, numNodes+1)
-	blobLen := 0
-	for i := 0; i < numNodes; i++ {
-		blobLen += len(g.Name(ID(i)))
-	}
-	blob := make([]byte, 0, blobLen)
-	ntab := newNameTable(numNodes)
-	for i := 0; i < numNodes; i++ {
-		name := g.Name(ID(i))
-		nameOffs[i] = uint32(len(blob))
-		blob = append(blob, name...)
-		ntab.insert(name, ID(i))
-	}
-	nameOffs[numNodes] = uint32(len(blob))
+	blob, nameOffs, ntab := flatNames(numNodes, g.Name)
 
 	kinds := make([]byte, numNodes)
 	for i, k := range g.kinds {
@@ -284,7 +273,7 @@ func (g *Graph) WriteSnapshotV2(w io.Writer) error {
 	sections := []v2Section{
 		{sec2Counts, false, counts},
 		{sec2Preds, false, pb},
-		{sec2NameBytes, true, blob},
+		{sec2NameBytes, true, []byte(blob)},
 		{sec2NameOffs, true, appendU32s(nil, nameOffs)},
 		{sec2NameTab, true, appendSlots(nil, ntab.slots)},
 		{sec2Kinds, true, kinds},
@@ -370,20 +359,23 @@ func alignUp(v, align int64) int64 {
 
 // canonIDList builds the canonical span-table form of an ID -> []ID
 // association: dense spans over every node, values sorted ascending,
-// packed back to back with exact capacities.
+// packed back to back with exact capacities. Each list is sorted in
+// the arena, so the given lists are left as they are.
 func canonIDList(numNodes int, forEach func(func(ID, []ID))) (spans []pairSpan, arena []ID, keys int) {
 	lists := make([][]ID, numNodes)
-	forEach(func(k ID, vals []ID) { lists[k] = vals })
+	total := 0
+	forEach(func(k ID, vals []ID) { lists[k] = vals; total += len(vals) })
 	spans = make([]pairSpan, numNodes)
+	arena = make([]ID, 0, total)
 	for k, vals := range lists {
 		if len(vals) == 0 {
 			continue
 		}
 		keys++
-		cp := append([]ID(nil), vals...)
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		spans[k] = pairSpan{off: uint32(len(arena)), n: uint32(len(cp)), cap: uint32(len(cp))}
-		arena = append(arena, cp...)
+		off := len(arena)
+		arena = append(arena, vals...)
+		slices.Sort(arena[off:])
+		spans[k] = pairSpan{off: uint32(off), n: uint32(len(vals)), cap: uint32(len(vals))}
 	}
 	return spans, arena, keys
 }
@@ -921,6 +913,15 @@ func (g *Graph) initV2(c *v2Counts, section func(byte) []byte, caster *sectionCa
 	}
 	if occupied != c.numNodes {
 		return fmt.Errorf("kb: snapshot name table: %d occupied slots for %d nodes", occupied, c.numNodes)
+	}
+	// The decode path also probes the table for every name, as it does
+	// the pair tables' keys: a slot out of place, or two nodes of one
+	// name, would hide a name from Lookup.
+	for i := 0; decoded && i < c.numNodes; i++ {
+		name := g.nameBlob[g.nameOffs[i]:g.nameOffs[i+1]]
+		if id := g.nameTab.lookup(g.nameBlob, g.nameOffs, name); id != ID(i) {
+			return fmt.Errorf("kb: snapshot name table: node %d's name %q resolves to %d", i, name, id)
+		}
 	}
 
 	// Kinds.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -328,6 +329,52 @@ func TestSnapshotV2Corruption(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestSnapshotNameTableHidesNoName: the decode path rejects a name
+// table whose slots are all occupied and in range but out of place, so
+// that Lookup would miss names the graph holds. The first occupied slot
+// and the first occupied slot past a free one are swapped, with the
+// CRC re-sealed: each name now sits beyond the free slot that ends its
+// own probe run.
+func TestSnapshotNameTableHidesNoName(t *testing.T) {
+	data := snap2Bytes(t, v2TestGraph())
+	dirOff, e := findV2Section(t, data, sec2NameTab)
+	tab := data[e.off : e.off+e.n]
+	occupied := func(i int) bool { return binary.LittleEndian.Uint32(tab[16*i+8:]) != 0 }
+	a, b, gap := -1, -1, false
+	for i := 0; i < len(tab)/16 && b < 0; i++ {
+		switch {
+		case a < 0 && occupied(i):
+			a = i
+		case a >= 0 && !occupied(i):
+			gap = true
+		case gap && occupied(i):
+			b = i
+		}
+	}
+	if b < 0 {
+		t.Fatal("test setup: no two occupied slots in different probe runs")
+	}
+	var tmp [16]byte
+	copy(tmp[:], tab[16*a:])
+	copy(tab[16*a:16*a+16], tab[16*b:16*b+16])
+	copy(tab[16*b:], tmp[:])
+	binary.LittleEndian.PutUint32(data[dirOff+4:], crc32.Checksum(tab, crcTable))
+
+	g, err := LoadSnapshot(bytes.NewReader(data))
+	if err == nil {
+		missed := 0
+		for i := 0; i < g.NumNodes(); i++ {
+			if g.Lookup(g.Name(ID(i))) != ID(i) {
+				missed++
+			}
+		}
+		t.Fatalf("LoadSnapshot accepted a name table that hides %d of %d names", missed, g.NumNodes())
+	}
+	if !strings.Contains(err.Error(), "name table") {
+		t.Fatalf("error %q does not mention the name table", err)
 	}
 }
 

@@ -14,12 +14,12 @@ import (
 )
 
 // FuzzLoadSnapshot covers the DKBS v2 decoders: LoadSnapshot returns
-// an error or a graph that Freeze, verify.Check and a
-// WriteSnapshotV2 → LoadSnapshot round trip all accept without a
-// panic, and the round trip keeps the Encode text. LoadSnapshotFile on
-// the same bytes (the mmap path where the platform has one) must not
-// panic either; it trusts its arenas (see the snapshot trust model), so
-// its graph is not read further.
+// an error or a graph whose every name looks up to its own node and
+// that Freeze, verify.Check and a WriteSnapshotV2 → LoadSnapshot round
+// trip all accept without a panic, and the round trip keeps the Encode
+// text. LoadSnapshotFile on the same bytes (the mmap path where the
+// platform has one) must not panic either; it trusts its arenas (see
+// the snapshot trust model), so its graph is not read further.
 //
 // Each input is also tried with every section's CRC recomputed, so
 // mutated payloads reach the structural checks instead of stopping at
@@ -64,7 +64,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 }
 
 // checkDecodedSnapshot loads in through the decode path and, if it is
-// accepted, reads the graph the way a server promoting it would.
+// accepted, reads the graph the way a server promoting it would. Every
+// node's name must look up to the node itself.
 func checkDecodedSnapshot(t *testing.T, in []byte) {
 	t.Helper()
 	g, err := kb.LoadSnapshot(bytes.NewReader(in))
@@ -72,6 +73,11 @@ func checkDecodedSnapshot(t *testing.T, in []byte) {
 		return
 	}
 	g.Freeze()
+	for i := 0; i < g.NumNodes(); i++ {
+		if id := g.Lookup(g.Name(kb.ID(i))); id != kb.ID(i) {
+			t.Fatalf("node %d's name %q looks up to %d", i, g.Name(kb.ID(i)), id)
+		}
+	}
 	verify.Check(g, verify.Options{})
 	want, wantErr := snapshotText(g)
 	var snap bytes.Buffer

@@ -71,7 +71,7 @@ func (g *Graph) ComputeStats(topN int) Stats {
 		}
 	}
 	for _, c := range classes {
-		s.SubclassAssertions += len(g.directSupers(c))
+		s.SubclassAssertions += len(g.Superclasses(c))
 		if d := g.TaxonomyDepth(c); d > s.MaxTaxonomyDepth {
 			s.MaxTaxonomyDepth = d
 		}

@@ -20,9 +20,11 @@ import (
 // The signature indexes need no such key: each graph owns its own
 // (Graph.NameIndex), so restamping a graph's generation keeps them.
 //
-// Graphs handed to NewStore or Swap must be fully loaded; the store
-// freezes them (building the class closures) before publishing, so
-// every graph observable through Graph() is safe for concurrent reads.
+// Graphs handed to NewStore or Swap must be fully built; the store
+// freezes them before publishing, so every graph observable through
+// Graph() is read-only and safe for concurrent reads, and a graph's
+// content never changes while it is served: only a swap changes what
+// readers see.
 type Store struct {
 	cur       atomic.Pointer[Graph]
 	swaps     atomic.Int64
@@ -84,12 +86,6 @@ func (s *Store) Swap(g *Graph) (old *Graph) {
 		s.maxGen = old.gen
 	}
 	if g.gen <= s.maxGen {
-		// Restamping invalidates a generation-tagged fingerprint memo;
-		// carry it over so a delta-applied graph keeps its verified
-		// fingerprint (content is unchanged by restamping).
-		if m := g.fp.Load(); m != nil && m.gen == g.gen {
-			g.fp.Store(&fpMemo{gen: s.maxGen + 1, fp: m.fp})
-		}
 		g.gen = s.maxGen + 1
 	}
 	s.maxGen = g.gen

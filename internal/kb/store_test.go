@@ -80,8 +80,8 @@ func TestStoreConcurrentPinAndSwap(t *testing.T) {
 				g := st.Graph()
 				n := g.NumTriples()
 				total := 0
-				for _, s := range g.names {
-					total += len(g.Out(g.Lookup(s)))
+				for id := ID(0); int(id) < g.NumNodes(); id++ {
+					total += len(g.Out(g.Lookup(g.Name(id))))
 				}
 				if total != n {
 					panic("pinned graph internally inconsistent")
@@ -206,8 +206,8 @@ func TestStoreRollbackConcurrentReaders(t *testing.T) {
 			for !stop.Load() {
 				g := st.Graph()
 				total := 0
-				for _, s := range g.names {
-					total += len(g.Out(g.Lookup(s)))
+				for id := ID(0); int(id) < g.NumNodes(); id++ {
+					total += len(g.Out(g.Lookup(g.Name(id))))
 				}
 				if total != g.NumTriples() {
 					panic("pinned graph internally inconsistent")

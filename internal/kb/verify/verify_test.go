@@ -29,7 +29,6 @@ func cleanGraph() *kb.Graph {
 	g.AddPropertyTriple("Paris", "country", "France")
 	g.AddPropertyTriple("Lyon", "country", "France")
 	g.AddTriple("France", "capital", "Paris")
-	g.Freeze()
 	return g
 }
 

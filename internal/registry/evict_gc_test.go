@@ -3,6 +3,7 @@
 package registry_test
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -10,6 +11,10 @@ import (
 	"weak"
 
 	"detective/internal/kb"
+	"detective/internal/registry"
+	"detective/internal/repair"
+	"detective/internal/server"
+	"detective/internal/telemetry"
 )
 
 // TestEvictionFreesTenant admits three tenants through one residency
@@ -17,8 +22,26 @@ import (
 // tenants' stores and graphs to be collectable: nothing the process
 // keeps — the metrics registry's series, the tenant's compiled rules —
 // may hold an evicted tenant's server, engine, catalog, store or graph.
+// It runs with the circuit breaker off and on, as the breaker's series
+// read the engine.
 func TestEvictionFreesTenant(t *testing.T) {
-	r := newRegistry(t, fleetConfig(t, 3, 1))
+	for _, bo := range []repair.BreakerOptions{{}, {Enabled: true, PerRule: true}} {
+		t.Run(fmt.Sprintf("breaker=%v", bo.Enabled), func(t *testing.T) {
+			r, err := registry.New(fleetConfig(t, 3, 1), registry.Options{
+				Metrics: telemetry.NewRegistry(),
+				Server:  server.Config{Breaker: bo},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEvictionFrees(t, r)
+		})
+	}
+}
+
+// checkEvictionFrees is TestEvictionFreesTenant's body on one
+// registry of three tenants capped at one.
+func checkEvictionFrees(t *testing.T, r *registry.Registry) {
 	var graphs []weak.Pointer[kb.Graph]
 	var stores []weak.Pointer[kb.Store]
 	for _, name := range r.TenantNames() {

@@ -18,8 +18,9 @@
 // or readmission between two of a request's tuples can never tear the
 // graph out from under it. Evicting frees the tenant's server: the
 // registry drops its reference, and the server's scrape-time metric
-// series stop reading its catalog and store and report their last
-// values (server.Server.Retire), so nothing the process keeps reaches
+// series (the tenant-labelled generation, cache, memo and breaker
+// series) stop reading its engine and report their last values
+// (server.Server.Retire), so nothing the process keeps reaches
 // the engine, its caches, the store or the graph with its closures and
 // name indexes. GC reclaims them once the last request holding the
 // server finishes (mmap'd snapshot pages are clean file-backed memory

@@ -654,6 +654,50 @@ func TestApplyConfig(t *testing.T) {
 	}
 }
 
+// TestMemoSeriesPerTenant: a tenant's memo series sit in the
+// registry's metrics under its tenant label, so the tenant built last
+// does not take them over. tenant-00 serves the paper row three times
+// (the doorkeeper declines it, the memo admits it, then serves it: one
+// hit) before tenant-01 is admitted.
+func TestMemoSeriesPerTenant(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r, err := registry.New(fleetConfig(t, 2, 2), registry.Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, release, err := r.Tenant("tenant-00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/clean", strings.NewReader(dirtyCSV)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("clean %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	release()
+	if _, release, err = r.Tenant("tenant-01"); err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	for _, want := range []string{
+		`detective_memo_hits_total{tenant="tenant-00",tier="tuple"} 1`,
+		`detective_memo_entries{tenant="tenant-00",tier="tuple"} 1`,
+		`detective_memo_hits_total{tenant="tenant-01",tier="tuple"} 0`,
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("registry exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // TestTenantsSharingRulesStayApart serves two tenants whose snapshots
 // carry the same generation with different IDs for the rules' classes
 // and relations (B is A with Avram Hershko renamed Ada Yonath, parsed

@@ -297,7 +297,6 @@ func NewEngineRules(rs *RuleSet, store *kb.Store, opts Options) *Engine {
 			budget = DefaultMemoBytes
 		}
 		e.memo = newRepairMemo(rs.Schema, budget)
-		e.instr.registerMemo(e.memo)
 	}
 	if opts.Breaker.Enabled {
 		bo := opts.Breaker.withDefaults()
@@ -309,7 +308,6 @@ func NewEngineRules(rs *RuleSet, store *kb.Store, opts Options) *Engine {
 				e.ruleBreakers[i].init(bo)
 			}
 		}
-		e.instr.registerBreaker(e)
 	}
 	e.recorder = opts.Recorder
 	if opts.Ensemble.Enabled {
@@ -894,10 +892,6 @@ func (e *Engine) RepairTableContext(ctx context.Context, tb *relation.Table, wor
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// The KB's lazy closures must be materialized before fan-out.
-	// (Graphs published through a kb.Store are frozen already; this
-	// covers direct-constructed engines whose graph mutated since.)
-	e.Cat.Graph().Freeze()
 	out := &relation.Table{Schema: tb.Schema, Tuples: make([]*relation.Tuple, tb.Len())}
 	var wg sync.WaitGroup
 	var next atomic.Int64

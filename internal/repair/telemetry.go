@@ -86,76 +86,6 @@ func newEngineInstr(sampleEvery int, reg *telemetry.Registry) *engineInstr {
 	return in
 }
 
-// registerMemo exposes the global repair memo's counters as
-// scrape-time series. Re-registration replaces the previous funcs, so
-// the newest memo-enabled engine in the process owns the series —
-// the same newest-wins convention the server's cache metrics use.
-func (in *engineInstr) registerMemo(m *repairMemo) {
-	reg := in.reg
-	tier := func(name string) telemetry.Label {
-		return telemetry.Label{Name: "tier", Value: name}
-	}
-	reason := func(name string) telemetry.Label {
-		return telemetry.Label{Name: "reason", Value: name}
-	}
-	reg.CounterFunc("detective_memo_hits_total",
-		"Repair-memo lookups answered from the cache, by tier.",
-		func() float64 { return float64(m.tupleStats.hits.Load()) }, tier("tuple"))
-	reg.CounterFunc("detective_memo_misses_total",
-		"Repair-memo lookups not answered from the cache, by tier.",
-		func() float64 { return float64(m.tupleStats.misses.Load()) }, tier("tuple"))
-	reg.CounterFunc("detective_memo_evictions_total",
-		"Repair-memo entries evicted, by tier and reason.",
-		func() float64 { return float64(m.tupleStats.evictions.Load()) }, reason("capacity"), tier("tuple"))
-	reg.CounterFunc("detective_memo_evictions_total",
-		"Repair-memo entries evicted, by tier and reason.",
-		func() float64 { return float64(m.tupleStats.genEvictions.Load()) }, reason("generation"), tier("tuple"))
-	reg.CounterFunc("detective_memo_declined_total",
-		"Repair-memo misses not inserted because the doorkeeper had not seen the row before, by tier.",
-		func() float64 { return float64(m.tupleStats.declined.Load()) }, tier("tuple"))
-	reg.GaugeFunc("detective_memo_bytes",
-		"Bytes held by the repair memo, by tier.",
-		func() float64 { return float64(m.tupleStats.bytes.Load()) }, tier("tuple"))
-	reg.GaugeFunc("detective_memo_entries",
-		"Entries held by the repair memo, by tier.",
-		func() float64 { return float64(m.tupleStats.entries.Load()) }, tier("tuple"))
-}
-
-// registerBreaker exposes the engine's circuit breaker as scrape-time
-// series. Newest-wins, like registerMemo.
-func (in *engineInstr) registerBreaker(e *Engine) {
-	reg := in.reg
-	b := e.breaker
-	reg.CounterFunc("detective_breaker_trips_total",
-		"Circuit-breaker closed-to-open transitions.",
-		func() float64 { return float64(b.trips.Load()) })
-	reg.CounterFunc("detective_breaker_reopens_total",
-		"Failed half-open probe repairs that reopened the breaker.",
-		func() float64 { return float64(b.reopens.Load()) })
-	reg.CounterFunc("detective_breaker_recoveries_total",
-		"Successful half-open probe repairs that closed the breaker.",
-		func() float64 { return float64(b.recoveries.Load()) })
-	reg.CounterFunc("detective_breaker_degraded_rows_total",
-		"Rows served detect-only while the breaker was open.",
-		func() float64 { return float64(b.degradedTotal.Load()) })
-	reg.GaugeFunc("detective_breaker_state",
-		"Circuit-breaker state: 0 closed, 1 open, 2 half-open.",
-		func() float64 { return float64(b.state.Load()) })
-	if e.ruleBreakers != nil {
-		reg.GaugeFunc("detective_breaker_open_rules",
-			"Rules whose per-rule breakers are not closed.",
-			func() float64 {
-				n := 0
-				for i := range e.ruleBreakers {
-					if e.ruleBreakers[i].state.Load() != breakerClosed {
-						n++
-					}
-				}
-				return float64(n)
-			})
-	}
-}
-
 // stageTimer accumulates per-stage wall time for one sampled tuple.
 // It lives on fastState only while that tuple is sampled; every
 // non-sampled tuple pays a single nil check per rule step.

@@ -148,8 +148,8 @@ func (c *Catalog) IndexStats() (hits, misses int64, size int) {
 }
 
 // advance notes that a reader is operating at generation gen. When gen
-// moves past the highest generation seen so far (a KB swap or
-// mutation), the candidate-cache shards are cleared: their generation
+// moves past the highest generation seen so far (a KB swap), the
+// candidate-cache shards are cleared: their generation
 // tags already prevent stale hits, clearing just frees the memory
 // promptly. Readers on older graphs (gen below current) advance
 // nothing.

@@ -44,11 +44,13 @@ func TestCandidateCacheHits(t *testing.T) {
 	}
 }
 
-// TestCandidateCacheInvalidation: growing the KB after lookups must
-// not serve stale candidate lists — the generation check watches
-// kb.Graph.Generation, which moves on every mutation (including
-// type-only additions, which don't change the triple count). The
-// exact node reads the name table; the ED node goes through the cache.
+// TestCandidateCacheInvalidation: swapping a grown KB into the
+// catalog's store after lookups must not serve stale candidate lists —
+// the generation check watches kb.Graph.Generation, which the store
+// stamps above the old graph's on every swap (the new graph differs
+// only by a type assertion, which doesn't change the triple count).
+// The exact node reads the name table; the ED node goes through the
+// cache.
 func TestCandidateCacheInvalidation(t *testing.T) {
 	for _, sp := range []similarity.Spec{similarity.Eq, similarity.EDK(1)} {
 		g := kb.New()
@@ -58,9 +60,12 @@ func TestCandidateCacheInvalidation(t *testing.T) {
 		if got := cat.CandidatesOn(g, "city", sp, "Karcag"); len(got) != 0 {
 			t.Fatalf("%v: CandidatesOn(Karcag) = %v before it exists", sp, got)
 		}
-		g.AddType("Karcag", "city")
-		if got := cat.CandidatesOn(g, "city", sp, "Karcag"); len(got) != 1 {
-			t.Fatalf("%v: CandidatesOn(Karcag) = %v after adding it (stale cache?)", sp, got)
+		next := kb.New()
+		next.AddType("Haifa", "city")
+		next.AddType("Karcag", "city")
+		cat.Store().Swap(next)
+		if got := cat.CandidatesOn(cat.Graph(), "city", sp, "Karcag"); len(got) != 1 {
+			t.Fatalf("%v: CandidatesOn(Karcag) = %v after swapping in a graph with it (stale cache?)", sp, got)
 		}
 	}
 }

@@ -58,8 +58,9 @@ func TestMemoInvalidatedOnReload(t *testing.T) {
 		t.Errorf("no generation evictions counted after reload: %+v", st.Memo.Tuple)
 	}
 
-	// The memo series are registered in the process-default telemetry
-	// registry and must survive Prometheus exposition.
+	// A server with the default Config registers its memo series in the
+	// process-default telemetry registry; they must survive Prometheus
+	// exposition.
 	var buf bytes.Buffer
 	telemetry.Default().WritePrometheus(&buf)
 	if _, err := telemetry.ValidateExposition(bytes.NewReader(buf.Bytes())); err != nil {

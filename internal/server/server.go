@@ -41,6 +41,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -143,9 +144,10 @@ type Config struct {
 	// signal on every (re)load, and each promoted canary refreshes the
 	// per-engine reliability weights.
 	Ensemble repair.EnsembleOptions
-	// MetricLabels is attached to every KB-lifecycle and cache series
-	// this server registers (reload/rollback/canary counters, load
-	// gauge, generation, catalog caches). The registry sets
+	// MetricLabels is attached to every KB-lifecycle, cache, memo and
+	// breaker series this server registers (reload/rollback/canary
+	// counters, load gauge, generation, catalog caches, repair memo,
+	// circuit breaker). The registry sets
 	// {tenant="..."} so each tenant's server owns its own series in the
 	// shared registry; nil keeps the unlabeled names.
 	MetricLabels []telemetry.Label
@@ -324,7 +326,7 @@ func NewWithRules(rs *repair.RuleSet, store *kb.Store, cfg Config) (*Server, err
 		"Automatic rollbacks initiated by the post-promote canary watchdog.", labels...)
 	s.rollbackTotal = reg.Counter("detective_kb_rollback_total",
 		"Rollbacks to a retained knowledge-base generation (manual and automatic).", labels...)
-	s.series = registerKBSeries(reg, e.Cat, labels)
+	s.series = registerKBSeries(reg, e, cfg.Breaker, labels)
 
 	httpm := telemetry.NewHTTPMetrics(reg, "detective")
 	httpm.SetLogger(s.log)
@@ -396,50 +398,110 @@ func (s *Server) applySuspicion(g *kb.Graph, vr *verify.Report) {
 	s.engine.SetEnsembleSuspicion(ensemble.NewSuspicion(names, s.cfg.Ensemble.SuspicionPenalty))
 }
 
-// kbSeries backs a server's scrape-time series over its catalog and
-// store: the served generation, the cross-tuple candidate cache in
-// front (rules.Catalog.CacheStats) and the current graph's signature
-// indexes behind it (rules.Catalog.IndexStats). The metrics registry
-// outlives the server, so once the server is retired the series report
-// their last values and hold neither catalog nor store, nor through
-// them the graph. Func collectors replace on re-registration, so the
-// newest server's series win the names.
+// kbSeries backs a server's scrape-time series over its engine: the
+// served generation, the cross-tuple candidate cache in front
+// (rules.Catalog.CacheStats), the current graph's signature indexes
+// behind it (rules.Catalog.IndexStats), and the engine's repair memo
+// and circuit breaker when they are on. The metrics registry outlives
+// the server, so once the server is retired the series report their
+// last values and hold neither engine nor catalog nor store, nor
+// through them the graph. Func collectors replace on re-registration,
+// so the newest server's series win the names it shares with another
+// server of the same labels.
 type kbSeries struct {
 	mu    sync.Mutex
-	cat   *rules.Catalog // nil once retired
-	reads []func(*rules.Catalog) float64
+	e     *repair.Engine // nil once retired
+	reads []func(*repair.Engine) float64
 	last  []float64
 }
 
-func registerKBSeries(reg *telemetry.Registry, cat *rules.Catalog, labels []telemetry.Label) *kbSeries {
-	ks := &kbSeries{cat: cat}
-	add := func(register func(string, string, func() float64, ...telemetry.Label), name, help string, read func(*rules.Catalog) float64) {
+// breakerStates names the breaker states in the order
+// detective_breaker_state reports them.
+var breakerStates = []string{"closed", "open", "half-open"}
+
+func registerKBSeries(reg *telemetry.Registry, e *repair.Engine, bo repair.BreakerOptions, labels []telemetry.Label) *kbSeries {
+	ks := &kbSeries{e: e}
+	add := func(register func(string, string, func() float64, ...telemetry.Label), name, help string, read func(*repair.Engine) float64, extra ...telemetry.Label) {
 		i := len(ks.reads)
 		ks.reads = append(ks.reads, read)
 		ks.last = append(ks.last, 0)
-		register(name, help, func() float64 { return ks.value(i) }, labels...)
+		register(name, help, func() float64 { return ks.value(i) }, append(extra, labels...)...)
 	}
 	add(reg.GaugeFunc, "detective_kb_generation",
 		"Generation of the currently served knowledge-base graph.",
-		func(c *rules.Catalog) float64 { return float64(c.Store().Generation()) })
+		func(e *repair.Engine) float64 { return float64(e.Store().Generation()) })
 	add(reg.CounterFunc, "detective_catalog_cache_hits_total",
 		"Candidate-cache lookups answered from the cache.",
-		func(c *rules.Catalog) float64 { h, _, _ := c.CacheStats(); return float64(h) })
+		func(e *repair.Engine) float64 { h, _, _ := e.Cat.CacheStats(); return float64(h) })
 	add(reg.CounterFunc, "detective_catalog_cache_misses_total",
 		"Candidate-cache lookups that fell through to the signature indexes.",
-		func(c *rules.Catalog) float64 { _, m, _ := c.CacheStats(); return float64(m) })
+		func(e *repair.Engine) float64 { _, m, _ := e.Cat.CacheStats(); return float64(m) })
 	add(reg.GaugeFunc, "detective_catalog_cache_size",
 		"Candidate lists currently cached.",
-		func(c *rules.Catalog) float64 { _, _, n := c.CacheStats(); return float64(n) })
+		func(e *repair.Engine) float64 { _, _, n := e.Cat.CacheStats(); return float64(n) })
 	add(reg.CounterFunc, "detective_similarity_index_hits_total",
 		"Signature-index lookups that found at least one candidate.",
-		func(c *rules.Catalog) float64 { h, _, _ := c.IndexStats(); return float64(h) })
+		func(e *repair.Engine) float64 { h, _, _ := e.Cat.IndexStats(); return float64(h) })
 	add(reg.CounterFunc, "detective_similarity_index_misses_total",
 		"Signature-index lookups that found no candidate.",
-		func(c *rules.Catalog) float64 { _, m, _ := c.IndexStats(); return float64(m) })
+		func(e *repair.Engine) float64 { _, m, _ := e.Cat.IndexStats(); return float64(m) })
 	add(reg.GaugeFunc, "detective_similarity_index_size",
 		"Instance names in the current graph's built signature indexes.",
-		func(c *rules.Catalog) float64 { _, _, n := c.IndexStats(); return float64(n) })
+		func(e *repair.Engine) float64 { _, _, n := e.Cat.IndexStats(); return float64(n) })
+
+	if e.MemoStats().Enabled {
+		memo := func(read func(repair.MemoTierStats) int64) func(*repair.Engine) float64 {
+			return func(e *repair.Engine) float64 { return float64(read(e.MemoStats().Tuple)) }
+		}
+		tier := telemetry.Label{Name: "tier", Value: "tuple"}
+		add(reg.CounterFunc, "detective_memo_hits_total",
+			"Repair-memo lookups answered from the cache, by tier.",
+			memo(func(m repair.MemoTierStats) int64 { return m.Hits }), tier)
+		add(reg.CounterFunc, "detective_memo_misses_total",
+			"Repair-memo lookups not answered from the cache, by tier.",
+			memo(func(m repair.MemoTierStats) int64 { return m.Misses }), tier)
+		add(reg.CounterFunc, "detective_memo_evictions_total",
+			"Repair-memo entries evicted, by tier and reason.",
+			memo(func(m repair.MemoTierStats) int64 { return m.Evictions }), tier, telemetry.Label{Name: "reason", Value: "capacity"})
+		add(reg.CounterFunc, "detective_memo_evictions_total",
+			"Repair-memo entries evicted, by tier and reason.",
+			memo(func(m repair.MemoTierStats) int64 { return m.GenEvictions }), tier, telemetry.Label{Name: "reason", Value: "generation"})
+		add(reg.CounterFunc, "detective_memo_declined_total",
+			"Repair-memo misses not inserted because the doorkeeper had not seen the row before, by tier.",
+			memo(func(m repair.MemoTierStats) int64 { return m.Declined }), tier)
+		add(reg.GaugeFunc, "detective_memo_bytes",
+			"Bytes held by the repair memo, by tier.",
+			memo(func(m repair.MemoTierStats) int64 { return m.Bytes }), tier)
+		add(reg.GaugeFunc, "detective_memo_entries",
+			"Entries held by the repair memo, by tier.",
+			memo(func(m repair.MemoTierStats) int64 { return m.Entries }), tier)
+	}
+
+	if bo.Enabled {
+		breaker := func(read func(repair.BreakerStats) int64) func(*repair.Engine) float64 {
+			return func(e *repair.Engine) float64 { return float64(read(e.BreakerStats())) }
+		}
+		add(reg.CounterFunc, "detective_breaker_trips_total",
+			"Circuit-breaker closed-to-open transitions.",
+			breaker(func(b repair.BreakerStats) int64 { return b.Trips }))
+		add(reg.CounterFunc, "detective_breaker_reopens_total",
+			"Failed half-open probe repairs that reopened the breaker.",
+			breaker(func(b repair.BreakerStats) int64 { return b.Reopens }))
+		add(reg.CounterFunc, "detective_breaker_recoveries_total",
+			"Successful half-open probe repairs that closed the breaker.",
+			breaker(func(b repair.BreakerStats) int64 { return b.Recoveries }))
+		add(reg.CounterFunc, "detective_breaker_degraded_rows_total",
+			"Rows served detect-only while the breaker was open.",
+			breaker(func(b repair.BreakerStats) int64 { return b.DegradedRows }))
+		add(reg.GaugeFunc, "detective_breaker_state",
+			"Circuit-breaker state: 0 closed, 1 open, 2 half-open.",
+			breaker(func(b repair.BreakerStats) int64 { return int64(slices.Index(breakerStates, b.State)) }))
+		if bo.PerRule {
+			add(reg.GaugeFunc, "detective_breaker_open_rules",
+				"Rules whose per-rule breakers are not closed.",
+				breaker(func(b repair.BreakerStats) int64 { return int64(len(b.OpenRules)) }))
+		}
+	}
 	return ks
 }
 
@@ -447,29 +509,29 @@ func registerKBSeries(reg *telemetry.Registry, cat *rules.Catalog, labels []tele
 func (ks *kbSeries) value(i int) float64 {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.cat != nil {
-		ks.last[i] = ks.reads[i](ks.cat)
+	if ks.e != nil {
+		ks.last[i] = ks.reads[i](ks.e)
 	}
 	return ks.last[i]
 }
 
-// retire records every series' last value and drops the catalog.
+// retire records every series' last value and drops the engine.
 func (ks *kbSeries) retire() {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	if ks.cat == nil {
+	if ks.e == nil {
 		return
 	}
 	for i, read := range ks.reads {
-		ks.last[i] = read(ks.cat)
+		ks.last[i] = read(ks.e)
 	}
-	ks.cat = nil
+	ks.e = nil
 }
 
-// Retire freezes the server's generation, candidate-cache and
-// signature-index series at their current values, so the metrics
-// registry no longer keeps the server's catalog, store and graph
-// reachable. The registry calls it when it evicts or drops a tenant;
+// Retire freezes the server's generation, candidate-cache,
+// signature-index, memo and breaker series at their current values,
+// so the metrics registry no longer keeps the server's engine, catalog,
+// store and graph reachable. The registry calls it when it evicts or drops a tenant;
 // requests that already hold the server still complete on it.
 func (s *Server) Retire() { s.series.retire() }
 

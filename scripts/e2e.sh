@@ -5,7 +5,9 @@
 # /clean (plain and ?ensemble=1), /reload, /metrics, and the
 # /v1/{tenant}/... equivalents with curl, asserting response bodies,
 # JSON shapes, and the X-Clean-* trailers (including the ensemble
-# confidence trailers).
+# confidence trailers). Registry mode also serves the sample KB packed
+# as a DKBS snapshot beside its text source, and requires both tenants
+# to clean alike.
 #
 # Run from the repo root: ./scripts/e2e.sh (CI's e2e job does).
 set -euo pipefail
@@ -15,12 +17,14 @@ PORT=${E2E_PORT:-18080}
 OPS=${E2E_OPS_PORT:-18081}
 BASE="http://127.0.0.1:$PORT"
 OPSBASE="http://127.0.0.1:$OPS"
-BIN=$(mktemp -d)/detectived
+WORK=$(mktemp -d)
+BIN=$WORK/detectived
 PID=""
 
 cleanup() {
   [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
   wait 2>/dev/null || true
+  rm -rf "$WORK"
 }
 trap cleanup EXIT
 
@@ -154,7 +158,17 @@ stop_server
 echo "=== e2e: single-tenant mode OK ==="
 
 echo "=== e2e: registry mode ==="
-"$BIN" -registry testdata/e2e/tenants.json -warm all \
+# Tenant gamma serves the sample KB packed as a DKBS snapshot, beside
+# beta's text source, through a temporary copy of tenants.json.
+go build -o "$WORK/kbtool" ./cmd/kbtool
+"$WORK/kbtool" pack testdata/sample_kb.nt "$WORK/sample_kb.dkbs"
+python3 - testdata/e2e/tenants.json "$WORK/sample_kb.dkbs" >"$WORK/tenants.json" <<'EOF'
+import json, sys
+cfg = json.load(open(sys.argv[1]))
+cfg["tenants"].append({"name": "gamma", "snapshot": sys.argv[2]})
+json.dump(cfg, sys.stdout, indent=2)
+EOF
+"$BIN" -registry "$WORK/tenants.json" -warm all \
   -addr "127.0.0.1:$PORT" -ops-addr "127.0.0.1:$OPS" \
   -log-level warn &
 PID=$!
@@ -171,6 +185,10 @@ assert_contains "$out" "X-Clean-Confidence-Mean: " "tenant ensemble confidence t
 # ?ensemble=1 is a 400.
 out=$(curl -fsS --raw -X POST --data-binary @testdata/e2e/dirty.csv "$BASE/v1/beta/clean")
 assert_contains "$out" "Doundgrund Poulrin,Prios Prize in Chemistry" "tenant beta plain /clean"
+# One KB, built from text (beta) and loaded from a snapshot (gamma),
+# must clean alike through the whole serving stack.
+snap=$(curl -fsS --raw -X POST --data-binary @testdata/e2e/dirty.csv "$BASE/v1/gamma/clean")
+[ "$snap" = "$out" ] || fail "snapshot-backed gamma /clean must match text-backed beta byte-for-byte, trailers included"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary @testdata/e2e/dirty.csv "$BASE/v1/beta/clean?ensemble=1")
 [ "$code" = 400 ] || fail "ensemble=1 on a non-ensemble tenant must 400, got $code"
 
@@ -185,7 +203,7 @@ curl -fsS "$OPSBASE/registry" | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
 names = {t["name"] for t in d["tenants"]}
-assert {"alpha", "beta"} <= names, names
+assert {"alpha", "beta", "gamma"} <= names, names
 '
 
 # Per-tenant incremental delta reload: rides the same handler under
